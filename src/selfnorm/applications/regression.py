@@ -16,7 +16,7 @@ from ..montecarlo import (
     domination_check,
     optimize_expectation_values,
 )
-from ..processes import DifferenceModel, substream
+from ..processes import DifferenceModel, stream_blocks
 
 __all__ = [
     "RegressionRun",
@@ -59,6 +59,13 @@ def _sample_phi(kind: str, rng, shape) -> np.ndarray:
     raise ValueError(f"unknown regressor kind {kind!r}; expected 'uniform' or 'ones'")
 
 
+def _regression_blocks(phi_kind, eps_model, n, n_rep, master_seed, first=0):
+    """Yield (start, phi, eps) per block of the stream contract; phi is drawn first."""
+    for start, rows, rng in stream_blocks(n, n_rep, master_seed, first):
+        phi = _sample_phi(phi_kind, rng, (rows, n))
+        yield start, phi, eps_model.sample(rng, (rows, n))
+
+
 def simulate_regression(
     theta: float,
     phi_kind: str,
@@ -67,12 +74,21 @@ def simulate_regression(
     master_seed: int,
     replicate: int = 0,
 ) -> RegressionRun:
-    """Draw one regression path; phi then eps come from one replicate substream."""
+    """Draw one regression path: row `replicate` of its block's phi and eps matrices.
+
+    Each block of the stream contract (`processes.stream_blocks`) draws its
+    (rows, n) regressors and then its (rows, n) noise, so this path equals
+    replicate `replicate` of `regression_batch` for any n_rep.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = substream(master_seed, replicate)
-    phi = _sample_phi(phi_kind, rng, n)
-    eps = eps_model.sample(rng, n)
+    if replicate < 0:
+        raise ValueError(f"replicate must be >= 0, got {replicate}")
+    start, phi, eps = next(
+        _regression_blocks(phi_kind, eps_model, n, replicate + 1, master_seed, replicate)
+    )
+    row = replicate - start
+    phi, eps = phi[row].copy(), eps[row].copy()
     return RegressionRun(theta=theta, phi=phi, eps=eps, x_obs=theta * phi + eps)
 
 
@@ -113,13 +129,14 @@ def regression_batch(
         )
     err = np.empty(n_rep)
     phi_sq = np.empty(n_rep)
-    for r in range(n_rep):
-        rng = substream(master_seed, r)
-        phi = _sample_phi(phi_kind, rng, n)
-        eps = eps_model.sample(rng, n)
-        ssq = float(np.sum(phi * phi))
-        phi_sq[r] = ssq
-        err[r] = float(np.sum(phi * eps)) / ssq if ssq > 0 else np.nan
+    for start, phi, eps in _regression_blocks(phi_kind, eps_model, n, n_rep, master_seed):
+        k = min(len(phi), n_rep - start)
+        phi, eps = phi[:k], eps[:k]
+        ssq = (phi * phi).sum(axis=1)
+        phi_sq[start:start + k] = ssq
+        err[start:start + k] = np.divide(
+            (phi * eps).sum(axis=1), ssq, out=np.full(k, np.nan), where=ssq > 0
+        )
     if np.any(~np.isfinite(err)):
         raise DegenerateDesignError("a replicate produced an all-zero design")
     return RegressionBatch(err=err, phi_sq=phi_sq, sigma=sigma, y_xi=y_xi)

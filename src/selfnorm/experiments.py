@@ -53,6 +53,9 @@ DEFAULT_N_REP = 100_000
 DEFAULT_INNER_REP = 2000
 DEFAULT_GAMMA = 0.99
 
+# Philox keys are pairs of uint64, so a master seed must fit in 64 bits.
+SEED_LIMIT = 2 ** 64
+
 # Sparse-hit threshold below which an expectation-bound check says nothing
 # about the tail depth it nominally probes.
 UNTESTED_DEPTH_FACTOR = 10
@@ -179,6 +182,11 @@ def _is_percentile(value) -> bool:
     return isinstance(value, str) and value.startswith("p")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
     errors = []
     if not isinstance(raw, dict):
@@ -200,7 +208,7 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
         )
 
     n = raw.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         errors.append("n: required positive integer")
 
     mode = raw.get("mode", "mc")
@@ -208,17 +216,17 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
         errors.append(f"mode: {mode!r} not in (mc, exact_oracle, both)")
 
     n_rep = raw.get("n_rep", DEFAULT_N_REP)
-    if not isinstance(n_rep, int) or n_rep < 100:
+    if not _is_int(n_rep) or n_rep < 100:
         errors.append("n_rep: integer >= 100 required")
     inner_rep = raw.get("inner_rep", DEFAULT_INNER_REP)
-    if not isinstance(inner_rep, int) or inner_rep < 1:
+    if not _is_int(inner_rep) or inner_rep < 1:
         errors.append("inner_rep: positive integer required")
     gamma = raw.get("gamma", DEFAULT_GAMMA)
     if not isinstance(gamma, (int, float)) or not 0.0 < gamma < 1.0:
         errors.append(f"gamma: {gamma!r} must be in (0, 1)")
     master_seed = raw.get("master_seed", 0)
-    if not isinstance(master_seed, int) or master_seed < 0:
-        errors.append("master_seed: nonnegative integer required")
+    if not _is_int(master_seed) or not 0 <= master_seed < SEED_LIMIT:
+        errors.append("master_seed: integer in [0, 2**64) required")
     theta = raw.get("theta", 1.0)
     if not isinstance(theta, (int, float)):
         errors.append("theta: number required")
@@ -226,7 +234,7 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
     if phi not in ("uniform", "ones"):
         errors.append(f"phi: {phi!r} not in (uniform, ones)")
     d = raw.get("d", 2)
-    if not isinstance(d, int) or d < 2:
+    if not _is_int(d) or d < 2:
         errors.append("d: integer >= 2 required")
     for opt in ("c1", "c_const"):
         v = raw.get(opt)

@@ -24,6 +24,8 @@ __all__ = [
     "SymmetricMixture",
     "build_model",
     "substream",
+    "BLOCK_VALUES",
+    "stream_blocks",
     "sample_path",
     "sample_batch",
     "Path",
@@ -44,11 +46,31 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator keyed by (master_seed, stream).
 
     Philox keying makes each stream a pure function of the two integers, so
-    replicates can be generated in any order, on any worker, with identical
-    results.
+    streams can be generated in any order, on any worker, with identical
+    results.  Path sampling keys one stream per block of rows (see
+    `stream_blocks`); TSP instances key one stream per (instance, role).
     """
     key = np.array([master_seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# Values per sampled block: about 1 MB of float64 for every n, so one block
+# stays a small temporary while a generator serves many rows.
+BLOCK_VALUES = 2 ** 17
+
+
+def stream_blocks(n: int, n_rep: int, master_seed: int, first: int = 0):
+    """The stream contract: yield (start, rows, rng) for each block of replicates.
+
+    Replicates are split into blocks of rows = max(1, BLOCK_VALUES // n) rows;
+    block k holds rows [k*rows, (k+1)*rows) and draws from substream(master_seed, k).
+    A caller draws each block whole as a (rows, n) matrix and trims the last
+    one, so row r is a pure function of (model, n, master_seed, r) and never
+    depends on n_rep.  Blocks start from the one holding row `first`.
+    """
+    rows = max(1, BLOCK_VALUES // n)
+    for block in range(first // rows, -(-n_rep // rows)):
+        yield block * rows, rows, substream(master_seed, block)
 
 
 class DifferenceModel:
@@ -61,7 +83,8 @@ class DifferenceModel:
     upper_bound: float = math.inf  # essential supremum of one increment
     abs_bound: float = math.inf    # essential supremum of |increment|
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """I.i.d. increments of the given size (an int or a shape tuple)."""
         raise NotImplementedError
 
     def var(self) -> float:
@@ -461,22 +484,34 @@ class Path:
 
 
 def sample_path(model: DifferenceModel, n: int, master_seed: int, replicate: int = 0) -> Path:
-    """Draw a path of n increments; a pure function of (model, n, seed, replicate)."""
+    """Draw a path of n increments; a pure function of (model, n, master_seed, replicate).
+
+    The path is row `replicate` of its block under the stream contract of
+    `stream_blocks`, so it equals that row of any `sample_batch` holding it.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = substream(master_seed, replicate)
-    return Path(xs=model.sample(rng, n), model=model, master_seed=master_seed, replicate=replicate)
+    if replicate < 0:
+        raise ValueError(f"replicate must be >= 0, got {replicate}")
+    start, rows, rng = next(stream_blocks(n, replicate + 1, master_seed, replicate))
+    # copy the row so the path does not keep its whole block alive
+    xs = model.sample(rng, (rows, n))[replicate - start].copy()
+    return Path(xs=xs, model=model, master_seed=master_seed, replicate=replicate)
 
 
 def sample_batch(model: DifferenceModel, n: int, n_rep: int, master_seed: int) -> np.ndarray:
-    """(n_rep, n) matrix whose row r equals sample_path(model, n, master_seed, r).xs."""
+    """(n_rep, n) matrix whose row r equals sample_path(model, n, master_seed, r).xs.
+
+    Filled one block at a time, so rows [0, k) are the same for every n_rep >= k.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n_rep < 1:
         raise ValueError(f"n_rep must be >= 1, got {n_rep}")
     out = np.empty((n_rep, n), dtype=float)
-    for r in range(n_rep):
-        out[r] = model.sample(substream(master_seed, r), n)
+    for start, rows, rng in stream_blocks(n, n_rep, master_seed):
+        dst = out[start:start + rows]
+        dst[:] = model.sample(rng, (rows, n))[: len(dst)]
     return out
 
 
@@ -484,7 +519,9 @@ class BatchStats:
     """Vectorized bracket processes of a batch of paths (one row per path).
 
     Realized sums use the sampled increments; predictable terms use the
-    model's closed-form conditional moments.
+    model's closed-form conditional moments.  `s`, `sq_var`, `b_n`, `h_n` and
+    `g_n` are memoized per (method, parameter) and returned read-only, since
+    one batch serves every grid point of a run.
     """
 
     def __init__(self, xs: np.ndarray, model: DifferenceModel):
@@ -493,12 +530,23 @@ class BatchStats:
         self.model = model
         self.n = xs.shape[1]
         self._sq = xs * xs
+        self._cache = {}
+
+    def _cached(self, key: tuple, compute) -> np.ndarray:
+        value = self._cache.get(key)
+        if value is None:
+            value = compute()
+            value.flags.writeable = False
+            # concurrent grid points may race to fill a key; the values are
+            # equal, and setdefault makes every caller share the first one
+            value = self._cache.setdefault(key, value)
+        return value
 
     def s(self) -> np.ndarray:
-        return self.xs.sum(axis=1)
+        return self._cached(("s", None), lambda: self.xs.sum(axis=1))
 
     def sq_var(self) -> np.ndarray:
-        return self._sq.sum(axis=1)
+        return self._cached(("sq_var", None), lambda: self._sq.sum(axis=1))
 
     def cond_var(self) -> np.ndarray:
         return np.full(self.xs.shape[0], self.n * self.model.var())
@@ -512,12 +560,14 @@ class BatchStats:
         return np.full(self.xs.shape[0], self.n * self.model.sq_below(y))
 
     def b_n(self, y: float) -> np.ndarray:
-        return self.sq_var_above(y) + self.cond_var_below(y)
+        return self._cached(("b_n", y), lambda: self.sq_var_above(y) + self.cond_var_below(y))
 
     def h_n(self, a: float) -> np.ndarray:
         if a < 0:
             raise ValueError(f"a must be >= 0, got {a}")
-        return (self._sq * (np.abs(self.xs) > a)).sum(axis=1) + self.cond_var()
+        return self._cached(
+            ("h_n", a), lambda: (self._sq * (np.abs(self.xs) > a)).sum(axis=1) + self.cond_var()
+        )
 
     def pos_sq(self) -> np.ndarray:
         return (self._sq * (self.xs > 0)).sum(axis=1)
@@ -530,7 +580,9 @@ class BatchStats:
         return (np.maximum(self.xs, 0.0) ** beta).sum(axis=1)
 
     def g_n(self, beta: float) -> np.ndarray:
-        return self.pos_beta(beta) + self.n * self.model.neg_beta_moment(beta)
+        return self._cached(
+            ("g_n", beta), lambda: self.pos_beta(beta) + self.n * self.model.neg_beta_moment(beta)
+        )
 
 
 class PathStats:

@@ -35,7 +35,7 @@ from selfnorm.applications.tsp import (
     two_opt,
     verify_tsp,
 )
-from selfnorm.processes import Gaussian, ScaledTwoPoint, substream
+from selfnorm.processes import BLOCK_VALUES, Gaussian, ScaledTwoPoint, substream
 
 
 class TestStudentT:
@@ -120,6 +120,16 @@ class TestLeastSquares:
             err = ls_estimate(run) - run.theta
             identity = float(np.sum(run.phi * run.eps) / np.sum(run.phi * run.phi))
             assert err == pytest.approx(identity, rel=1e-12, abs=1e-15)
+
+    def test_batch_rows_match_replicate_runs_across_blocks(self):
+        noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
+        n = 64
+        rows = BLOCK_VALUES // n
+        batch = regression_batch(0.7, "uniform", noise, n, rows + 2, 55)
+        for r in (0, rows - 1, rows, rows + 1):
+            run = simulate_regression(0.7, "uniform", noise, n, 55, replicate=r)
+            assert batch.err[r] == pytest.approx(ls_estimate(run) - 0.7, rel=1e-12, abs=1e-15)
+            assert batch.phi_sq[r] == pytest.approx(float(np.sum(run.phi * run.phi)), rel=1e-14)
 
     def test_observation_equation_exact(self):
         noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from selfnorm.cli import main
 from selfnorm.experiments import (
     CSV_COLUMNS,
+    UNTESTED_DEPTH_FACTOR,
     SpecValidationError,
     emit_plot_data,
     emit_report,
@@ -17,6 +18,7 @@ from selfnorm.experiments import (
     render_report,
     run_experiment,
 )
+from selfnorm.montecarlo import Statistic, TailEvent, exact_tail_rademacher
 
 
 def _spec(**overrides):
@@ -55,6 +57,18 @@ class TestLoadSpec:
         with pytest.raises(SpecValidationError) as err:
             load_spec(_spec(n=25, mode="exact_oracle"))
         assert any("capped at n = 20" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize("field", ["n", "n_rep", "inner_rep", "d", "master_seed"])
+    def test_bool_rejected_for_integer_fields(self, field):
+        # JSON true/false load as Python bools, which are ints
+        with pytest.raises(SpecValidationError) as err:
+            load_spec(_spec(**{field: True}))
+        assert any(e.startswith(f"{field}:") for e in err.value.errors)
+
+    def test_master_seed_must_fit_64_bits(self):
+        assert load_spec(_spec(master_seed=2 ** 64 - 1)).master_seed == 2 ** 64 - 1
+        with pytest.raises(SpecValidationError, match="master_seed"):
+            load_spec(_spec(master_seed=2 ** 64))
 
     def test_all_errors_collected(self):
         raw = _spec(n=25, mode="exact_oracle", gamma=2.0)
@@ -143,8 +157,12 @@ class TestRunExperiment:
             _spec(theorem="cor21_expectation", grids={"x": [0.6]}, n_rep=500)
         )
         records = run_experiment(spec)
-        # the B_n(0)-normalized ratio cannot reach 0.6 with fair signs
-        assert records[0].hits == 0
+        # With fair signs, B_n(0) = K + n/2 for K positive signs, so the ratio
+        # reaches 0.6 only when all ten signs are positive: P = 2^-10, and 500
+        # replicates expect about 0.5 hits, far below the depth threshold.
+        event = TailEvent(x=0.6, normalizer=Statistic("b_n", y=0.0))
+        assert exact_tail_rademacher(10, event) == 2.0 ** -10
+        assert records[0].hits < UNTESTED_DEPTH_FACTOR
         assert "untested_depth" in records[0].note
 
     def test_percentile_b_resolution(self):
@@ -257,6 +275,17 @@ class TestCli:
         result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
         assert result.exit_code == 2
         assert "config error" in result.output
+
+    def test_unfit_integers_exit_two_before_running(self, tmp_path):
+        runner = CliRunner()
+        bool_n = runner.invoke(main, ["verify", "--spec", str(self._write_spec(tmp_path, n=True))])
+        assert bool_n.exit_code == 2
+        assert "n: required positive integer" in bool_n.output
+        wide_seed = runner.invoke(
+            main, ["verify", "--spec", str(self._write_spec(tmp_path)), "--seed", str(2 ** 64)]
+        )
+        assert wide_seed.exit_code == 2
+        assert "master_seed" in wide_seed.output
 
     def test_violation_exit_one(self, tmp_path):
         # an absurdly small caller-supplied constant falsifies the bound

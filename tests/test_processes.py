@@ -1,12 +1,15 @@
 """Difference-model moments, sampling determinism, and bracket-process identities."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from selfnorm.processes import (
+    BLOCK_VALUES,
     BatchStats,
     BoundedAbove,
     CenteredPareto,
@@ -64,6 +67,21 @@ class TestSamplingContracts:
         batch = sample_batch(model, 7, 11, 99)
         for r in (0, 5, 10):
             assert np.array_equal(batch[r], sample_path(model, 7, 99, replicate=r).xs)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
+    def test_block_boundary_rows_match_paths(self, model):
+        n = 64
+        rows = BLOCK_VALUES // n
+        batch = sample_batch(model, n, rows + 3, 99)
+        # last row of block 0, first row of block 1, and a row of the trimmed block
+        for r in (rows - 1, rows, rows + 2):
+            assert np.array_equal(batch[r], sample_path(model, n, 99, replicate=r).xs)
+
+    def test_rows_do_not_depend_on_n_rep(self):
+        model, n = Gaussian(sd=0.7), 64
+        full = sample_batch(model, n, 5000, 31)
+        for n_rep in (11, BLOCK_VALUES // n + 1):
+            assert np.array_equal(sample_batch(model, n, n_rep, 31), full[:n_rep])
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
@@ -264,6 +282,46 @@ class TestPathStats:
             # realized squares split at the threshold
             below = ((batch ** 2) * (batch <= y)).sum(axis=1)
             assert np.allclose(stats.sq_var(), stats.sq_var_above(y) + below, rtol=1e-12)
+
+    def test_brackets_are_memoized_per_parameter(self):
+        model = BoundedAbove(1.0)
+        stats = BatchStats(sample_batch(model, 20, 30, 8), model)
+        assert stats.s() is stats.s()
+        assert stats.sq_var() is stats.sq_var()
+        assert stats.b_n(0.5) is stats.b_n(0.5)
+        assert stats.h_n(0.5) is stats.h_n(0.5)
+        assert stats.g_n(1.5) is stats.g_n(1.5)
+        assert stats.b_n(0.0) is not stats.b_n(0.5)
+        assert not np.array_equal(stats.b_n(0.0), stats.b_n(0.5))
+        assert not np.array_equal(stats.g_n(1.2), stats.g_n(1.5))
+        assert np.array_equal(stats.b_n(0.5), stats.sq_var_above(0.5) + stats.cond_var_below(0.5))
+
+    def test_memoized_brackets_are_read_only(self):
+        model = Rademacher()
+        stats = BatchStats(sample_batch(model, 10, 5, 8), model)
+        before = stats.b_n(0.0).copy()
+        for arr in (stats.s(), stats.sq_var(), stats.b_n(0.0), stats.h_n(0.5), stats.g_n(1.5)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 99.0
+        assert np.array_equal(stats.b_n(0.0), before)
+
+    def test_memoized_brackets_shared_across_threads(self):
+        # grid points run on threads under --jobs; every caller of one key must
+        # get the one stored array even when several threads compute it
+        model = BoundedAbove(1.0)
+        stats = BatchStats(sample_batch(model, 50, 2000, 4), model)
+        ys = [0.1 * k for k in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(stats.b_n, y) for y in ys * 6]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for y, arr in zip(ys * 6, results):
+            assert arr is stats.b_n(y)
+            assert np.array_equal(arr, stats.sq_var_above(y) + stats.cond_var_below(y))
 
     def test_unsupported_statistic_propagates(self):
         stats = BatchStats(sample_batch(CenteredPareto(beta_tail=1.9), 10, 5, 1), CenteredPareto(beta_tail=1.9))
