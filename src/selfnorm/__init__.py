@@ -43,7 +43,6 @@ from .montecarlo import (
     estimate_tail,
     exact_tail_rademacher,
     expectation_bound,
-    optimize_over_p,
     supermartingale_check,
 )
 from .experiments import (

@@ -46,16 +46,28 @@ def sample_points(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def dist_matrix(points: np.ndarray) -> np.ndarray:
+    """(..., n, d) points to (..., n, n) Euclidean distance matrices."""
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def dist_matrix_batch(points: np.ndarray) -> np.ndarray:
-    """(B, n, d) point batches to (B, n, n) distance matrices."""
+    """(B, n, d) point batches to (B, n, n) distance matrices.
+
+    The result is a (B, n, n) view of an (n, n, B) array, so the matrices of
+    a batch lie side by side and ``held_karp_batch`` reads contiguous rows.
+    """
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    if pts.shape[2] >= 8:
+        # NumPy sums 8 or more terms along a contiguous axis pairwise, so a
+        # term-by-term coordinate sum would differ from dist_matrix in the
+        # last bit.
+        return dist_matrix(pts)
+    cols = np.ascontiguousarray(pts.transpose(1, 2, 0))  # (n, d, B)
+    diff = cols[:, None] - cols[None, :]
+    diff *= diff
+    return np.sqrt(diff.sum(axis=2)).transpose(2, 0, 1)
 
 
 def tour_length(dist: np.ndarray, order) -> float:
@@ -119,7 +131,12 @@ def held_karp(dist: np.ndarray) -> TourResult:
 
 @lru_cache(maxsize=None)
 def _transition_plan(n: int):
-    """Flattened-index DP schedule shared by all batches of the same size."""
+    """Flattened-index DP schedule shared by all batches of the same size.
+
+    DP row ``mask * m + (j - 1)`` holds the shortest path from city 0 through
+    the cities of ``mask`` ending at j; distance row ``k * n + j`` holds the
+    distance from k to j.
+    """
     m = n - 1
     base = [(1 << (j - 1)) * m + (j - 1) for j in range(1, n)]
     steps = []
@@ -134,7 +151,7 @@ def _transition_plan(n: int):
             prev = mask ^ bit
             ks = np.array([k for k in range(1, n) if prev & (1 << (k - 1))], dtype=np.intp)
             src = (prev * m + (ks - 1)).astype(np.intp)
-            steps.append((mask * m + (j - 1), src, ks, j))
+            steps.append((mask * m + (j - 1), src, ks * n + j))
     full = (1 << m) - 1
     finals = np.array([full * m + (j - 1) for j in range(1, n)], dtype=np.intp)
     return base, steps, finals
@@ -151,16 +168,19 @@ def held_karp_batch(dists: np.ndarray, chunk: int = 2048) -> np.ndarray:
     out = np.empty(batch)
     base, steps, finals = _transition_plan(n)
     m = n - 1
+    by_pair = dists.transpose(1, 2, 0)  # free for dist_matrix_batch's layout
     for start in range(0, batch, chunk):
-        d = dists[start : start + chunk]
-        size = d.shape[0]
-        dp = np.empty(((1 << m) * m, size))
+        # row k * n + j: distance from k to j across the chunk
+        d = np.ascontiguousarray(by_pair[:, :, start : start + chunk]).reshape(n * n, -1)
+        dp = np.empty(((1 << m) * m, d.shape[1]))
         for j, flat in enumerate(base, start=1):
-            dp[flat] = d[:, 0, j]
-        for dst, src, ks, j in steps:
-            dp[dst] = (dp[src] + d[:, ks, j].T).min(axis=0)
-        closing = d[:, 1:, 0].T  # row j-1: distance from city j back to 0
-        out[start : start + size] = (dp[finals] + closing).min(axis=0)
+            dp[flat] = d[j]
+        for dst, src, kj in steps:
+            cand = dp[src]
+            cand += d[kj]
+            cand.min(axis=0, out=dp[dst])
+        closing = d[n : n * n : n]  # row j - 1: distance from city j back to 0
+        out[start : start + d.shape[1]] = (dp[finals] + closing).min(axis=0)
     return out
 
 

@@ -33,7 +33,16 @@ from .montecarlo import (
 from .processes import BatchStats, build_model, sample_batch
 from .applications.regression import exact_regression_records, verify_regression
 from .applications.student import self_normalized_threshold
-from .applications.tsp import HELD_KARP_CAP, sample_points, tsp_tour, verify_tsp
+from .applications.tsp import (
+    _ROLE_POINTS,
+    HELD_KARP_CAP,
+    _stream_id,
+    dist_matrix_batch,
+    held_karp_batch,
+    sample_points,
+    tsp_tour,
+    verify_tsp,
+)
 from .processes import substream
 
 __all__ = [
@@ -55,6 +64,9 @@ DEFAULT_GAMMA = 0.99
 
 # Philox keys are pairs of uint64, so a master seed must fit in 64 bits.
 SEED_LIMIT = 2 ** 64
+
+# azuma_tsp instances solved per held_karp_batch call.
+TSP_INSTANCE_BLOCK = 2048
 
 # Sparse-hit threshold below which an expectation-bound check says nothing
 # about the tail depth it nominally probes.
@@ -250,14 +262,20 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
         for key in grids:
             if key not in allowed:
                 errors.append(f"grids.{key}: not used by theorem {theorem}")
-        for key in target.grid_keys:
+        for key in target.grid_keys + target.optional_keys:
             values = grids.get(key)
-            if not isinstance(values, list) or not values:
+            if key in target.optional_keys:
+                if values is None:
+                    continue
+                if not isinstance(values, list) or len(values) != 1:
+                    errors.append(f"grids.{key}: optional, a list of exactly one value")
+                    continue
+            elif not isinstance(values, list) or not values:
                 errors.append(f"grids.{key}: required nonempty list")
                 continue
             ok, rule = _GRID_RULES[key]
             for v in values:
-                if key == "b" and _is_percentile(v):
+                if key == "b" and target.kind == "diff" and _is_percentile(v):
                     if mode != "mc":
                         errors.append(
                             f"grids.b: percentile entry {v!r} needs mode=mc "
@@ -691,6 +709,7 @@ def _run_regression_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord
 
 
 def _run_tsp_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
+    t0 = time.perf_counter()
     t_grid = spec.grids["t"]
     if spec.theorem == "thm34_tsp":
         result = verify_tsp(
@@ -734,17 +753,25 @@ def _run_tsp_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
                     seed=spec.master_seed,
                     grid=tuple(sorted({"t": rec.t}.items())),
                     note=note,
-                    wall_ms=None,
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
                 )
             )
         return out
 
     # azuma_tsp: plain deviation of the tour length, no nested estimates.
-    lengths = np.empty(spec.n_rep)
     heuristic = spec.n > HELD_KARP_CAP
-    for r in range(spec.n_rep):
-        rng = substream(spec.master_seed, (r << 8) | 2)
-        lengths[r] = tsp_tour(sample_points(spec.n, spec.d, rng)).length
+    lengths = np.empty(spec.n_rep)
+    # instances in blocks, so the distance arrays stay small at n_rep = 1e5
+    for start in range(0, spec.n_rep, TSP_INSTANCE_BLOCK):
+        stop = min(start + TSP_INSTANCE_BLOCK, spec.n_rep)
+        points = np.stack([
+            sample_points(spec.n, spec.d, substream(spec.master_seed, _stream_id(r, 0, _ROLE_POINTS)))
+            for r in range(start, stop)
+        ])
+        if heuristic:
+            lengths[start:stop] = [tsp_tour(pts).length for pts in points]
+        else:
+            lengths[start:stop] = held_karp_batch(dist_matrix_batch(points))
     center = float(lengths.mean())
     out = []
     for t in t_grid:
@@ -777,7 +804,7 @@ def _run_tsp_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
                 seed=spec.master_seed,
                 grid=tuple(sorted({"t": float(t)}.items())),
                 note=note,
-                wall_ms=None,
+                wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
     return out

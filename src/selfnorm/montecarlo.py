@@ -31,7 +31,6 @@ __all__ = [
     "exact_mean_rademacher",
     "expectation_bound",
     "expectation_bound_from",
-    "optimize_over_p",
     "optimize_over_p_from",
     "optimize_expectation_values",
     "exact_optimized_bound_rademacher",
@@ -423,22 +422,6 @@ def optimize_over_p_from(
     rate, norm = _rate_and_normalizer(stats, x, y, beta)
     indicator = (stats.s() >= x * norm) if with_indicator else None
     return optimize_expectation_values(rate, norm, indicator)
-
-
-def optimize_over_p(
-    model: DifferenceModel,
-    n: int,
-    x: float,
-    *,
-    y: float | None = None,
-    beta: float | None = None,
-    with_indicator: bool = True,
-    n_rep: int,
-    master_seed: int,
-) -> OptimizedBound:
-    """Minimize the expectation bound over p with one shared sample set."""
-    stats = BatchStats(sample_batch(model, n, n_rep, master_seed), model)
-    return optimize_over_p_from(stats, x, y=y, beta=beta, with_indicator=with_indicator)
 
 
 def exact_optimized_bound_rademacher(

@@ -1,11 +1,13 @@
 """Student-t rewriting, least-squares regression checks, and TSP experiments."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from selfnorm.bounds import BoundSpec, RateInputs, evaluate_bound
+from selfnorm.experiments import load_spec, render_report, run_experiment
 from selfnorm.applications.student import (
     DegenerateSampleError,
     self_normalized_threshold,
@@ -235,6 +237,23 @@ class TestTours:
         singles = np.array([held_karp(dists[i]).length for i in range(25)])
         assert np.array_equal(batch, singles)
 
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_dist_matrix_batch_matches_stacked(self, d):
+        pts = substream(6, d).random((13, 7, d))
+        stacked = np.stack([dist_matrix(p) for p in pts])
+        batch = dist_matrix_batch(pts)
+        assert batch.shape == (13, 7, 7)
+        assert np.array_equal(batch, stacked)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_batch_matches_single_on_plain_array(self, n):
+        pts = substream(8, n).random((10, n, 2))
+        dists = np.stack([dist_matrix(p) for p in pts])
+        assert dists.flags.c_contiguous
+        batch = held_karp_batch(dists, chunk=4)
+        singles = np.array([held_karp(dists[i]).length for i in range(10)])
+        assert np.array_equal(batch, singles)
+
     def test_large_instance_uses_heuristic(self):
         pts = sample_points(14, 2, substream(9, 0))
         result = tsp_tour(pts)
@@ -283,6 +302,29 @@ class TestTspMartingale:
 
 
 class TestVerifyTsp:
+    # sha256 of the JSON reports; a change to the tour kernels or the point
+    # streams that moves any byte of a TSP report fails here
+    PINNED = [
+        (
+            {"id": "pin-thm34", "theorem": "thm34_tsp", "n": 5, "d": 2,
+             "grids": {"t": [1.0, 2.0]}, "n_rep": 100, "inner_rep": 1000, "master_seed": 3},
+            "420ca572996fdc92af458fab7f3c802faa7769266a0f56e50525ed0a25acc8b6",
+        ),
+        (
+            {"id": "pin-azuma", "theorem": "azuma_tsp", "n": 7, "d": 2,
+             "grids": {"t": [0.2, 0.5]}, "n_rep": 400, "master_seed": 7, "c_const": 1.0},
+            "aaf90dccdad627446aa1e69e0ada40b821eb6e8294ad6cd7d02a71d741065671",
+        ),
+    ]
+
+    @pytest.mark.parametrize("raw, digest", PINNED, ids=["thm34_tsp", "azuma_tsp"])
+    def test_report_bytes_pinned(self, raw, digest):
+        spec = load_spec(raw)
+        records = run_experiment(spec)
+        text = render_report(records, "json", spec=spec)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert all(rec.wall_ms is not None and rec.wall_ms > 0 for rec in records)
+
     def test_smoke_run(self):
         result = verify_tsp(8, 2, [2.0, 4.0], 6, 1000, 0.99, 77)
         assert result.c1 > 0

@@ -35,6 +35,14 @@ def _spec(**overrides):
     return base
 
 
+def _regression_spec(**grids):
+    return {
+        "id": "reg", "theorem": "thm33_regression", "n": 20,
+        "model": {"family": "scaled_two_point", "p_up": 0.5, "up": 0.1, "down": -0.1},
+        "grids": {"x": [0.5], **grids}, "n_rep": 500, "master_seed": 4,
+    }
+
+
 class TestLoadSpec:
     def test_minimal_spec_gets_documented_defaults(self):
         spec = load_spec({k: v for k, v in _spec().items() if k not in ("n_rep", "master_seed")})
@@ -110,6 +118,27 @@ class TestLoadSpec:
         with pytest.raises(SpecValidationError) as err:
             load_spec(raw)
         assert any("rademacher" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize(
+        "grids, key",
+        [
+            ({"b": [-1.0]}, "grids.b"),
+            ({"b": ["p10"]}, "grids.b"),
+            ({"b": []}, "grids.b"),
+            ({"b": 2.0}, "grids.b"),
+            ({"b": [1.0, 2.0]}, "grids.b"),
+            ({"M": [0.5]}, "grids.M"),
+            ({"b": [1.0], "M": [2.0, 3.0]}, "grids.M"),
+        ],
+    )
+    def test_regression_window_keys_validated(self, grids, key):
+        with pytest.raises(SpecValidationError) as err:
+            load_spec(_regression_spec(**grids))
+        assert any(e.startswith(key) for e in err.value.errors)
+
+    def test_regression_window_keys_honoured(self):
+        records = run_experiment(load_spec(_regression_spec(b=[0.5], M=[3.0])))
+        assert [(r.b, r.M) for r in records] == [(0.5, 3.0)]
 
     def test_tsp_constraints(self):
         raw = {
@@ -286,6 +315,15 @@ class TestCli:
         )
         assert wide_seed.exit_code == 2
         assert "master_seed" in wide_seed.output
+
+    def test_bad_regression_window_exit_two(self, tmp_path):
+        runner = CliRunner()
+        for grids in ({"b": [-1.0]}, {"b": ["p10"]}, {"b": [1.0, 2.0], "M": [2.0, 3.0]}):
+            spec_path = tmp_path / "reg.json"
+            spec_path.write_text(json.dumps(_regression_spec(**grids)))
+            result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
+            assert result.exit_code == 2, result.output
+            assert "grids." in result.output
 
     def test_violation_exit_one(self, tmp_path):
         # an absurdly small caller-supplied constant falsifies the bound
