@@ -19,18 +19,15 @@ from .processes import (
     DifferenceModel,
     Gaussian,
     Path,
-    PathStats,
     Rademacher,
     ScaledTwoPoint,
     SymmetricMixture,
     UnsupportedStatisticError,
     build_model,
     heavy_on_left_verdict,
-    path_stats,
     sample_batch,
     sample_path,
     substream,
-    truncated_mean,
 )
 from .montecarlo import (
     DominationVerdict,
@@ -40,9 +37,7 @@ from .montecarlo import (
     TailEvent,
     clopper_pearson,
     domination_check,
-    estimate_tail,
     exact_tail_rademacher,
-    expectation_bound,
     supermartingale_check,
 )
 from .experiments import (

@@ -14,6 +14,7 @@ from ..montecarlo import (
     MCEstimate,
     closed_ge,
     domination_check,
+    exact_verdict,
     optimize_expectation_values,
 )
 from ..processes import DifferenceModel, stream_blocks
@@ -164,6 +165,17 @@ def _resolve_window(batch: RegressionBatch, b, M) -> tuple[float, float]:
     return float(b), float(M)
 
 
+def _deviation_bound(thm, x, sigma, y_xi, phi_sq, b, M) -> float:
+    """thm32_regression: twice the inf-over-p expectation bound over the design
+    masses phi_sq.  thm33_regression: the closed form on the window [b, b*M]."""
+    if thm == "thm32_regression":
+        rate = x * x / (2.0 * (sigma * sigma + x * y_xi / 3.0))
+        return 2.0 * optimize_expectation_values(rate, phi_sq, None).value
+    return evaluate_bound(
+        BoundSpec("thm33_regression", RateInputs(x=float(x), sigma=sigma, y=y_xi, b=b, M=M))
+    )
+
+
 def verify_regression(
     thm: str,
     *,
@@ -187,42 +199,27 @@ def verify_regression(
     if thm not in ("thm32_regression", "thm33_regression"):
         raise ValueError(f"unknown regression theorem {thm!r}")
     batch = regression_batch(theta, phi_kind, eps_model, n, n_rep, master_seed)
-    sigma, y_xi = batch.sigma, batch.y_xi
-    records = []
     if thm == "thm32_regression":
-        for x in x_grid:
-            hits = int(np.count_nonzero(closed_ge(np.abs(batch.err), x)))
-            estimate = MCEstimate.from_hits(hits, n_rep, gamma)
-            rate = x * x / (2.0 * (sigma * sigma + x * y_xi / 3.0))
-            opt = optimize_expectation_values(rate, batch.phi_sq, None)
-            bound = 2.0 * opt.value
-            records.append(
-                RegressionRecord(
-                    thm=thm, x=float(x), b=None, M=None, bound=bound,
-                    estimate=estimate, exact=None,
-                    verdict=domination_check(estimate, bound),
-                )
-            )
+        b = M = None
     else:
         b, M = _resolve_window(batch, b, M)
         root = np.sqrt(batch.phi_sq)
         in_window = closed_ge(root, b) & closed_ge(-root, -b * M)
-        for x in x_grid:
-            hits = int(np.count_nonzero(closed_ge(np.abs(batch.err) * root, x) & in_window))
-            estimate = MCEstimate.from_hits(hits, n_rep, gamma)
-            bound = evaluate_bound(
-                BoundSpec(
-                    "thm33_regression",
-                    RateInputs(x=float(x), sigma=sigma, y=y_xi, b=b, M=M),
-                )
+    records = []
+    for x in x_grid:
+        if thm == "thm32_regression":
+            hit = closed_ge(np.abs(batch.err), x)
+        else:
+            hit = closed_ge(np.abs(batch.err) * root, x) & in_window
+        estimate = MCEstimate.from_hits(int(np.count_nonzero(hit)), n_rep, gamma)
+        bound = _deviation_bound(thm, x, batch.sigma, batch.y_xi, batch.phi_sq, b, M)
+        records.append(
+            RegressionRecord(
+                thm=thm, x=float(x), b=b, M=M, bound=bound,
+                estimate=estimate, exact=None,
+                verdict=domination_check(estimate, bound),
             )
-            records.append(
-                RegressionRecord(
-                    thm=thm, x=float(x), b=b, M=M, bound=bound,
-                    estimate=estimate, exact=None,
-                    verdict=domination_check(estimate, bound),
-                )
-            )
+        )
     return records
 
 
@@ -244,44 +241,28 @@ def exact_regression_records(
         raise ValueError(f"unknown regression theorem {thm!r}")
     if not 2 <= n <= 20:
         raise ValueError(f"n must be in [2, 20] for enumeration, got {n}")
-    sigma = scale
-    y_xi = scale
     sums = np.array([2 * k - n for k in range(n + 1)], dtype=float)
     weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float) / 2.0 ** n
     err = scale * sums / n
+    root = math.sqrt(n)
+    if thm == "thm32_regression":
+        b = M = None
+    else:
+        b = b if b is not None else root
+        M = M if M is not None else 1.0
     records = []
     for x in x_grid:
         if thm == "thm32_regression":
-            exact_tail = float(weights[closed_ge(np.abs(err), x)].sum())
-            rate = x * x / (2.0 * (sigma * sigma + x * y_xi / 3.0))
-            # sum phi^2 = n deterministically, so the expectation is a point mass
-            opt = optimize_expectation_values(rate, np.full(1, float(n)), None)
-            bound = 2.0 * opt.value
-            rec_b, rec_m = None, None
+            tail = closed_ge(np.abs(err), x)
         else:
-            rec_b = b if b is not None else math.sqrt(n)
-            rec_m = M if M is not None else 1.0
-            root = math.sqrt(n)
-            in_window = rec_b <= root <= rec_b * rec_m
-            exact_tail = (
-                float(weights[closed_ge(np.abs(err) * root, x)].sum()) if in_window else 0.0
-            )
-            bound = evaluate_bound(
-                BoundSpec(
-                    "thm33_regression",
-                    RateInputs(x=float(x), sigma=sigma, y=y_xi, b=rec_b, M=rec_m),
-                )
-            )
-        status = "vacuous" if bound >= 1.0 else (
-            "violation_evidence" if exact_tail > bound + 1e-12 else "pass"
-        )
-        verdict = DominationVerdict(
-            bound_value=bound, estimate=None, status=status, margin=bound - exact_tail
-        )
+            tail = closed_ge(np.abs(err) * root, x) & (b <= root <= b * M)
+        exact_tail = float(weights[tail].sum())
+        # sum phi^2 = n deterministically, so the expectation is a point mass
+        bound = _deviation_bound(thm, x, scale, scale, np.full(1, float(n)), b, M)
         records.append(
             RegressionRecord(
-                thm=thm, x=float(x), b=rec_b, M=rec_m, bound=bound,
-                estimate=None, exact=exact_tail, verdict=verdict,
+                thm=thm, x=float(x), b=b, M=M, bound=bound,
+                estimate=None, exact=exact_tail, verdict=exact_verdict(exact_tail, bound),
             )
         )
     return records

@@ -24,6 +24,7 @@ __all__ = [
     "tsp_tour",
     "tsp_tour_length",
     "sample_points",
+    "instance_tour_lengths",
     "dist_matrix",
     "dist_matrix_batch",
     "TspDiffs",
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 HELD_KARP_CAP = 12
+
+# Instances solved per held_karp_batch call in instance_tour_lengths.
+TSP_INSTANCE_BLOCK = 2048
 
 
 def sample_points(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -242,6 +246,28 @@ _ROLE_REF = 1      # independent reference estimate of E[T_n]
 _ROLE_POINTS = 2   # the instance's own points
 
 
+def _instance_points(n: int, d: int, master_seed: int, instance: int) -> np.ndarray:
+    return sample_points(n, d, substream(master_seed, _stream_id(instance, 0, _ROLE_POINTS)))
+
+
+def instance_tour_lengths(n: int, d: int, n_instances: int, master_seed: int) -> np.ndarray:
+    """Tour lengths of instances 0..n_instances-1 of the point streams.
+
+    Tours are exact up to HELD_KARP_CAP points and 2-opt beyond.  Exact tours
+    are solved TSP_INSTANCE_BLOCK instances per batch, so the distance arrays
+    stay small at n_instances = 1e5.
+    """
+    lengths = np.empty(n_instances)
+    for start in range(0, n_instances, TSP_INSTANCE_BLOCK):
+        stop = min(start + TSP_INSTANCE_BLOCK, n_instances)
+        points = np.stack([_instance_points(n, d, master_seed, r) for r in range(start, stop)])
+        if n > HELD_KARP_CAP:
+            lengths[start:stop] = [tsp_tour(pts).length for pts in points]
+        else:
+            lengths[start:stop] = held_karp_batch(dist_matrix_batch(points))
+    return lengths
+
+
 @dataclass(frozen=True, eq=False)
 class TspDiffs:
     """Nested-Monte-Carlo estimates of the tour-length martingale increments."""
@@ -359,11 +385,12 @@ def verify_tsp(
     """
     if n_instances < 2:
         raise ValueError(f"need at least 2 instances, got {n_instances}")
-    instances = []
-    for r in range(n_instances):
-        rng = substream(master_seed, _stream_id(r, 0, _ROLE_POINTS))
-        pts = sample_points(n, d, rng)
-        instances.append(tsp_martingale_diffs(pts, inner_rep, master_seed, instance=r))
+    instances = [
+        tsp_martingale_diffs(
+            _instance_points(n, d, master_seed, r), inner_rep, master_seed, instance=r
+        )
+        for r in range(n_instances)
+    ]
     tour_lengths = np.array([inst.t_n for inst in instances])
     root_sq_sums = np.array([math.sqrt(float(np.sum(inst.d_hat ** 2))) for inst in instances])
     e_t_pooled = float(np.mean([inst.e_t_ref for inst in instances]))

@@ -8,6 +8,7 @@ when a reportable probability is wanted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "optimal_lambda",
     "optimal_lambda_beta",
     "evaluate_bound",
+    "field_violation",
     "peeling_prefactor",
     "clamp_probability",
 ]
@@ -133,6 +135,17 @@ _FIELD_RULES = {
 }
 
 
+def field_violation(name: str, value) -> str | None:
+    """The rule that ``value`` breaks as RateInputs field ``name``, or None.
+
+    Booleans break every rule: JSON true/false must not pass as 1 and 0.
+    """
+    ok, rule = _FIELD_RULES[name]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        return rule
+    return None
+
+
 @dataclass(frozen=True)
 class RateInputs:
     """Parameter bundle shared by every bound kind.
@@ -161,8 +174,8 @@ class RateInputs:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            ok, rule = _FIELD_RULES[f.name]
-            if not ok(value):
+            rule = field_violation(f.name, value)
+            if rule is not None:
                 raise ValueError(f"RateInputs.{f.name}={value!r} {rule}")
 
     def require(self, kind: str, *names: str) -> list:

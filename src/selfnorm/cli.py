@@ -2,7 +2,8 @@
 enumeration, and report conversion.
 
 Exit codes: 0 all verdicts pass or are vacuous, 1 violation evidence found,
-2 configuration error.
+2 configuration error (printed as "config error:") or an internal fault while
+running (printed as "internal error:").
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, forc
     try:
         records = run_experiment(spec, jobs=jobs)
     except Exception as exc:
-        # exit code 1 is reserved for violation evidence
-        click.echo(f"config error: {exc}", err=True)
+        # the spec passed validation, so this is a fault of the program; exit
+        # code 1 is reserved for violation evidence
+        click.echo(f"internal error: {exc}", err=True)
         sys.exit(2)
     if out is None:
         click.echo(render_report(records, fmt, spec=spec, include_timing=timing), nl=False)

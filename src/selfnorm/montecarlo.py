@@ -25,17 +25,16 @@ __all__ = [
     "clopper_pearson",
     "evaluate_event",
     "closed_ge",
-    "estimate_tail",
     "estimate_tail_from",
     "exact_tail_rademacher",
     "exact_mean_rademacher",
-    "expectation_bound",
     "expectation_bound_from",
     "optimize_over_p_from",
     "optimize_expectation_values",
     "exact_optimized_bound_rademacher",
     "golden_section_min",
     "domination_check",
+    "exact_verdict",
     "supermartingale_check",
     "exact_supermartingale_mean_rademacher",
     "exp_growth_coefficient",
@@ -119,6 +118,17 @@ def domination_check(estimate, bound: float) -> DominationVerdict:
     return DominationVerdict(
         bound_value=bound, estimate=estimate, status=status, margin=bound - estimate.ci_lo
     )
+
+
+def exact_verdict(exact_p: float, bound: float) -> DominationVerdict:
+    """Verdict against an exact probability: any excess beyond rounding is a violation."""
+    if bound >= 1.0:
+        status = "vacuous"
+    elif exact_p > bound + 1e-12:
+        status = "violation_evidence"
+    else:
+        status = "pass"
+    return DominationVerdict(bound_value=bound, estimate=None, status=status, margin=bound - exact_p)
 
 
 @dataclass(frozen=True)
@@ -212,21 +222,6 @@ def evaluate_event(stats, event: TailEvent) -> np.ndarray:
 def estimate_tail_from(stats, event: TailEvent, gamma: float) -> MCEstimate:
     hits = int(np.count_nonzero(evaluate_event(stats, event)))
     return MCEstimate.from_hits(hits, stats.xs.shape[0], gamma)
-
-
-def estimate_tail(
-    model: DifferenceModel,
-    n: int,
-    event: TailEvent,
-    n_rep: int,
-    gamma: float,
-    master_seed: int,
-) -> MCEstimate:
-    """Estimate P(event) from n_rep independent paths; deterministic in master_seed."""
-    if n_rep < 100:
-        raise ValueError(f"n_rep must be >= 100, got {n_rep}")
-    stats = BatchStats(sample_batch(model, n, n_rep, master_seed), model)
-    return estimate_tail_from(stats, event, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +354,6 @@ def expectation_bound_from(
     return value, se
 
 
-def expectation_bound(
-    model: DifferenceModel,
-    n: int,
-    x: float,
-    *,
-    y: float | None = None,
-    beta: float | None = None,
-    p: float,
-    with_indicator: bool = True,
-    n_rep: int,
-    master_seed: int,
-) -> tuple[float, float]:
-    stats = BatchStats(sample_batch(model, n, n_rep, master_seed), model)
-    return expectation_bound_from(stats, x, y=y, beta=beta, p=p, with_indicator=with_indicator)
-
-
 @dataclass(frozen=True)
 class OptimizedBound:
     p_star: float
@@ -433,14 +412,11 @@ def exact_optimized_bound_rademacher(
     with_indicator: bool = True,
 ) -> OptimizedBound:
     """inf over p of the exact enumerated expectation bound for fair-sign paths."""
-    if (y is None) == (beta is None):
-        raise ValueError("provide exactly one of y or beta")
-    rate = f_rate(x, y) if beta is None else beta_decay_coefficient(x, beta)
     norms = []
     inds = []
     for signs in _enumerate_sign_chunks(n):
         st = _SignEnumStats(signs)
-        norm = st.b_n(y) if beta is None else st.g_n(beta)
+        rate, norm = _rate_and_normalizer(st, x, y, beta)
         norms.append(norm)
         inds.append(st.s() >= x * norm)
     norm = np.concatenate(norms)

@@ -29,10 +29,7 @@ __all__ = [
     "sample_path",
     "sample_batch",
     "Path",
-    "PathStats",
     "BatchStats",
-    "path_stats",
-    "truncated_mean",
     "heavy_on_left_verdict",
     "HeavyOnLeftVerdict",
 ]
@@ -583,62 +580,6 @@ class BatchStats:
         return self._cached(
             ("g_n", beta), lambda: self.pos_beta(beta) + self.n * self.model.neg_beta_moment(beta)
         )
-
-
-class PathStats:
-    """Scalar bracket processes of a single path."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._batch = BatchStats(path.xs[None, :], path.model)
-
-    def _scalar(self, arr: np.ndarray) -> float:
-        return float(arr[0])
-
-    @property
-    def s_n(self) -> float:
-        return self._scalar(self._batch.s())
-
-    @property
-    def sq_var(self) -> float:
-        return self._scalar(self._batch.sq_var())
-
-    @property
-    def cond_var(self) -> float:
-        return self._scalar(self._batch.cond_var())
-
-    def sq_var_above(self, y: float) -> float:
-        return self._scalar(self._batch.sq_var_above(y))
-
-    def cond_var_below(self, y: float) -> float:
-        return self._scalar(self._batch.cond_var_below(y))
-
-    def b_n(self, y: float) -> float:
-        return self._scalar(self._batch.b_n(y))
-
-    def h_n(self, a: float) -> float:
-        return self._scalar(self._batch.h_n(a))
-
-    @property
-    def pos_sq(self) -> float:
-        return self._scalar(self._batch.pos_sq())
-
-    @property
-    def neg_cond(self) -> float:
-        return self._scalar(self._batch.neg_cond())
-
-    def g_n(self, beta: float) -> float:
-        return self._scalar(self._batch.g_n(beta))
-
-
-def path_stats(path: Path) -> PathStats:
-    """All bracket processes of one path, queryable at any y, a, beta."""
-    return PathStats(path)
-
-
-def truncated_mean(model: DifferenceModel, a: float) -> float:
-    """E[min(|xi|, a) sign(xi)] from the model's closed form."""
-    return model.truncated_mean(a)
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,12 @@ class TestEvaluateBound:
         with pytest.raises(ValueError, match="sigma"):
             RateInputs(sigma=0.0)
 
+    @pytest.mark.parametrize("name", ["x", "M", "n", "t"])
+    def test_bool_rejected_on_construction(self, name):
+        # JSON true/false load as bools, which would pass as 1 and 0
+        with pytest.raises(ValueError, match=f"RateInputs.{name}=True"):
+            RateInputs(**{name: True})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown bound kind"):
             BoundSpec("thm99", RateInputs(x=1.0))

@@ -1,11 +1,15 @@
 """Spec validation, experiment orchestration determinism, reports, and the CLI."""
 
+import hashlib
+import importlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from selfnorm import experiments
 from selfnorm.cli import main
 from selfnorm.experiments import (
     CSV_COLUMNS,
@@ -43,6 +47,129 @@ def _regression_spec(**grids):
     }
 
 
+# Small grids, one per diff target; every diff target is pinned in mc and in
+# exact_oracle mode (fair signs, n = 10).
+_PINNED_DIFF_GRIDS = {
+    "bernstein": {"z": [2.0, 4.0]},
+    "freedman": {"x": [2.0], "L": [10.0, 20.0]},
+    "dvz": {"x": [2.0], "L": [10.0], "a": [0.5, 1.5]},
+    "dlp_point": {"x": [0.5], "y": [5.0, 8.0]},
+    "cor21_point": {"x": [0.3], "y": [5.0]},
+    "cor21_expectation": {"x": [0.3, 0.6]},
+    "thm21_point": {"x": [0.5], "y": [0.0, 0.5], "z": [7.0]},
+    "thm21_expectation": {"x": [0.3], "y": [0.5, 1.0]},
+    "bercu_touati": {"x": [0.5], "y": [5.0], "a": [0.0, 1.0], "b": [0.5]},
+    "thm22_peeling": {"x": [0.5, 1.0], "y": [1.0], "b": [2.0], "M": [2.0]},
+    "cor22_peeling": {"x": [0.5, 1.0], "b": [2.0], "M": [2.0]},
+    "thm25_peeling": {"x": [0.5, 1.0], "b": [2.8], "M": [2.0]},
+    "delyon": {"x": [1.0], "y": [8.0, 12.0]},
+    "thm23_expectation": {"x": [0.3], "beta": [1.5]},
+    "thm24_peeling": {"x": [0.5], "beta": [1.5], "b": [5.0], "M": [2.0]},
+    "thm31_tstat": {"x": [1.0, 2.0], "b": [2.8], "M": [2.0]},
+}
+
+
+def _pinned(theorem, grids, mode="mc", **fields):
+    raw = {
+        "id": f"pin-{theorem}", "theorem": theorem, "n": 10, "grids": grids,
+        "model": {"family": "rademacher"}, "n_rep": 1000, "master_seed": 5, "mode": mode,
+    }
+    raw.update(fields)
+    return raw
+
+
+_NOISE = {"family": "scaled_two_point", "p_up": 0.5, "up": 0.1, "down": -0.1}
+_REGRESSION_MC = {"n": 20, "model": _NOISE, "phi": "uniform", "theta": 0.5}
+_REGRESSION_EXACT = {"n": 12, "model": _NOISE, "phi": "ones"}
+
+PINNED_SPECS = {
+    **{f"{thm}-mc": _pinned(thm, grids) for thm, grids in _PINNED_DIFF_GRIDS.items()},
+    **{
+        f"{thm}-exact": _pinned(thm, grids, "exact_oracle")
+        for thm, grids in _PINNED_DIFF_GRIDS.items()
+    },
+    "thm22_peeling-percentile": _pinned(
+        "thm22_peeling", {"x": [0.5, 1.0], "y": [1.0], "b": ["p10"], "M": [2.0]},
+        model={"family": "bounded_above", "y_cap": 1.0},
+    ),
+    "thm24_peeling-percentile": _pinned(
+        "thm24_peeling", {"x": [0.5], "beta": [1.5], "b": ["p10", "p50"], "M": [2.0]},
+        model={"family": "centered_pareto", "beta_tail": 1.9},
+    ),
+    "thm31_tstat-percentile": _pinned(
+        "thm31_tstat", {"x": [1.0], "b": ["p50"], "M": [2.0]},
+        model={"family": "gaussian", "sd": 1.0},
+    ),
+    "thm32_regression-mc": _pinned(
+        "thm32_regression", {"x": [0.02, 0.05]}, **_REGRESSION_MC
+    ),
+    "thm32_regression-exact": _pinned(
+        "thm32_regression", {"x": [0.02, 0.05]}, "exact_oracle", **_REGRESSION_EXACT
+    ),
+    "thm33_regression-mc": _pinned(
+        "thm33_regression", {"x": [0.1, 0.3]}, **_REGRESSION_MC
+    ),
+    "thm33_regression-exact": _pinned(
+        "thm33_regression", {"x": [0.1, 0.3], "b": [3.0], "M": [2.0]}, "exact_oracle",
+        **_REGRESSION_EXACT,
+    ),
+    "thm34_tsp": {
+        "id": "pin-thm34", "theorem": "thm34_tsp", "n": 5, "d": 2,
+        "grids": {"t": [1.0, 2.0]}, "n_rep": 100, "inner_rep": 1000, "master_seed": 3,
+    },
+    "azuma_tsp": {
+        "id": "pin-azuma", "theorem": "azuma_tsp", "n": 7, "d": 2,
+        "grids": {"t": [0.2, 0.5]}, "n_rep": 400, "master_seed": 7, "c_const": 1.0,
+    },
+}
+
+# sha256 of each pinned spec's JSON report; a change that moves any byte of
+# a report fails here
+PINNED_DIGESTS = {
+    "azuma_tsp": "aaf90dccdad627446aa1e69e0ada40b821eb6e8294ad6cd7d02a71d741065671",
+    "bercu_touati-exact": "945fbc8234cc2a5d42838a47f1a2cee0c969a791e8dd15a84d9df106181778a6",
+    "bercu_touati-mc": "634f44e52d39d17675e7b63ea670e1247e031b9696d3713be10fb9c88c414633",
+    "bernstein-exact": "742d4500a9201221f67b498bfde8c99631061450f5714694309105e2a157c1a3",
+    "bernstein-mc": "8087095f5df8098f059a61bf65532ff2e6129e17722dc1612fb86ec3057acf86",
+    "cor21_expectation-exact": "44e1d8b73d992a178c34a0f58030615923a55c29e4700cfe913cbe61cda0dcbc",
+    "cor21_expectation-mc": "96778fe6bd336a37e4d4c5bdf5df1b80481207e4b90083367203ecda23cb2c91",
+    "cor21_point-exact": "2f2750ca172f970b5bfb5802bd6ca3462784d5d31c9c9cc8949b4e608f4f369c",
+    "cor21_point-mc": "038ea0dd5dac75354dd2234426bd3194fed94074b53b9601fba1c11a8c9af2f6",
+    "cor22_peeling-exact": "ea62064450fa2cd2a7800b3a7a52c2789a0b7d00ded82dd4be57dc570d94a4e6",
+    "cor22_peeling-mc": "e10e81f7a14e1739b363138690d798830ce283eaa96f308f7fce0d504ef63d8c",
+    "delyon-exact": "17b703e2f45b876c3c8df488b49213b6063cfe08499cef4b7a1947d8a298fa86",
+    "delyon-mc": "2f9fffd1bd7db12375ca7d6262b9cdd1d7defcf83ffbd4c1a06b8fc9deb86299",
+    "dlp_point-exact": "9cdb967a450091b353e9af9116e63f93a3f5820168c7f74b3dbd368aadbe74e3",
+    "dlp_point-mc": "deefefa8e0bf01d849cb348dbfa7aae7d682d61e0d62ee0ce9c88b2f790420d6",
+    "dvz-exact": "d640e71d3f68b53ff2bd9b870fbbeacaa29cba919f67bc172cc3786d88e6455d",
+    "dvz-mc": "b337715b3301dc58c8f4d6dfaeca0cba76a95b27ad54ba0e5ffb3eab2a977f13",
+    "freedman-exact": "93c7b2874086be1feae7ef6131495b0bc1c4d5d6dca832b6c6350ec0a0b0786e",
+    "freedman-mc": "68273fad6dc2cc3b3909fe7eafc231253d6a2485dbc80182d7cdfa432ab145e4",
+    "thm21_expectation-exact": "e58953b35c28aa16836bce381266fb4e571dc2afb69d8bcedf87240128991b76",
+    "thm21_expectation-mc": "599ebcd777e5dc5b936d9af47eb94ff5fe3e707362c8ca6d4398cb0447c3fabd",
+    "thm21_point-exact": "95f9e19a1e2e18d7eeb7c82d30b256cbab3308d15984041c51dd7264650b7aa8",
+    "thm21_point-mc": "46d72bee889e4c339c0a03c705dddd143baa55b3607877b0db1eb54609672e49",
+    "thm22_peeling-exact": "dad1b0a0ed2ec18ea44b3e23abe0fd833f27c01bebce861ee6fd7702e87ead36",
+    "thm22_peeling-mc": "a326c900772e5d75574b811b6df2c0ea8bc994cbc94b0fbe268d40fdb7daa5bd",
+    "thm22_peeling-percentile": "05b64f4d10044ac05f454969911edae327def49eb93695ad7a00f08b27b63e09",
+    "thm23_expectation-exact": "2b7bf4a8a8c9cf300e554024e8a13042c2402a9678b206af1da3a8ec210b7b36",
+    "thm23_expectation-mc": "ae91a1cbeaa9330556e420a7b8b1fc145ee076597b353bcb6954bf0694c91d1b",
+    "thm24_peeling-exact": "2ef5f88bcd8ad4597f06004753c1625662e3380b6299534618727448135b6274",
+    "thm24_peeling-mc": "026d4080ef1680d783f2504df98fccebddd51b0dcb8833a4fd3e4092a8f8d972",
+    "thm24_peeling-percentile": "76c936065d71a6450651400bf0408b2e0d2d82b3e3fa296ae669f2d23d2dc1a3",
+    "thm25_peeling-exact": "31ae519eda5592e6251b3253c4f39a73ba9980fe02a00bd31419fc9c536858d5",
+    "thm25_peeling-mc": "670d12e74216ba74f7fcb3927b8e7d53c6b1d5be1af893d15ae6973079a01cd8",
+    "thm31_tstat-exact": "8c45871d2b5fbd1bc730e4f701139466ccfc3ba0f71f0220dd9194b776295418",
+    "thm31_tstat-mc": "0f1feb9367bd0ded1987391235f960983645f99a5da79e34a5abb6339eca72c7",
+    "thm31_tstat-percentile": "6b0cbf2f85635b6d34afe2bfb4f390f06d639e8cc2609fd82566bf53d738b981",
+    "thm32_regression-exact": "9a689de0b450ea0f57e553f7a14437a36ec7d6ca291165dd26f1116f892975c5",
+    "thm32_regression-mc": "9501426dad0115b29a50d9eee7f8433a3c021df2b3db3ab9c0517e9a122ca4b2",
+    "thm33_regression-exact": "49c5cea0464aeacfccd863bdec17c3caac82753160f907f89406d1e3077979f0",
+    "thm33_regression-mc": "0aedbd11cd84deb840edb2040217ac4d1444458492b0040fb79cc4229c0bca79",
+    "thm34_tsp": "420ca572996fdc92af458fab7f3c802faa7769266a0f56e50525ed0a25acc8b6",
+}
+
+
 class TestLoadSpec:
     def test_minimal_spec_gets_documented_defaults(self):
         spec = load_spec({k: v for k, v in _spec().items() if k not in ("n_rep", "master_seed")})
@@ -72,6 +199,11 @@ class TestLoadSpec:
         with pytest.raises(SpecValidationError) as err:
             load_spec(_spec(**{field: True}))
         assert any(e.startswith(f"{field}:") for e in err.value.errors)
+
+    def test_minimum_replicates(self):
+        assert load_spec(_spec(n_rep=100)).n_rep == 100
+        with pytest.raises(SpecValidationError, match="n_rep"):
+            load_spec(_spec(n_rep=50))
 
     def test_master_seed_must_fit_64_bits(self):
         assert load_spec(_spec(master_seed=2 ** 64 - 1)).master_seed == 2 ** 64 - 1
@@ -139,6 +271,26 @@ class TestLoadSpec:
     def test_regression_window_keys_honoured(self):
         records = run_experiment(load_spec(_regression_spec(b=[0.5], M=[3.0])))
         assert [(r.b, r.M) for r in records] == [(0.5, 3.0)]
+
+    def test_bool_grid_values_rejected(self):
+        with pytest.raises(SpecValidationError) as err:
+            load_spec(_spec(grids={"x": [True], "b": [True], "M": [True]}))
+        assert any(e.startswith("grids.x: value True") for e in err.value.errors)
+        assert any(e.startswith("grids.M: value True") for e in err.value.errors)
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"id": "a", "theorem": "thm34_tsp", "n": 5, "grids": {"t": [1.0]},
+              "n_rep": 100, "inner_rep": "x"}, "inner_rep"),
+            (_spec(theorem="thm23_expectation", grids={"x": [1.0], "beta": 1.5}), "grids.beta"),
+            (_spec(theorem="thm31_tstat", grids={"x": 1.0, "b": [1.0], "M": [2.0]}), "grids.x"),
+        ],
+    )
+    def test_malformed_values_are_validation_errors(self, raw, key):
+        with pytest.raises(SpecValidationError) as err:
+            load_spec(raw)
+        assert any(e.startswith(key) for e in err.value.errors)
 
     def test_tsp_constraints(self):
         raw = {
@@ -244,6 +396,14 @@ class TestReports:
         assert lines[0] == "theorem,x,p_hat,ci_hi,bound"
         assert len(lines) == len(records) + 1
 
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_report_bytes_pinned(self, name):
+        spec = load_spec(PINNED_SPECS[name])
+        records = run_experiment(spec)
+        text = render_report(records, "json", spec=spec)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[name]
+        assert all(rec.wall_ms is not None and rec.wall_ms > 0 for rec in records)
+
     def test_timing_excluded_by_default(self, tmp_path):
         spec, records = self._records()
         assert any(r.wall_ms is not None for r in records)
@@ -325,6 +485,34 @@ class TestCli:
             assert result.exit_code == 2, result.output
             assert "grids." in result.output
 
+    def test_bool_grid_values_exit_two(self, tmp_path):
+        spec_path = self._write_spec(tmp_path, grids={"x": [True], "b": [2.8], "M": [2.0]})
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert "config error: grids.x: value True" in result.output
+
+    @pytest.mark.parametrize(
+        "runner_name, raw",
+        [
+            ("estimate_tail_from", _spec()),
+            ("verify_regression", _regression_spec()),
+            ("verify_tsp", PINNED_SPECS["thm34_tsp"]),
+            ("evaluate_bound", PINNED_SPECS["azuma_tsp"]),
+        ],
+    )
+    def test_internal_fault_is_not_a_config_error(self, tmp_path, monkeypatch, runner_name, raw):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("injected fault")
+
+        monkeypatch.setattr(experiments, runner_name, broken)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert f"internal error: experiment {raw['id']}: " in result.output
+        assert "injected fault" in result.output
+        assert "config error" not in result.output
+
     def test_violation_exit_one(self, tmp_path):
         # an absurdly small caller-supplied constant falsifies the bound
         spec_path = tmp_path / "azuma.json"
@@ -392,3 +580,25 @@ class TestCli:
             main, ["verify", "--spec", str(spec_path), "--format", "json", "--jobs", "4"]
         )
         assert one.output == four.output
+
+
+class TestBenchmarkHooks:
+    """The benchmark's tracer patches names in selfnorm; a rename breaks it here."""
+
+    SPANS = [
+        (_spec(), {"bounds.eval_s", "montecarlo.event_s", "processes.sample_s"}),
+        (_regression_spec(), {"applications.regression.batch_s", "bounds.eval_s"}),
+        (PINNED_SPECS["thm34_tsp"], {"applications.tsp.held_karp_s", "bounds.eval_s"}),
+        (PINNED_SPECS["azuma_tsp"], {"applications.tsp.held_karp_s", "bounds.eval_s"}),
+    ]
+
+    @pytest.mark.parametrize("raw, spans", SPANS, ids=["diff", "regression", "thm34", "azuma"])
+    def test_tracer_records_layer_spans(self, monkeypatch, raw, spans):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        with tracing.instrument(tracing.Tracer()) as tracer:
+            spec = experiments.load_spec(raw)
+            records = experiments.run_experiment(spec)
+        recorded = {span[0] for span in tracer.spans}
+        assert spans | {"experiments.validate_s", "experiments.run_self_s"} <= recorded
+        assert records == run_experiment(spec)

@@ -13,7 +13,6 @@ from selfnorm.montecarlo import (
     TailEvent,
     clopper_pearson,
     domination_check,
-    estimate_tail,
     estimate_tail_from,
     evaluate_event,
     exact_mean_rademacher,
@@ -21,7 +20,6 @@ from selfnorm.montecarlo import (
     exact_supermartingale_mean_rademacher,
     exact_tail_rademacher,
     exp_growth_coefficient,
-    expectation_bound,
     expectation_bound_from,
     golden_section_min,
     optimize_over_p_from,
@@ -96,19 +94,19 @@ class TestExactOracle:
         assert not evaluate_event(stats, event).any()
 
 
+def _stats(model, n, n_rep, master_seed):
+    return BatchStats(sample_batch(model, n, n_rep, master_seed), model)
+
+
 class TestEstimateTail:
     def test_single_step_coin(self):
         event = TailEvent(x=0.0, normalizer=Statistic("b_n", y=0.0))
-        est = estimate_tail(Rademacher(), 1, event, 2000, 0.99, 424242)
+        est = estimate_tail_from(_stats(Rademacher(), 1, 2000, 424242), event, 0.99)
         assert est.ci_lo <= 0.5 <= est.ci_hi
 
     def test_impossible_event(self):
-        est = estimate_tail(Rademacher(), 10, TailEvent(x=1e3), 500, 0.99, 7)
+        est = estimate_tail_from(_stats(Rademacher(), 10, 500, 7), TailEvent(x=1e3), 0.99)
         assert est.hits == 0 and est.ci_lo == 0.0
-
-    def test_minimum_replicates(self):
-        with pytest.raises(ValueError):
-            estimate_tail(Rademacher(), 5, TailEvent(x=1.0), 50, 0.99, 7)
 
     @pytest.mark.parametrize("n", [5, 8, 10])
     def test_oracle_equivalence(self, n):
@@ -125,24 +123,22 @@ class TestEstimateTail:
 
     def test_determinism(self):
         event = TailEvent(x=0.5, normalizer=Statistic("sqrt_sq_var"))
-        a = estimate_tail(Rademacher(), 10, event, 1000, 0.99, 31)
-        b = estimate_tail(Rademacher(), 10, event, 1000, 0.99, 31)
+        a = estimate_tail_from(_stats(Rademacher(), 10, 1000, 31), event, 0.99)
+        b = estimate_tail_from(_stats(Rademacher(), 10, 1000, 31), event, 0.99)
         assert a == b
 
 
 class TestExpectationBounds:
     def test_zero_deviation_is_one(self):
         for p in (1.5, 2.0, 10.0):
-            value, se = expectation_bound(
-                Rademacher(), 10, 0.0, y=0.0, p=p, with_indicator=False,
-                n_rep=500, master_seed=3,
+            value, se = expectation_bound_from(
+                _stats(Rademacher(), 10, 500, 3), 0.0, y=0.0, p=p, with_indicator=False
             )
             assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_p_near_one_limit(self):
-        value, _ = expectation_bound(
-            Rademacher(), 10, 0.5, y=0.0, p=1.0 + 1e-6, with_indicator=False,
-            n_rep=2000, master_seed=3,
+        value, _ = expectation_bound_from(
+            _stats(Rademacher(), 10, 2000, 3), 0.5, y=0.0, p=1.0 + 1e-6, with_indicator=False
         )
         assert value == pytest.approx(1.0, abs=1e-3)
 
@@ -157,9 +153,8 @@ class TestExpectationBounds:
             return np.exp(-(p - 1.0) * rate * b0) * ind
 
         exact = exact_mean_rademacher(n, certificate) ** (1.0 / p)
-        value, se = expectation_bound(
-            Rademacher(), n, x, y=0.0, p=p, with_indicator=True,
-            n_rep=40_000, master_seed=77,
+        value, se = expectation_bound_from(
+            _stats(Rademacher(), n, 40_000, 77), x, y=0.0, p=p, with_indicator=True
         )
         assert abs(value - exact) <= 3.0 * se + 1e-9
 
@@ -171,7 +166,7 @@ class TestExpectationBounds:
 
     def test_p_domain(self):
         with pytest.raises(ValueError):
-            expectation_bound(Rademacher(), 5, 1.0, y=0.0, p=1.0, n_rep=500, master_seed=1)
+            expectation_bound_from(_stats(Rademacher(), 5, 500, 1), 1.0, y=0.0, p=1.0)
 
     def test_exactly_one_normalizer_flavor(self):
         stats = BatchStats(sample_batch(Rademacher(), 5, 500, 1), Rademacher())

@@ -21,11 +21,9 @@ from selfnorm.processes import (
     UnsupportedStatisticError,
     build_model,
     heavy_on_left_verdict,
-    path_stats,
     sample_batch,
     sample_path,
     substream,
-    truncated_mean,
 )
 
 N_MOMENT_DRAWS = 1_000_000
@@ -191,20 +189,20 @@ def bounded_truncated_mean_quadrature(c: float, a: float) -> float:
 class TestTruncatedMeanAndHeaviness:
     def test_symmetric_models_are_exactly_balanced(self):
         for a in (0.1, 1.0, 10.0):
-            assert truncated_mean(Rademacher(), a) == 0.0
-            assert truncated_mean(Gaussian(sd=0.5), a) == 0.0
+            assert Rademacher().truncated_mean(a) == 0.0
+            assert Gaussian(sd=0.5).truncated_mean(a) == 0.0
 
     def test_two_point_hand_values(self):
         m = ScaledTwoPoint(p_up=1.0 / 3.0, up=2.0, down=-1.0)
-        assert truncated_mean(m, 1.0) == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        assert truncated_mean(m, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert m.truncated_mean(1.0) == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert m.truncated_mean(2.0) == pytest.approx(0.0, abs=1e-12)
         bad = ScaledTwoPoint(p_up=2.0 / 3.0, up=1.0, down=-2.0)
-        assert truncated_mean(bad, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert bad.truncated_mean(1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("a", [0.2, 0.9, 1.0, 1.7, 5.0])
     def test_bounded_above_against_quadrature(self, c, a):
-        got = truncated_mean(BoundedAbove(c), a * c)
+        got = BoundedAbove(c).truncated_mean(a * c)
         assert got == pytest.approx(bounded_truncated_mean_quadrature(c, a * c), abs=1e-9)
 
     def test_heavy_on_left_verdicts(self):
@@ -239,26 +237,31 @@ def _path(model, xs):
     return Path(xs=np.asarray(xs, dtype=float), model=model, master_seed=0, replicate=0)
 
 
+def _path_stats(model, xs):
+    """Bracket statistics of one path, as the single row of a BatchStats."""
+    return BatchStats(_path(model, xs).xs, model)
+
+
 class TestPathStats:
     def test_hand_example(self):
-        st = path_stats(_path(Rademacher(), [1.0, -1.0, 1.0]))
-        assert st.s_n == 1.0
-        assert st.sq_var == 3.0
-        assert st.pos_sq == 2.0
-        assert st.neg_cond == pytest.approx(1.5)
-        assert st.b_n(0.0) == pytest.approx(3.5)
-        assert st.b_n(0.0) == pytest.approx(st.pos_sq + st.neg_cond)
-        assert st.g_n(1.5) == pytest.approx(2.0 + 1.5)
+        st = _path_stats(Rademacher(), [1.0, -1.0, 1.0])
+        assert st.s()[0] == 1.0
+        assert st.sq_var()[0] == 3.0
+        assert st.pos_sq()[0] == 2.0
+        assert st.neg_cond()[0] == pytest.approx(1.5)
+        assert st.b_n(0.0)[0] == pytest.approx(3.5)
+        assert st.b_n(0.0)[0] == pytest.approx(st.pos_sq()[0] + st.neg_cond()[0])
+        assert st.g_n(1.5)[0] == pytest.approx(2.0 + 1.5)
 
     def test_y_above_support_kills_realized_part(self):
-        st = path_stats(_path(Rademacher(), [1.0, -1.0, 1.0, 1.0]))
-        assert st.sq_var_above(1.0) == 0.0
-        assert st.b_n(1.0) == pytest.approx(st.cond_var)
+        st = _path_stats(Rademacher(), [1.0, -1.0, 1.0, 1.0])
+        assert st.sq_var_above(1.0)[0] == 0.0
+        assert st.b_n(1.0)[0] == pytest.approx(st.cond_var()[0])
 
     def test_all_below_threshold_makes_h_predictable(self):
-        st = path_stats(_path(Rademacher(), [1.0, -1.0]))
-        assert st.h_n(1.0) == pytest.approx(st.cond_var)
-        assert st.h_n(0.5) == pytest.approx(2.0 + st.cond_var)
+        st = _path_stats(Rademacher(), [1.0, -1.0])
+        assert st.h_n(1.0)[0] == pytest.approx(st.cond_var()[0])
+        assert st.h_n(0.5)[0] == pytest.approx(2.0 + st.cond_var()[0])
 
     @pytest.mark.parametrize(
         "model",
