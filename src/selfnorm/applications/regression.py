@@ -9,21 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bounds import BoundSpec, RateInputs, evaluate_bound
-from ..montecarlo import (
-    DominationVerdict,
-    MCEstimate,
-    closed_ge,
-    domination_check,
-    exact_verdict,
-    optimize_expectation_values,
-)
+from ..montecarlo import ENUMERATION_CAP, MCEstimate, closed_ge, optimize_expectation_values
 from ..processes import DifferenceModel, stream_blocks
 
 __all__ = [
     "RegressionRun",
-    "RegressionRecord",
     "simulate_regression",
     "ls_estimate",
+    "noise_bounds",
+    "exact_oracle_scale",
     "regression_batch",
     "verify_regression",
     "exact_regression_records",
@@ -101,6 +95,37 @@ def ls_estimate(run: RegressionRun) -> float:
     return float(np.sum(run.phi * run.x_obs)) / denom
 
 
+def noise_bounds(eps_model: DifferenceModel, phi_kind: str) -> tuple[float, float]:
+    """(sigma, y_xi): the noise sd and an almost-sure upper bound on xi = phi*eps.
+
+    The deviation bounds divide by sigma^2 and need xi bounded above, so noise
+    below SIGMA_FLOOR or unbounded for the regressor kind is rejected.
+    """
+    # sup eps if phi >= 0, else sup |eps|
+    y_xi = eps_model.upper_bound if phi_kind == "ones" else eps_model.abs_bound
+    if not math.isfinite(y_xi):
+        raise ValueError(
+            f"eps model {eps_model.family!r} is not bounded for phi kind {phi_kind!r}"
+        )
+    sigma = math.sqrt(eps_model.var())
+    if sigma < SIGMA_FLOOR:
+        raise ValueError(f"noise sd {sigma} below the floor {SIGMA_FLOOR}")
+    return sigma, y_xi
+
+
+def exact_oracle_scale(n: int, eps_model: DifferenceModel, phi_kind: str = "ones") -> float:
+    """The scale of the +-scale noise the exact oracle enumerates, on its domain:
+    2 <= n <= ENUMERATION_CAP, phi = 1 and symmetric two-point noise."""
+    if not 2 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"n must be in [2, {ENUMERATION_CAP}] for enumeration, got {n}")
+    symmetric_two_point = eps_model.family == "rademacher" or (
+        eps_model.family == "scaled_two_point" and eps_model.conditionally_symmetric
+    )
+    if phi_kind != "ones" or not symmetric_two_point:
+        raise ValueError("regression exact oracle needs phi='ones' and symmetric two-point noise")
+    return eps_model.upper_bound
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionBatch:
     """Vectorized replicates: estimation errors and design masses."""
@@ -119,15 +144,7 @@ def regression_batch(
     n_rep: int,
     master_seed: int,
 ) -> RegressionBatch:
-    sigma = math.sqrt(eps_model.var())
-    if sigma < SIGMA_FLOOR:
-        raise ValueError(f"noise sd {sigma} below the floor {SIGMA_FLOOR}")
-    # xi = phi*eps must be bounded above: sup eps if phi >= 0, else sup |eps|.
-    y_xi = eps_model.upper_bound if phi_kind == "ones" else eps_model.abs_bound
-    if not math.isfinite(y_xi):
-        raise ValueError(
-            f"eps model {eps_model.family!r} is not bounded for phi kind {phi_kind!r}"
-        )
+    sigma, y_xi = noise_bounds(eps_model, phi_kind)
     err = np.empty(n_rep)
     phi_sq = np.empty(n_rep)
     for start, phi, eps in _regression_blocks(phi_kind, eps_model, n, n_rep, master_seed):
@@ -141,18 +158,6 @@ def regression_batch(
     if np.any(~np.isfinite(err)):
         raise DegenerateDesignError("a replicate produced an all-zero design")
     return RegressionBatch(err=err, phi_sq=phi_sq, sigma=sigma, y_xi=y_xi)
-
-
-@dataclass(frozen=True)
-class RegressionRecord:
-    thm: str
-    x: float
-    b: float | None
-    M: float | None
-    bound: float
-    estimate: MCEstimate | None
-    exact: float | None
-    verdict: DominationVerdict
 
 
 def _resolve_window(batch: RegressionBatch, b, M) -> tuple[float, float]:
@@ -189,8 +194,9 @@ def verify_regression(
     master_seed: int,
     b: float | None = None,
     M: float | None = None,
-) -> list[RegressionRecord]:
-    """Deviation-bound verdicts for the least-squares estimator.
+) -> tuple[tuple, list, list]:
+    """Window (b, M), and per grid x the deviation bound and an MCEstimate of
+    the tail, for the least-squares estimator; b = M = None for thm32.
 
     thm32_regression: P(|theta_hat - theta| >= x) against twice the inf-over-p
     expectation bound (Monte Carlo over regressor paths, common random numbers).
@@ -199,28 +205,19 @@ def verify_regression(
     if thm not in ("thm32_regression", "thm33_regression"):
         raise ValueError(f"unknown regression theorem {thm!r}")
     batch = regression_batch(theta, phi_kind, eps_model, n, n_rep, master_seed)
+    deviation = np.abs(batch.err)
+    in_window = True  # thm32 has no window
     if thm == "thm32_regression":
         b = M = None
     else:
         b, M = _resolve_window(batch, b, M)
         root = np.sqrt(batch.phi_sq)
+        deviation *= root
         in_window = closed_ge(root, b) & closed_ge(-root, -b * M)
-    records = []
-    for x in x_grid:
-        if thm == "thm32_regression":
-            hit = closed_ge(np.abs(batch.err), x)
-        else:
-            hit = closed_ge(np.abs(batch.err) * root, x) & in_window
-        estimate = MCEstimate.from_hits(int(np.count_nonzero(hit)), n_rep, gamma)
-        bound = _deviation_bound(thm, x, batch.sigma, batch.y_xi, batch.phi_sq, b, M)
-        records.append(
-            RegressionRecord(
-                thm=thm, x=float(x), b=b, M=M, bound=bound,
-                estimate=estimate, exact=None,
-                verdict=domination_check(estimate, bound),
-            )
-        )
-    return records
+    hits = [int(np.count_nonzero(closed_ge(deviation, x) & in_window)) for x in x_grid]
+    tails = [MCEstimate.from_hits(h, n_rep, gamma) for h in hits]
+    bounds = [_deviation_bound(thm, x, batch.sigma, batch.y_xi, batch.phi_sq, b, M) for x in x_grid]
+    return (b, M), bounds, tails
 
 
 def exact_regression_records(
@@ -228,41 +225,33 @@ def exact_regression_records(
     *,
     n: int,
     x_grid,
-    scale: float,
+    eps_model: DifferenceModel,
     b: float | None = None,
     M: float | None = None,
-) -> list[RegressionRecord]:
-    """Exact-oracle variant: phi = 1 and eps = +-scale fair signs, enumerated.
+) -> tuple[tuple, list, list]:
+    """Exact-oracle variant: phi = 1 and eps = +-scale fair signs, enumerated;
+    the tails are exact probabilities.
 
     With a constant design, theta_hat - theta = scale * S_n / n, so both the
     tail and the expectation bound are exact binomial sums.
     """
     if thm not in ("thm32_regression", "thm33_regression"):
         raise ValueError(f"unknown regression theorem {thm!r}")
-    if not 2 <= n <= 20:
-        raise ValueError(f"n must be in [2, 20] for enumeration, got {n}")
+    scale = exact_oracle_scale(n, eps_model)
     sums = np.array([2 * k - n for k in range(n + 1)], dtype=float)
     weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float) / 2.0 ** n
-    err = scale * sums / n
+    deviation = np.abs(scale * sums / n)
     root = math.sqrt(n)
+    in_window = True
     if thm == "thm32_regression":
         b = M = None
     else:
         b = b if b is not None else root
         M = M if M is not None else 1.0
-    records = []
-    for x in x_grid:
-        if thm == "thm32_regression":
-            tail = closed_ge(np.abs(err), x)
-        else:
-            tail = closed_ge(np.abs(err) * root, x) & (b <= root <= b * M)
-        exact_tail = float(weights[tail].sum())
-        # sum phi^2 = n deterministically, so the expectation is a point mass
-        bound = _deviation_bound(thm, x, scale, scale, np.full(1, float(n)), b, M)
-        records.append(
-            RegressionRecord(
-                thm=thm, x=float(x), b=b, M=M, bound=bound,
-                estimate=None, exact=exact_tail, verdict=exact_verdict(exact_tail, bound),
-            )
-        )
-    return records
+        deviation *= root
+        in_window = b <= root <= b * M
+    tails = [float(weights[closed_ge(deviation, x) & in_window].sum()) for x in x_grid]
+    # sum phi^2 = n deterministically, so the expectation is a point mass
+    phi_sq = np.full(1, float(n))
+    bounds = [_deviation_bound(thm, x, scale, scale, phi_sq, b, M) for x in x_grid]
+    return (b, M), bounds, tails

@@ -10,12 +10,13 @@ from functools import lru_cache
 import numpy as np
 
 from ..bounds import BoundSpec, RateInputs, evaluate_bound
-from ..montecarlo import DominationVerdict, MCEstimate, domination_check
+from ..montecarlo import MCEstimate
 from ..processes import substream
 
 __all__ = [
     "HELD_KARP_CAP",
     "TourResult",
+    "check_tsp_size",
     "held_karp",
     "held_karp_batch",
     "nearest_neighbor",
@@ -40,10 +41,22 @@ HELD_KARP_CAP = 12
 TSP_INSTANCE_BLOCK = 2048
 
 
-def sample_points(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform points in the unit cube of dimension d."""
+def check_tsp_size(n: int, inner_rep: int | None = None) -> None:
+    """The size rules: at least 2 points, and for nested estimates (inner_rep
+    given) exact tours, n <= HELD_KARP_CAP, and inner_rep >= 1000."""
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
+    if inner_rep is None:
+        return
+    if n > HELD_KARP_CAP:
+        raise ValueError(f"nested estimates need exact tours: n <= {HELD_KARP_CAP}, got {n}")
+    if inner_rep < 1000:
+        raise ValueError(f"inner_rep must be >= 1000, got {inner_rep}")
+
+
+def sample_points(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform points in the unit cube of dimension d."""
+    check_tsp_size(n)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     return rng.random((n, d))
@@ -162,7 +175,11 @@ def _transition_plan(n: int):
 
 
 def held_karp_batch(dists: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """Exact tour lengths for a batch of distance matrices, shape (B, n, n)."""
+    """Exact tour lengths for a batch of distance matrices, shape (B, n, n).
+
+    Each chunk of instances shares one DP table of 2^(n-1) (n-1) rows; the
+    chunk shrinks so that the table holds at most 2**24 values (128 MB).
+    """
     dists = np.asarray(dists, dtype=float)
     batch, n = dists.shape[0], dists.shape[1]
     if n < 2 or n > HELD_KARP_CAP:
@@ -172,6 +189,7 @@ def held_karp_batch(dists: np.ndarray, chunk: int = 2048) -> np.ndarray:
     out = np.empty(batch)
     base, steps, finals = _transition_plan(n)
     m = n - 1
+    chunk = min(chunk, 2 ** 24 // ((1 << m) * m))
     by_pair = dists.transpose(1, 2, 0)  # free for dist_matrix_batch's layout
     for start in range(0, batch, chunk):
         # row k * n + j: distance from k to j across the chunk
@@ -306,10 +324,7 @@ def tsp_martingale_diffs(
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
-    if n > HELD_KARP_CAP:
-        raise ValueError(f"nested estimates need exact tours: n <= {HELD_KARP_CAP}")
-    if inner_rep < 1000:
-        raise ValueError(f"inner_rep must be >= 1000, got {inner_rep}")
+    check_tsp_size(n, inner_rep)
     t_n = held_karp(dist_matrix(pts)).length
     level_means = np.empty(n + 1)
     level_ses = np.zeros(n + 1)
@@ -341,30 +356,19 @@ def tsp_martingale_diffs(
     )
 
 
-@dataclass(frozen=True)
-class TspRecord:
-    t: float
-    bound: float
-    estimate: MCEstimate
-    verdict: DominationVerdict
-    window_hits: int
-
-
 @dataclass(frozen=True, eq=False)
 class TspVerification:
-    n: int
-    d: int
+    """Bounds and Monte Carlo estimates per grid t, and the run's window."""
+
     c1: float
     window: tuple[float, float]
-    records: list
+    window_hits: int         # instances inside the window
+    bounds: list
+    estimates: list
     sign_positive: int       # d_hat significantly > 0 at 2 SE
     sign_negative: int
     sign_indeterminate: int
     recon_pass_fraction: float
-    e_t_pooled: float
-    tour_lengths: np.ndarray
-    root_sq_sums: np.ndarray
-    instances: list          # per-instance TspDiffs
 
 
 def verify_tsp(
@@ -397,7 +401,6 @@ def verify_tsp(
 
     pos = sum(int(np.count_nonzero(inst.d_hat > 2.0 * inst.d_se)) for inst in instances)
     neg = sum(int(np.count_nonzero(inst.d_hat < -2.0 * inst.d_se)) for inst in instances)
-    total = n * n_instances
     recon_pass = sum(
         1
         for inst in instances
@@ -412,34 +415,20 @@ def verify_tsp(
     tol = 1e-12
     in_window = (root_sq_sums >= lo * (1.0 - tol)) & (root_sq_sums <= hi * (1.0 + tol))
     ratios = (tour_lengths - e_t_pooled) / root_sq_sums
-    records = []
-    for t in t_grid:
-        hits = int(np.count_nonzero((ratios >= t) & in_window))
-        estimate = MCEstimate.from_hits(hits, n_instances, gamma)
-        bound = evaluate_bound(BoundSpec("thm34_tsp", RateInputs(t=float(t), n=n, d=d)))
-        records.append(
-            TspRecord(
-                t=float(t),
-                bound=bound,
-                estimate=estimate,
-                verdict=domination_check(estimate, bound),
-                window_hits=int(np.count_nonzero(in_window)),
-            )
-        )
+    hits = [int(np.count_nonzero((ratios >= t) & in_window)) for t in t_grid]
+    bounds = [
+        evaluate_bound(BoundSpec("thm34_tsp", RateInputs(t=float(t), n=n, d=d))) for t in t_grid
+    ]
     return TspVerification(
-        n=n,
-        d=d,
         c1=c1,
         window=(lo, hi),
-        records=records,
+        window_hits=int(np.count_nonzero(in_window)),
+        bounds=bounds,
+        estimates=[MCEstimate.from_hits(h, n_instances, gamma) for h in hits],
         sign_positive=pos,
         sign_negative=neg,
-        sign_indeterminate=total - pos - neg,
+        sign_indeterminate=n * n_instances - pos - neg,
         recon_pass_fraction=recon_pass / n_instances,
-        e_t_pooled=e_t_pooled,
-        tour_lengths=tour_lengths,
-        root_sq_sums=root_sq_sums,
-        instances=instances,
     )
 
 

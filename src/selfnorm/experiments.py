@@ -17,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import BoundSpec, RateInputs, evaluate_bound, field_violation
+from .bounds import BoundSpec, RateInputs, beta_decay_coefficient, evaluate_bound, field_violation
 from .montecarlo import (
     MCEstimate,
     Statistic,
@@ -31,9 +31,10 @@ from .montecarlo import (
     ENUMERATION_CAP,
 )
 from .processes import BatchStats, build_model, sample_batch
+from .applications.regression import exact_oracle_scale, noise_bounds
 from .applications.regression import exact_regression_records, verify_regression
 from .applications.student import self_normalized_threshold
-from .applications.tsp import HELD_KARP_CAP, instance_tour_lengths, verify_tsp
+from .applications.tsp import HELD_KARP_CAP, check_tsp_size, instance_tour_lengths, verify_tsp
 
 __all__ = [
     "ExperimentSpec",
@@ -143,7 +144,7 @@ class _Target:
     model_req: str | None = None  # a key of _MODEL_REQUIREMENTS
     uses_model: bool = True
     exact_ok: bool = True
-    check: object = None       # theorem-specific validation: (fields, model) -> errors
+    check: object = None       # theorem rules, on valid fields only: (fields, model) -> errors
 
 
 # What a diff target needs of its model: (predicate, what the model is not).
@@ -167,13 +168,6 @@ def _is_percentile(value) -> bool:
 def _is_int(value) -> bool:
     # JSON true/false load as bool, which Python counts as int
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _grid_numbers(grids: dict, key: str) -> list:
-    values = grids.get(key)
-    if not isinstance(values, list):
-        return []
-    return [v for v in values if isinstance(v, (int, float))]
 
 
 def _check_grids(target: _Target, theorem: str, grids: dict, mode) -> list:
@@ -288,12 +282,13 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
     if target is not None and mode in ("exact_oracle", "both"):
         if not target.exact_ok:
             errors.append(f"mode: theorem {theorem} has no exact-enumeration oracle")
-        else:
-            if target.plan is not None and model is not None and model.family != "rademacher":
+        elif target.plan is not None:
+            if model is not None and model.family != "rademacher":
                 errors.append("mode: exact enumeration needs the rademacher model")
             if _is_int(n) and n > ENUMERATION_CAP:
                 errors.append(f"mode: exact enumeration capped at n = {ENUMERATION_CAP}")
-    if target is not None and target.check is not None:
+    if not errors and target.check is not None:
+        # target rules call the code that owns them, which needs valid fields
         errors += target.check(fields, model)
 
     if errors:
@@ -320,56 +315,63 @@ def load_spec(source) -> ExperimentSpec:
     return spec
 
 
+def _rule_errors(where: str, rule, *args) -> list:
+    """The message of the code that owns a rule, as a config error at `where`."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        return [f"{where}: {exc}"]
+    return []
+
+
+def _grid_rule_errors(grids: dict, keys: tuple, rule) -> list:
+    """`rule` on every combination of the grid values of `keys`."""
+    return [
+        error
+        for combo in itertools.product(*(grids[key] for key in keys))
+        for error in _rule_errors(f"grid point {dict(zip(keys, combo))}", rule, *combo)
+    ]
+
+
 def _check_beta_moments(fields: dict, model) -> list:
-    if model is None:
-        return []
     return [
         f"model: {model.family} lacks a finite beta={beta} moment"
-        for beta in _grid_numbers(fields["grids"], "beta")
+        for beta in fields["grids"]["beta"]
         if not model.beta_integrable(beta)
     ]
 
 
+def _check_thm23(fields: dict, model) -> list:
+    return _check_beta_moments(fields, model) + _grid_rule_errors(
+        fields["grids"], ("x", "beta"), beta_decay_coefficient
+    )
+
+
+def _check_delyon(fields: dict, model) -> list:
+    return _grid_rule_errors(fields["grids"], ("x", "y"), lambda x, y: _bound("delyon", x=x, y=y))
+
+
 def _check_tstat_domain(fields: dict, model) -> list:
     n = fields["n"]
-    if not _is_int(n):
-        return []
-    return [
-        f"grids.x: value {x!r} outside the t-statistic domain (0, sqrt(n))"
-        for x in _grid_numbers(fields["grids"], "x")
-        if not 0.0 < x < math.sqrt(n)
-    ]
+    return _grid_rule_errors(fields["grids"], ("x",), lambda x: self_normalized_threshold(x, n))
 
 
 def _check_regression(fields: dict, model) -> list:
-    if model is None:
-        return []
-    errors = []
-    phi = fields["phi"]
-    if not math.isfinite(model.abs_bound if phi == "uniform" else model.upper_bound):
-        errors.append("model: regression noise must be bounded")
-    if fields["mode"] in ("exact_oracle", "both"):
-        symmetric_two_point = model.family == "rademacher" or (
-            model.family == "scaled_two_point" and model.conditionally_symmetric
-        )
-        if phi != "ones" or not symmetric_two_point:
-            errors.append(
-                "mode: regression exact oracle needs phi='ones' and symmetric two-point noise"
-            )
+    mode, phi = fields["mode"], fields["phi"]
+    errors = [] if mode == "exact_oracle" else _rule_errors("model", noise_bounds, model, phi)
+    if mode != "mc":
+        errors += _rule_errors("mode", exact_oracle_scale, fields["n"], model, phi)
     return errors
 
 
 def _check_thm34(fields: dict, model) -> list:
-    errors = []
-    if _is_int(fields["n"]) and fields["n"] > HELD_KARP_CAP:
-        errors.append(f"n: thm34_tsp needs exact tours, n <= {HELD_KARP_CAP}")
-    if _is_int(fields["inner_rep"]) and fields["inner_rep"] < 1000:
-        errors.append("inner_rep: >= 1000 required for thm34_tsp")
-    return errors
+    return _rule_errors("thm34_tsp", check_tsp_size, fields["n"], fields["inner_rep"])
 
 
 def _check_azuma(fields: dict, model) -> list:
-    return ["c_const: required for azuma_tsp"] if fields["c_const"] is None else []
+    if fields["c_const"] is None:
+        return ["c_const: required for azuma_tsp"]
+    return _rule_errors("azuma_tsp", check_tsp_size, fields["n"])
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +616,14 @@ def _run_regression_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord
     x_grid = spec.grids["x"]
     b = spec.grids.get("b", [None])[0]
     M = spec.grids.get("M", [None])[0]
-    mc_records = []
-    exact_records = []
+    mc_tails = exact_tails = [None] * len(x_grid)
+    if spec.mode in ("exact_oracle", "both"):
+        window, bounds, exact_tails = exact_regression_records(
+            spec.theorem, n=spec.n, x_grid=x_grid, eps_model=model, b=b, M=M
+        )
     if spec.mode in ("mc", "both"):
-        mc_records = verify_regression(
+        # a Monte Carlo run gives the records their window and bounds
+        window, bounds, mc_tails = verify_regression(
             spec.theorem,
             theta=spec.theta,
             phi_kind=spec.phi,
@@ -630,22 +636,12 @@ def _run_regression_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord
             b=b,
             M=M,
         )
-    if spec.mode in ("exact_oracle", "both"):
-        exact_records = exact_regression_records(
-            spec.theorem, n=spec.n, x_grid=x_grid, scale=model.upper_bound, b=b, M=M
-        )
+    echo = dict(zip(("b", "M"), window))
     note = f"theta={spec.theta!r}; phi={spec.phi}"
-    out = []
-    for i, x in enumerate(x_grid):
-        mc = mc_records[i] if mc_records else None
-        ex = exact_records[i] if exact_records else None
-        main = mc if mc is not None else ex
-        echo = {"x": float(x), "b": main.b, "M": main.M}
-        out.append(_record(
-            spec, t0, echo, {"x": float(x)}, main.bound,
-            None if mc is None else mc.estimate, None if ex is None else ex.exact, note,
-        ))
-    return out
+    return [
+        _record(spec, t0, {"x": float(x), **echo}, {"x": float(x)}, bound, mc, exact, note)
+        for x, bound, mc, exact in zip(x_grid, bounds, mc_tails, exact_tails)
+    ]
 
 
 def _run_thm34_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
@@ -660,16 +656,17 @@ def _run_thm34_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
         master_seed=spec.master_seed,
         c1=spec.c1,
     )
-    summary = (
+    note = (
         f"c1={result.c1:.6g}; window=[{result.window[0]:.6g},{result.window[1]:.6g}]; "
         f"d_sign +{result.sign_positive}/-{result.sign_negative}"
         f"/?{result.sign_indeterminate}; recon_pass={result.recon_pass_fraction:.4f}"
     )
-    out = []
-    for rec in result.records:
-        note = summary if rec.window_hits else _append_note(summary, "vacuous-window")
-        out.append(_record(spec, t0, {"x": rec.t}, {"t": rec.t}, rec.bound, rec.estimate, note=note))
-    return out
+    if not result.window_hits:
+        note = _append_note(note, "vacuous-window")
+    return [
+        _record(spec, t0, {"x": float(t)}, {"t": float(t)}, bound, estimate, note=note)
+        for t, bound, estimate in zip(spec.grids["t"], result.bounds, result.estimates)
+    ]
 
 
 def _run_azuma_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
@@ -707,8 +704,8 @@ VERIFY_TARGETS = {
     "thm22_peeling": _diff(("x", "y", "b", "M"), _plan_b_n_peeling, "sq"),
     "cor22_peeling": _diff(("x", "b", "M"), _plan_b_n_peeling, "sq"),
     "thm25_peeling": _diff(("x", "b", "M"), _plan_thm25_peeling, "heavy"),
-    "delyon": _diff(("x", "y"), _plan_delyon, "sq"),
-    "thm23_expectation": _diff(("x", "beta"), _plan_thm23_expectation, None, _check_beta_moments),
+    "delyon": _diff(("x", "y"), _plan_delyon, "sq", _check_delyon),
+    "thm23_expectation": _diff(("x", "beta"), _plan_thm23_expectation, None, _check_thm23),
     "thm24_peeling": _diff(("x", "beta", "b", "M"), _plan_thm24_peeling, None, _check_beta_moments),
     "thm31_tstat": _diff(("x", "b", "M"), _plan_thm31_tstat, "heavy", _check_tstat_domain),
     "thm32_regression": _Target(("x",), _run_regression_target, check=_check_regression),

@@ -104,7 +104,12 @@ class DifferenceModel:
         return True
 
     def truncated_mean(self, a: float) -> float:
-        """E[min(|xi|, a) * sign(xi)] for a > 0."""
+        """E[min(|xi|, a) * sign(xi)] for a > 0: zero for symmetric increments."""
+        if a <= 0:
+            raise ValueError(f"a must be > 0, got {a}")
+        return 0.0 if self.conditionally_symmetric else self._asymmetric_truncated_mean(a)
+
+    def _asymmetric_truncated_mean(self, a: float) -> float:
         raise NotImplementedError
 
     def bounded_above_by(self, y: float) -> bool:
@@ -146,11 +151,6 @@ class Rademacher(DifferenceModel):
     def neg_beta_moment(self, beta):
         self._check_beta(beta)
         return 0.5
-
-    def truncated_mean(self, a):
-        if a <= 0:
-            raise ValueError(f"a must be > 0, got {a}")
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,7 @@ class ScaledTwoPoint(DifferenceModel):
         self._check_beta(beta)
         return (1.0 - self.p_up) * (-self.down) ** beta
 
-    def truncated_mean(self, a):
-        if a <= 0:
-            raise ValueError(f"a must be > 0, got {a}")
+    def _asymmetric_truncated_mean(self, a):
         return self.p_up * min(self.up, a) - (1.0 - self.p_up) * min(-self.down, a)
 
 
@@ -260,9 +258,7 @@ class BoundedAbove(DifferenceModel):
         self._check_beta(beta)
         return self.y_cap ** beta * math.gamma(beta + 1.0) / math.e
 
-    def truncated_mean(self, a):
-        if a <= 0:
-            raise ValueError(f"a must be > 0, got {a}")
+    def _asymmetric_truncated_mean(self, a):
         c = self.y_cap
         if a <= c:
             return a - 2.0 * c * math.sinh(a / c) / math.e
@@ -314,11 +310,6 @@ class CenteredPareto(DifferenceModel):
             / math.gamma(bt)
         )
 
-    def truncated_mean(self, a):
-        if a <= 0:
-            raise ValueError(f"a must be > 0, got {a}")
-        return 0.0
-
     def tail_prob(self, t: float) -> float:
         """P(xi <= -t) = P(xi >= t) for t >= 0."""
         if t < 0:
@@ -364,11 +355,6 @@ class Gaussian(DifferenceModel):
             * math.gamma(0.5 * (beta + 1.0))
             / (2.0 * math.sqrt(math.pi))
         )
-
-    def truncated_mean(self, a):
-        if a <= 0:
-            raise ValueError(f"a must be > 0, got {a}")
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -425,11 +411,6 @@ class SymmetricMixture(DifferenceModel):
     def neg_beta_moment(self, beta):
         self._check_beta(beta)
         return 0.5 * sum(w * s ** beta for w, s in zip(self.weights, self.scales))
-
-    def truncated_mean(self, a):
-        if a <= 0:
-            raise ValueError(f"a must be > 0, got {a}")
-        return 0.0
 
 
 _FAMILIES = {

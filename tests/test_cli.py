@@ -170,6 +170,24 @@ PINNED_DIGESTS = {
 }
 
 
+# Specs that break a rule owned by an application guard or a bound calculator:
+# validation rejects them before anything runs.
+_RUN_TIME_RULE_SPECS = {
+    "regression-oracle-n1": _pinned(
+        "thm32_regression", {"x": [0.5]}, "exact_oracle", n=1, phi="ones"
+    ),
+    "regression-sigma-floor": _pinned(
+        "thm32_regression", {"x": [0.5]},
+        model={"family": "scaled_two_point", "p_up": 0.5, "up": 1e-4, "down": -1e-4},
+    ),
+    "thm34-n1": {**PINNED_SPECS["thm34_tsp"], "n": 1},
+    "azuma-n1": {**PINNED_SPECS["azuma_tsp"], "n": 1},
+    "tstat-n1": _pinned("thm31_tstat", {"x": [0.5], "b": [1.0], "M": [2.0]}, n=1),
+    "delyon-y0": _pinned("delyon", {"x": [1.0], "y": [0.0]}),
+    "thm23-x0": _pinned("thm23_expectation", {"x": [0.0], "beta": [1.5]}),
+}
+
+
 class TestLoadSpec:
     def test_minimal_spec_gets_documented_defaults(self):
         spec = load_spec({k: v for k, v in _spec().items() if k not in ("n_rep", "master_seed")})
@@ -490,6 +508,18 @@ class TestCli:
         result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
         assert result.exit_code == 2
         assert "config error: grids.x: value True" in result.output
+
+    @pytest.mark.parametrize("name", sorted(_RUN_TIME_RULE_SPECS))
+    def test_owned_rules_exit_two_at_validation(self, tmp_path, name):
+        raw = _RUN_TIME_RULE_SPECS[name]
+        with pytest.raises(SpecValidationError):
+            load_spec(raw)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert "config error:" in result.output
+        assert "internal error" not in result.output
 
     @pytest.mark.parametrize(
         "runner_name, raw",
