@@ -18,15 +18,12 @@ from .processes import (
     CenteredPareto,
     DifferenceModel,
     Gaussian,
-    Path,
     Rademacher,
     ScaledTwoPoint,
     SymmetricMixture,
     UnsupportedStatisticError,
     build_model,
-    heavy_on_left_verdict,
     sample_batch,
-    sample_path,
     substream,
 )
 from .montecarlo import (

@@ -1,19 +1,13 @@
 from .student import t_statistic, t_event_equivalence, self_normalized_threshold
 from .regression import (
-    RegressionRun,
-    simulate_regression,
-    ls_estimate,
     regression_batch,
     verify_regression,
     exact_regression_records,
 )
 from .tsp import (
     TourResult,
-    tsp_tour,
-    tsp_tour_length,
     held_karp,
     held_karp_batch,
-    two_opt,
     tsp_martingale_diffs,
     verify_tsp,
 )
@@ -22,18 +16,12 @@ __all__ = [
     "t_statistic",
     "t_event_equivalence",
     "self_normalized_threshold",
-    "RegressionRun",
-    "simulate_regression",
-    "ls_estimate",
     "regression_batch",
     "verify_regression",
     "exact_regression_records",
     "TourResult",
-    "tsp_tour",
-    "tsp_tour_length",
     "held_karp",
     "held_karp_batch",
-    "two_opt",
     "tsp_martingale_diffs",
     "verify_tsp",
 ]

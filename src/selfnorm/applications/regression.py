@@ -13,9 +13,6 @@ from ..montecarlo import ENUMERATION_CAP, MCEstimate, closed_ge, optimize_expect
 from ..processes import DifferenceModel, stream_blocks
 
 __all__ = [
-    "RegressionRun",
-    "simulate_regression",
-    "ls_estimate",
     "noise_bounds",
     "exact_oracle_scale",
     "regression_batch",
@@ -30,22 +27,6 @@ class DegenerateDesignError(ValueError):
     """All regressors are zero, so the least-squares estimator is undefined."""
 
 
-@dataclass(frozen=True, eq=False)
-class RegressionRun:
-    """One realized regression path: x_obs[k] = theta*phi[k] + eps[k]."""
-
-    theta: float
-    phi: np.ndarray
-    eps: np.ndarray
-    x_obs: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.phi) == len(self.eps) == len(self.x_obs)):
-            raise ValueError("phi, eps, x_obs must have equal length")
-        if np.any(np.abs(self.phi) > 1.0 + 1e-12):
-            raise ValueError("regressors must satisfy |phi| <= 1")
-
-
 def _sample_phi(kind: str, rng, shape) -> np.ndarray:
     if kind == "uniform":
         return rng.uniform(-1.0, 1.0, size=shape)
@@ -54,45 +35,11 @@ def _sample_phi(kind: str, rng, shape) -> np.ndarray:
     raise ValueError(f"unknown regressor kind {kind!r}; expected 'uniform' or 'ones'")
 
 
-def _regression_blocks(phi_kind, eps_model, n, n_rep, master_seed, first=0):
+def _regression_blocks(phi_kind, eps_model, n, n_rep, master_seed):
     """Yield (start, phi, eps) per block of the stream contract; phi is drawn first."""
-    for start, rows, rng in stream_blocks(n, n_rep, master_seed, first):
+    for start, rows, rng in stream_blocks(n, n_rep, master_seed):
         phi = _sample_phi(phi_kind, rng, (rows, n))
         yield start, phi, eps_model.sample(rng, (rows, n))
-
-
-def simulate_regression(
-    theta: float,
-    phi_kind: str,
-    eps_model: DifferenceModel,
-    n: int,
-    master_seed: int,
-    replicate: int = 0,
-) -> RegressionRun:
-    """Draw one regression path: row `replicate` of its block's phi and eps matrices.
-
-    Each block of the stream contract (`processes.stream_blocks`) draws its
-    (rows, n) regressors and then its (rows, n) noise, so this path equals
-    replicate `replicate` of `regression_batch` for any n_rep.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if replicate < 0:
-        raise ValueError(f"replicate must be >= 0, got {replicate}")
-    start, phi, eps = next(
-        _regression_blocks(phi_kind, eps_model, n, replicate + 1, master_seed, replicate)
-    )
-    row = replicate - start
-    phi, eps = phi[row].copy(), eps[row].copy()
-    return RegressionRun(theta=theta, phi=phi, eps=eps, x_obs=theta * phi + eps)
-
-
-def ls_estimate(run: RegressionRun) -> float:
-    """Least-squares estimate sum(phi_{k-1} X_k) / sum(phi_{k-1}^2)."""
-    denom = float(np.sum(run.phi * run.phi))
-    if denom <= 0.0:
-        raise DegenerateDesignError("sum of squared regressors is zero")
-    return float(np.sum(run.phi * run.x_obs)) / denom
 
 
 def noise_bounds(eps_model: DifferenceModel, phi_kind: str) -> tuple[float, float]:

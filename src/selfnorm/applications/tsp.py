@@ -19,11 +19,6 @@ __all__ = [
     "check_tsp_size",
     "held_karp",
     "held_karp_batch",
-    "nearest_neighbor",
-    "two_opt",
-    "tour_length",
-    "tsp_tour",
-    "tsp_tour_length",
     "sample_points",
     "instance_tour_lengths",
     "dist_matrix",
@@ -32,7 +27,6 @@ __all__ = [
     "tsp_martingale_diffs",
     "TspVerification",
     "verify_tsp",
-    "export_points_csv",
 ]
 
 HELD_KARP_CAP = 12
@@ -42,23 +36,19 @@ TSP_INSTANCE_BLOCK = 2048
 
 
 def check_tsp_size(n: int, inner_rep: int | None = None) -> None:
-    """The size rules: at least 2 points, and for nested estimates (inner_rep
-    given) exact tours, n <= HELD_KARP_CAP, and inner_rep >= 1000."""
+    """The size rules: exact tours, 2 <= n <= HELD_KARP_CAP, and for nested
+    estimates (inner_rep given) inner_rep >= 1000."""
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    if inner_rep is None:
-        return
     if n > HELD_KARP_CAP:
-        raise ValueError(f"nested estimates need exact tours: n <= {HELD_KARP_CAP}, got {n}")
-    if inner_rep < 1000:
+        raise ValueError(f"exact tours capped at n = {HELD_KARP_CAP}, got {n}")
+    if inner_rep is not None and inner_rep < 1000:
         raise ValueError(f"inner_rep must be >= 1000, got {inner_rep}")
 
 
 def sample_points(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform points in the unit cube of dimension d."""
     check_tsp_size(n)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     return rng.random((n, d))
 
 
@@ -87,28 +77,19 @@ def dist_matrix_batch(points: np.ndarray) -> np.ndarray:
     return np.sqrt(diff.sum(axis=2)).transpose(2, 0, 1)
 
 
-def tour_length(dist: np.ndarray, order) -> float:
-    order = list(order)
-    return float(sum(dist[order[i], order[(i + 1) % len(order)]] for i in range(len(order))))
-
-
 @dataclass(frozen=True)
 class TourResult:
     length: float
     order: tuple
-    exact: bool
 
 
 def held_karp(dist: np.ndarray) -> TourResult:
     """Exact shortest closed tour by dynamic programming over city subsets."""
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 cities, got {n}")
-    if n > HELD_KARP_CAP:
-        raise ValueError(f"exact tours capped at n = {HELD_KARP_CAP}, got {n}")
+    check_tsp_size(n)
     if n == 2:
-        return TourResult(length=float(2.0 * dist[0, 1]), order=(0, 1), exact=True)
+        return TourResult(length=float(2.0 * dist[0, 1]), order=(0, 1))
     m = n - 1
     cost = {}
     parent = {}
@@ -143,7 +124,7 @@ def held_karp(dist: np.ndarray) -> TourResult:
         tail.append(j)
         mask, j = mask ^ (1 << (j - 1)), parent.get((mask, j), 0)
     order.extend(reversed(tail))
-    return TourResult(length=float(best), order=tuple(order), exact=True)
+    return TourResult(length=float(best), order=tuple(order))
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +163,7 @@ def held_karp_batch(dists: np.ndarray, chunk: int = 2048) -> np.ndarray:
     """
     dists = np.asarray(dists, dtype=float)
     batch, n = dists.shape[0], dists.shape[1]
-    if n < 2 or n > HELD_KARP_CAP:
-        raise ValueError(f"need 2 <= n <= {HELD_KARP_CAP}, got {n}")
+    check_tsp_size(n)
     if n == 2:
         return 2.0 * dists[:, 0, 1]
     out = np.empty(batch)
@@ -206,54 +186,6 @@ def held_karp_batch(dists: np.ndarray, chunk: int = 2048) -> np.ndarray:
     return out
 
 
-def nearest_neighbor(dist: np.ndarray) -> list:
-    n = dist.shape[0]
-    order = [0]
-    left = set(range(1, n))
-    while left:
-        last = order[-1]
-        nxt = min(left, key=lambda j: dist[last, j])
-        order.append(nxt)
-        left.remove(nxt)
-    return order
-
-
-def two_opt(dist: np.ndarray, order=None) -> TourResult:
-    """First-improvement 2-opt from a nearest-neighbor start."""
-    dist = np.asarray(dist, dtype=float)
-    n = dist.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 cities, got {n}")
-    order = list(order) if order is not None else nearest_neighbor(dist)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(n - 1):
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue  # same edge pair
-                a, b = order[i], order[i + 1]
-                c, e = order[j], order[(j + 1) % n]
-                delta = dist[a, c] + dist[b, e] - dist[a, b] - dist[c, e]
-                if delta < -1e-12:
-                    order[i + 1 : j + 1] = reversed(order[i + 1 : j + 1])
-                    improved = True
-    return TourResult(length=tour_length(dist, order), order=tuple(order), exact=False)
-
-
-def tsp_tour(points: np.ndarray) -> TourResult:
-    """Exact tour for n <= HELD_KARP_CAP, first-improvement 2-opt beyond."""
-    pts = np.asarray(points, dtype=float)
-    dist = dist_matrix(pts)
-    if pts.shape[0] <= HELD_KARP_CAP:
-        return held_karp(dist)
-    return two_opt(dist)
-
-
-def tsp_tour_length(points: np.ndarray) -> float:
-    return tsp_tour(points).length
-
-
 def _stream_id(instance: int, level: int, role: int) -> int:
     # level < 64 (n is capped far below), role < 4
     return (instance << 8) | (level << 2) | role
@@ -269,20 +201,16 @@ def _instance_points(n: int, d: int, master_seed: int, instance: int) -> np.ndar
 
 
 def instance_tour_lengths(n: int, d: int, n_instances: int, master_seed: int) -> np.ndarray:
-    """Tour lengths of instances 0..n_instances-1 of the point streams.
+    """Exact tour lengths of instances 0..n_instances-1 of the point streams.
 
-    Tours are exact up to HELD_KARP_CAP points and 2-opt beyond.  Exact tours
-    are solved TSP_INSTANCE_BLOCK instances per batch, so the distance arrays
-    stay small at n_instances = 1e5.
+    Tours are solved TSP_INSTANCE_BLOCK instances per batch, so the distance
+    arrays stay small at n_instances = 1e5.
     """
     lengths = np.empty(n_instances)
     for start in range(0, n_instances, TSP_INSTANCE_BLOCK):
         stop = min(start + TSP_INSTANCE_BLOCK, n_instances)
         points = np.stack([_instance_points(n, d, master_seed, r) for r in range(start, stop)])
-        if n > HELD_KARP_CAP:
-            lengths[start:stop] = [tsp_tour(pts).length for pts in points]
-        else:
-            lengths[start:stop] = held_karp_batch(dist_matrix_batch(points))
+        lengths[start:stop] = held_karp_batch(dist_matrix_batch(points))
     return lengths
 
 
@@ -431,12 +359,3 @@ def verify_tsp(
         recon_pass_fraction=recon_pass / n_instances,
     )
 
-
-def export_points_csv(points: np.ndarray, path) -> None:
-    """Write one instance's points as CSV rows x_1,...,x_d."""
-    pts = np.asarray(points, dtype=float)
-    header = ",".join(f"x{j + 1}" for j in range(pts.shape[1]))
-    lines = [header]
-    lines += [",".join(format(v, ".17g") for v in row) for row in pts]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

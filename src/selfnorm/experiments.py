@@ -22,19 +22,19 @@ from .montecarlo import (
     MCEstimate,
     Statistic,
     TailEvent,
+    check_enumeration_size,
     domination_check,
     estimate_tail_from,
     exact_optimized_bound_rademacher,
     exact_tail_rademacher,
     exact_verdict,
     optimize_over_p_from,
-    ENUMERATION_CAP,
 )
 from .processes import BatchStats, build_model, sample_batch
 from .applications.regression import exact_oracle_scale, noise_bounds
 from .applications.regression import exact_regression_records, verify_regression
 from .applications.student import self_normalized_threshold
-from .applications.tsp import HELD_KARP_CAP, check_tsp_size, instance_tour_lengths, verify_tsp
+from .applications.tsp import check_tsp_size, instance_tour_lengths, verify_tsp
 
 __all__ = [
     "ExperimentSpec",
@@ -250,9 +250,9 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
     phi = fields["phi"]
     if phi not in ("uniform", "ones"):
         errors.append(f"phi: {phi!r} not in (uniform, ones)")
-    d = fields["d"]
-    if not _is_int(d) or d < 2:
-        errors.append("d: integer >= 2 required")
+    d_rule = field_violation("d", fields["d"])
+    if d_rule is not None:
+        errors.append(f"d: {d_rule}")
     for opt in ("c1", "c_const"):
         v = fields[opt]
         if v is not None and (not isinstance(v, (int, float)) or v <= 0):
@@ -285,8 +285,8 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
         elif target.plan is not None:
             if model is not None and model.family != "rademacher":
                 errors.append("mode: exact enumeration needs the rademacher model")
-            if _is_int(n) and n > ENUMERATION_CAP:
-                errors.append(f"mode: exact enumeration capped at n = {ENUMERATION_CAP}")
+            if _is_int(n):
+                errors += _rule_errors("mode", check_enumeration_size, n)
     if not errors and target.check is not None:
         # target rules call the code that owns them, which needs valid fields
         errors += target.check(fields, model)
@@ -675,8 +675,6 @@ def _run_azuma_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
     lengths = instance_tour_lengths(spec.n, spec.d, spec.n_rep, spec.master_seed)
     center = float(lengths.mean())
     note = f"E[T] pooled={center:.6g}; C={spec.c_const!r}"
-    if spec.n > HELD_KARP_CAP:
-        note = _append_note(note, "heuristic_tour")
     out = []
     for t in spec.grids["t"]:
         t = float(t)

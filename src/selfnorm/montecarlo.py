@@ -26,9 +26,8 @@ __all__ = [
     "evaluate_event",
     "closed_ge",
     "estimate_tail_from",
+    "check_enumeration_size",
     "exact_tail_rademacher",
-    "exact_mean_rademacher",
-    "expectation_bound_from",
     "optimize_over_p_from",
     "optimize_expectation_values",
     "exact_optimized_bound_rademacher",
@@ -36,7 +35,6 @@ __all__ = [
     "domination_check",
     "exact_verdict",
     "supermartingale_check",
-    "exact_supermartingale_mean_rademacher",
     "exp_growth_coefficient",
     "ENUMERATION_CAP",
     "P_SEARCH_WINDOW",
@@ -272,24 +270,19 @@ def _enumerate_sign_chunks(n: int, chunk: int = 1 << 16):
         yield bits.astype(float) * 2.0 - 1.0
 
 
+def check_enumeration_size(n: int) -> None:
+    """The oracle's domain: 1 <= n <= ENUMERATION_CAP."""
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"exact enumeration needs n >= 1, capped at n = {ENUMERATION_CAP}; got {n}")
+
+
 def exact_tail_rademacher(n: int, event: TailEvent) -> float:
     """Exact P(event) over all 2^n sign paths (exact: a count over a power of two)."""
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"n must be in [1, {ENUMERATION_CAP}], got {n}")
+    check_enumeration_size(n)
     hits = 0
     for signs in _enumerate_sign_chunks(n):
         hits += int(np.count_nonzero(evaluate_event(_SignEnumStats(signs), event)))
     return hits / float(1 << n)
-
-
-def exact_mean_rademacher(n: int, fn) -> float:
-    """Exact E[fn(paths)] where fn maps a (chunk, n) sign matrix to values."""
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"n must be in [1, {ENUMERATION_CAP}], got {n}")
-    total = 0.0
-    for signs in _enumerate_sign_chunks(n):
-        total += float(np.sum(np.asarray(fn(signs), dtype=float)))
-    return total / float(1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -326,32 +319,6 @@ def _rate_and_normalizer(stats, x: float, y: float | None, beta: float | None):
     if beta is None:
         return f_rate(x, y), stats.b_n(y)
     return beta_decay_coefficient(x, beta), stats.g_n(beta)
-
-
-def expectation_bound_from(
-    stats,
-    x: float,
-    *,
-    y: float | None = None,
-    beta: float | None = None,
-    p: float,
-    with_indicator: bool = True,
-) -> tuple[float, float]:
-    """(E[exp{-(p-1) rate N} (1_event)])^{1/p} estimated on a fixed sample set.
-
-    Returns (value, standard error of the value) via the delta method.
-    """
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
-    rate, norm = _rate_and_normalizer(stats, x, y, beta)
-    z = np.exp(-(p - 1.0) * rate * norm)
-    if with_indicator:
-        z = z * (stats.s() >= x * norm)
-    m = float(np.mean(z))
-    se_mean = float(np.std(z, ddof=1) / math.sqrt(len(z))) if len(z) > 1 else 0.0
-    value = m ** (1.0 / p)
-    se = 0.0 if m <= 0.0 else se_mean * value / (p * m)
-    return value, se
 
 
 @dataclass(frozen=True)
@@ -412,6 +379,7 @@ def exact_optimized_bound_rademacher(
     with_indicator: bool = True,
 ) -> OptimizedBound:
     """inf over p of the exact enumerated expectation bound for fair-sign paths."""
+    check_enumeration_size(n)
     norms = []
     inds = []
     for signs in _enumerate_sign_chunks(n):
@@ -480,13 +448,3 @@ def supermartingale_check(
     status = "pass" if estimate.ci_lo <= 1.0 else "violation_evidence"
     return DominationVerdict(bound_value=1.0, estimate=estimate, status=status, margin=1.0 - estimate.ci_lo)
 
-
-def exact_supermartingale_mean_rademacher(n: int, lam: float, y: float) -> float:
-    """Exact E[exp{lam S_n - coef(lam,y) B_n(y)}] over all 2^n sign paths."""
-    coef = exp_growth_coefficient(lam, y)
-
-    def fn(signs):
-        st = _SignEnumStats(signs)
-        return np.exp(lam * st.s() - coef * st.b_n(y))
-
-    return exact_mean_rademacher(n, fn)

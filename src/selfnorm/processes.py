@@ -26,12 +26,8 @@ __all__ = [
     "substream",
     "BLOCK_VALUES",
     "stream_blocks",
-    "sample_path",
     "sample_batch",
-    "Path",
     "BatchStats",
-    "heavy_on_left_verdict",
-    "HeavyOnLeftVerdict",
 ]
 
 
@@ -111,9 +107,6 @@ class DifferenceModel:
 
     def _asymmetric_truncated_mean(self, a: float) -> float:
         raise NotImplementedError
-
-    def bounded_above_by(self, y: float) -> bool:
-        return self.upper_bound <= y
 
     def _check_beta(self, beta: float) -> None:
         # moment accessors accept any positive order; the (1, 2) restriction
@@ -445,40 +438,8 @@ def build_model(desc: dict) -> DifferenceModel:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
-class Path:
-    """One realized difference sequence."""
-
-    xs: np.ndarray
-    model: DifferenceModel
-    master_seed: int
-    replicate: int
-
-    def __post_init__(self):
-        if len(self.xs) < 1:
-            raise ValueError("a path needs at least one increment")
-        if not np.all(np.isfinite(self.xs)):
-            raise ValueError("path contains non-finite increments")
-
-
-def sample_path(model: DifferenceModel, n: int, master_seed: int, replicate: int = 0) -> Path:
-    """Draw a path of n increments; a pure function of (model, n, master_seed, replicate).
-
-    The path is row `replicate` of its block under the stream contract of
-    `stream_blocks`, so it equals that row of any `sample_batch` holding it.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if replicate < 0:
-        raise ValueError(f"replicate must be >= 0, got {replicate}")
-    start, rows, rng = next(stream_blocks(n, replicate + 1, master_seed, replicate))
-    # copy the row so the path does not keep its whole block alive
-    xs = model.sample(rng, (rows, n))[replicate - start].copy()
-    return Path(xs=xs, model=model, master_seed=master_seed, replicate=replicate)
-
-
 def sample_batch(model: DifferenceModel, n: int, n_rep: int, master_seed: int) -> np.ndarray:
-    """(n_rep, n) matrix whose row r equals sample_path(model, n, master_seed, r).xs.
+    """(n_rep, n) matrix of replicates under the stream contract of `stream_blocks`.
 
     Filled one block at a time, so rows [0, k) are the same for every n_rep >= k.
     """
@@ -562,19 +523,3 @@ class BatchStats:
             ("g_n", beta), lambda: self.pos_beta(beta) + self.n * self.model.neg_beta_moment(beta)
         )
 
-
-@dataclass(frozen=True)
-class HeavyOnLeftVerdict:
-    passed: bool
-    worst_a: float
-    worst_mean: float
-
-
-def heavy_on_left_verdict(model: DifferenceModel, a_grid) -> HeavyOnLeftVerdict:
-    """Check E[min(|xi|, a) sign(xi)] <= 0 (up to 1e-12) over a grid of a > 0."""
-    a_grid = list(a_grid)
-    if not a_grid:
-        raise ValueError("a_grid must be nonempty")
-    means = [(model.truncated_mean(a), a) for a in a_grid]
-    worst_mean, worst_a = max(means)
-    return HeavyOnLeftVerdict(passed=worst_mean <= 1e-12, worst_a=worst_a, worst_mean=worst_mean)

@@ -1,0 +1,144 @@
+"""Reference implementations the tests check the package against.
+
+None of these is called by a verification run: single paths and single
+regression runs are drawn one row at a time under the stream contract, and
+the exact means enumerate all 2^n sign paths with the oracle's own +-1
+arithmetic.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from selfnorm.applications.regression import DegenerateDesignError, _sample_phi
+from selfnorm.montecarlo import (
+    _SignEnumStats,
+    _enumerate_sign_chunks,
+    _rate_and_normalizer,
+    check_enumeration_size,
+    exp_growth_coefficient,
+)
+from selfnorm.processes import DifferenceModel, stream_blocks
+
+
+@dataclass(frozen=True, eq=False)
+class Path:
+    """One realized difference sequence."""
+
+    xs: np.ndarray
+    model: DifferenceModel
+    master_seed: int
+    replicate: int
+
+    def __post_init__(self):
+        if len(self.xs) < 1:
+            raise ValueError("a path needs at least one increment")
+        if not np.all(np.isfinite(self.xs)):
+            raise ValueError("path contains non-finite increments")
+
+
+def _replicate_block(n: int, master_seed: int, replicate: int):
+    """(row within its block, rows per block, rng) of one replicate."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if replicate < 0:
+        raise ValueError(f"replicate must be >= 0, got {replicate}")
+    start, rows, rng = next(stream_blocks(n, replicate + 1, master_seed, replicate))
+    return replicate - start, rows, rng
+
+
+def sample_path(model: DifferenceModel, n: int, master_seed: int, replicate: int = 0) -> Path:
+    """Row `replicate` of its block under the stream contract of `stream_blocks`,
+    so it equals that row of any `sample_batch` holding it."""
+    row, rows, rng = _replicate_block(n, master_seed, replicate)
+    xs = model.sample(rng, (rows, n))[row].copy()
+    return Path(xs=xs, model=model, master_seed=master_seed, replicate=replicate)
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionRun:
+    """One realized regression path: x_obs[k] = theta*phi[k] + eps[k]."""
+
+    theta: float
+    phi: np.ndarray
+    eps: np.ndarray
+    x_obs: np.ndarray
+
+    def __post_init__(self):
+        if not (len(self.phi) == len(self.eps) == len(self.x_obs)):
+            raise ValueError("phi, eps, x_obs must have equal length")
+        if np.any(np.abs(self.phi) > 1.0 + 1e-12):
+            raise ValueError("regressors must satisfy |phi| <= 1")
+
+
+def simulate_regression(
+    theta: float,
+    phi_kind: str,
+    eps_model: DifferenceModel,
+    n: int,
+    master_seed: int,
+    replicate: int = 0,
+) -> RegressionRun:
+    """Row `replicate` of its block's regressor matrix and then noise matrix,
+    so it equals replicate `replicate` of `regression_batch` for any n_rep."""
+    row, rows, rng = _replicate_block(n, master_seed, replicate)
+    phi = _sample_phi(phi_kind, rng, (rows, n))[row].copy()
+    eps = eps_model.sample(rng, (rows, n))[row].copy()
+    return RegressionRun(theta=theta, phi=phi, eps=eps, x_obs=theta * phi + eps)
+
+
+def ls_estimate(run: RegressionRun) -> float:
+    """Least-squares estimate sum(phi_{k-1} X_k) / sum(phi_{k-1}^2)."""
+    denom = float(np.sum(run.phi * run.phi))
+    if denom <= 0.0:
+        raise DegenerateDesignError("sum of squared regressors is zero")
+    return float(np.sum(run.phi * run.x_obs)) / denom
+
+
+def expectation_bound_from(
+    stats,
+    x: float,
+    *,
+    y: float | None = None,
+    beta: float | None = None,
+    p: float,
+    with_indicator: bool = True,
+) -> tuple[float, float]:
+    """(E[exp{-(p-1) rate N} (1_event)])^{1/p} estimated on a fixed sample set.
+
+    Returns (value, standard error of the value) via the delta method.
+    """
+    if p <= 1.0:
+        raise ValueError(f"p must be > 1, got {p}")
+    rate, norm = _rate_and_normalizer(stats, x, y, beta)
+    z = np.exp(-(p - 1.0) * rate * norm)
+    if with_indicator:
+        z = z * (stats.s() >= x * norm)
+    m = float(np.mean(z))
+    se_mean = float(np.std(z, ddof=1) / math.sqrt(len(z))) if len(z) > 1 else 0.0
+    value = m ** (1.0 / p)
+    se = 0.0 if m <= 0.0 else se_mean * value / (p * m)
+    return value, se
+
+
+def exact_mean_rademacher(n: int, fn) -> float:
+    """Exact E[fn(paths)] where fn maps a (chunk, n) sign matrix to values."""
+    check_enumeration_size(n)
+    total = 0.0
+    for signs in _enumerate_sign_chunks(n):
+        total += float(np.sum(np.asarray(fn(signs), dtype=float)))
+    return total / float(1 << n)
+
+
+def exact_supermartingale_mean_rademacher(n: int, lam: float, y: float) -> float:
+    """Exact E[exp{lam S_n - coef(lam,y) B_n(y)}] over all 2^n sign paths."""
+    coef = exp_growth_coefficient(lam, y)
+
+    def fn(signs):
+        st = _SignEnumStats(signs)
+        return np.exp(lam * st.s() - coef * st.b_n(y))
+
+    return exact_mean_rademacher(n, fn)

@@ -15,30 +15,24 @@ from selfnorm.applications.student import (
 )
 from selfnorm.applications.regression import (
     DegenerateDesignError,
-    RegressionRun,
     exact_regression_records,
-    ls_estimate,
     regression_batch,
-    simulate_regression,
     verify_regression,
 )
 from selfnorm.applications.tsp import (
     TSP_INSTANCE_BLOCK,
     dist_matrix,
     dist_matrix_batch,
-    export_points_csv,
     held_karp,
     held_karp_batch,
     instance_tour_lengths,
     sample_points,
-    tour_length,
     tsp_martingale_diffs,
-    tsp_tour,
-    tsp_tour_length,
-    two_opt,
     verify_tsp,
 )
 from selfnorm.processes import BLOCK_VALUES, Gaussian, ScaledTwoPoint, substream
+
+from reference import RegressionRun, ls_estimate, simulate_regression
 
 
 class TestStudentT:
@@ -209,31 +203,31 @@ def _square_points():
     return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def _tour_length(pts):
+    return held_karp(dist_matrix(pts)).length
+
+
 class TestTours:
     def test_triangle_perimeter(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         expected = 2.0 + math.sqrt(2.0)
-        assert tsp_tour_length(pts) == pytest.approx(expected, rel=1e-12)
+        assert _tour_length(pts) == pytest.approx(expected, rel=1e-12)
 
     def test_unit_square(self):
-        assert tsp_tour_length(_square_points()) == pytest.approx(4.0, rel=1e-12)
+        assert _tour_length(_square_points()) == pytest.approx(4.0, rel=1e-12)
 
     def test_two_points(self):
         pts = np.array([[0.0, 0.0], [0.0, 3.0]])
-        assert tsp_tour_length(pts) == pytest.approx(6.0, rel=1e-12)
+        assert _tour_length(pts) == pytest.approx(6.0, rel=1e-12)
 
     def test_tour_order_is_a_permutation(self):
         pts = sample_points(9, 2, substream(5, 0))
-        result = held_karp(dist_matrix(pts))
-        assert sorted(result.order) == list(range(9))
-        assert result.exact
-        assert tour_length(dist_matrix(pts), result.order) == pytest.approx(result.length)
-
-    def test_exact_dominates_heuristic(self):
-        for seed in range(6):
-            pts = sample_points(10, 2, substream(seed, 0))
-            dist = dist_matrix(pts)
-            assert held_karp(dist).length <= two_opt(dist).length + 1e-9
+        dist = dist_matrix(pts)
+        result = held_karp(dist)
+        order = list(result.order)
+        assert sorted(order) == list(range(9))
+        closed = sum(dist[a, b] for a, b in zip(order, order[1:] + order[:1]))
+        assert closed == pytest.approx(result.length)
 
     def test_batch_matches_single(self):
         pts = substream(3, 0).random((25, 8, 2))
@@ -259,12 +253,12 @@ class TestTours:
         singles = np.array([held_karp(dists[i]).length for i in range(10)])
         assert np.array_equal(batch, singles)
 
-    def test_large_instance_uses_heuristic(self):
-        pts = sample_points(14, 2, substream(9, 0))
-        result = tsp_tour(pts)
-        assert not result.exact
-        with pytest.raises(ValueError):
+    def test_large_instance_rejected(self):
+        pts = substream(9, 0).random((14, 2))
+        with pytest.raises(ValueError, match="exact tours capped at n = 12"):
             held_karp(dist_matrix(pts))
+        with pytest.raises(ValueError, match="exact tours capped at n = 12"):
+            held_karp_batch(dist_matrix_batch(pts[None]))
 
     def test_instance_tour_lengths_follow_point_streams(self):
         # exact tours in batches of TSP_INSTANCE_BLOCK: rows on both sides of
@@ -274,22 +268,13 @@ class TestTours:
         for r in (0, block - 1, block, block + 1):
             pts = sample_points(6, 2, substream(9, (r << 8) | 2))
             assert lengths[r] == held_karp(dist_matrix(pts)).length
-        # beyond the exact cap, 2-opt tours
-        lengths = instance_tour_lengths(13, 2, 3, 9)
-        for r in range(3):
-            pts = sample_points(13, 2, substream(9, (r << 8) | 2))
-            assert lengths[r] == tsp_tour(pts).length
+        # beyond the exact cap there are no tours
+        with pytest.raises(ValueError, match="exact tours capped"):
+            instance_tour_lengths(13, 2, 3, 9)
 
     def test_small_input_rejected(self):
         with pytest.raises(ValueError):
-            tsp_tour_length(np.array([[0.0, 0.0]]))
-
-    def test_export_points(self, tmp_path):
-        path = tmp_path / "pts.csv"
-        export_points_csv(_square_points(), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x1,x2"
-        assert len(lines) == 5
+            _tour_length(np.array([[0.0, 0.0]]))
 
 
 class TestTspMartingale:
@@ -312,7 +297,8 @@ class TestTspMartingale:
         assert hits >= 4
 
     def test_preconditions(self):
-        pts = sample_points(13, 2, substream(1, 0))
+        # sample_points applies the same cap, so draw the 13 points directly
+        pts = substream(1, 0).random((13, 2))
         with pytest.raises(ValueError, match="exact"):
             tsp_martingale_diffs(pts, 1000, 1)
         pts = sample_points(5, 2, substream(1, 0))

@@ -182,6 +182,7 @@ _RUN_TIME_RULE_SPECS = {
     ),
     "thm34-n1": {**PINNED_SPECS["thm34_tsp"], "n": 1},
     "azuma-n1": {**PINNED_SPECS["azuma_tsp"], "n": 1},
+    "azuma-n13": {**PINNED_SPECS["azuma_tsp"], "n": 13},
     "tstat-n1": _pinned("thm31_tstat", {"x": [0.5], "b": [1.0], "M": [2.0]}, n=1),
     "delyon-y0": _pinned("delyon", {"x": [1.0], "y": [0.0]}),
     "thm23-x0": _pinned("thm23_expectation", {"x": [0.0], "beta": [1.5]}),

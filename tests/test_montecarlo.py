@@ -15,17 +15,20 @@ from selfnorm.montecarlo import (
     domination_check,
     estimate_tail_from,
     evaluate_event,
-    exact_mean_rademacher,
     exact_optimized_bound_rademacher,
-    exact_supermartingale_mean_rademacher,
     exact_tail_rademacher,
     exp_growth_coefficient,
-    expectation_bound_from,
     golden_section_min,
     optimize_over_p_from,
     supermartingale_check,
 )
 from selfnorm.processes import BatchStats, CenteredPareto, Rademacher, sample_batch
+
+from reference import (
+    exact_mean_rademacher,
+    exact_supermartingale_mean_rademacher,
+    expectation_bound_from,
+)
 
 
 class TestClopperPearson:
@@ -206,6 +209,11 @@ class TestOptimizeOverP:
             exact = exact_tail_rademacher(10, event)
             opt = exact_optimized_bound_rademacher(10, x, y=0.0)
             assert exact <= opt.value + 1e-12
+
+    @pytest.mark.parametrize("n", [0, 21])
+    def test_exact_size_cap(self, n):
+        with pytest.raises(ValueError, match="capped at n = 20"):
+            exact_optimized_bound_rademacher(n, 0.3, y=0.0)
 
     def test_beta_flavor_exact(self):
         event = TailEvent(x=0.3, normalizer=Statistic("g_n", beta=1.5))

