@@ -1,5 +1,5 @@
 """Exponential tail bounds for self-normalized martingales, their simulation
-models, and Monte Carlo / exact-enumeration verification."""
+models, and Monte Carlo / exact sign-type verification."""
 
 from .bounds import (
     BOUND_KINDS,

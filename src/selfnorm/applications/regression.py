@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bounds import BoundSpec, RateInputs, evaluate_bound
-from ..montecarlo import ENUMERATION_CAP, MCEstimate, closed_ge, optimize_expectation_values
+from ..montecarlo import MCEstimate, closed_ge, optimize_expectation_values, sign_type_mass
 from ..processes import DifferenceModel, stream_blocks
 
 __all__ = [
@@ -61,10 +61,10 @@ def noise_bounds(eps_model: DifferenceModel, phi_kind: str) -> tuple[float, floa
 
 
 def exact_oracle_scale(n: int, eps_model: DifferenceModel, phi_kind: str = "ones") -> float:
-    """The scale of the +-scale noise the exact oracle enumerates, on its domain:
-    2 <= n <= ENUMERATION_CAP, phi = 1 and symmetric two-point noise."""
-    if not 2 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"n must be in [2, {ENUMERATION_CAP}] for enumeration, got {n}")
+    """The scale of the +-scale noise of the exact oracle, on its domain:
+    n >= 2, phi = 1 and symmetric two-point noise."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2 for the exact oracle, got {n}")
     symmetric_two_point = eps_model.family == "rademacher" or (
         eps_model.family == "scaled_two_point" and eps_model.conditionally_symmetric
     )
@@ -176,17 +176,17 @@ def exact_regression_records(
     b: float | None = None,
     M: float | None = None,
 ) -> tuple[tuple, list, list]:
-    """Exact-oracle variant: phi = 1 and eps = +-scale fair signs, enumerated;
-    the tails are exact probabilities.
+    """Exact-oracle variant: phi = 1 and eps = +-scale fair signs; the tails
+    are exact probabilities.
 
     With a constant design, theta_hat - theta = scale * S_n / n, so both the
-    tail and the expectation bound are exact binomial sums.
+    tail and the expectation bound depend on a path only through its count k
+    of up-steps, and each tail is a sum over these sign types.
     """
     if thm not in ("thm32_regression", "thm33_regression"):
         raise ValueError(f"unknown regression theorem {thm!r}")
     scale = exact_oracle_scale(n, eps_model)
     sums = np.array([2 * k - n for k in range(n + 1)], dtype=float)
-    weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float) / 2.0 ** n
     deviation = np.abs(scale * sums / n)
     root = math.sqrt(n)
     in_window = True
@@ -197,7 +197,7 @@ def exact_regression_records(
         M = M if M is not None else 1.0
         deviation *= root
         in_window = b <= root <= b * M
-    tails = [float(weights[closed_ge(deviation, x) & in_window].sum()) for x in x_grid]
+    tails = [sign_type_mass(closed_ge(deviation, x) & in_window) for x in x_grid]
     # sum phi^2 = n deterministically, so the expectation is a point mass
     phi_sq = np.full(1, float(n))
     bounds = [_deviation_bound(thm, x, scale, scale, phi_sq, b, M) for x in x_grid]

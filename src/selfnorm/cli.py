@@ -1,5 +1,5 @@
-"""Command-line interface: pure bound evaluation, verification runs, exact
-enumeration, and report conversion.
+"""Command-line interface: pure bound evaluation, verification runs, the exact
+oracle, and report conversion.
 
 Exit codes: 0 all verdicts pass or are vacuous, 1 violation evidence found,
 2 configuration error (printed as "config error:") or an internal fault while
@@ -157,7 +157,7 @@ def verify(spec_path, seed, reps, fmt, out, plot_data, jobs, timing):
 @main.command()
 @_with_options(_verify_options)
 def oracle(spec_path, seed, reps, fmt, out, plot_data, jobs, timing):
-    """Run a spec through the exact enumeration oracle only."""
+    """Run a spec through the exact sign-type oracle only."""
     _run_and_emit(
         spec_path, seed, reps, fmt, out, plot_data, jobs, timing, force_mode="exact_oracle"
     )

@@ -1,4 +1,4 @@
-"""Monte Carlo and exact-enumeration estimation of tail events and certificates.
+"""Monte Carlo and exact sign-type estimation of tail events and certificates.
 
 A Monte Carlo run can never prove an inequality; verdicts therefore only
 report `violation_evidence` when the exact Clopper-Pearson lower confidence
@@ -27,6 +27,7 @@ __all__ = [
     "closed_ge",
     "estimate_tail_from",
     "check_enumeration_size",
+    "sign_type_mass",
     "exact_tail_rademacher",
     "optimize_over_p_from",
     "optimize_expectation_values",
@@ -223,16 +224,19 @@ def estimate_tail_from(stats, event: TailEvent, gamma: float) -> MCEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration oracle for fair-sign paths.
+# Exact sign-type oracle for fair-sign paths.
 #
-# Statistics here are recomputed from first principles (inline +-1 moment
-# constants), independently of the processes module, so the oracle can catch
-# bookkeeping bugs on the Monte Carlo side.
+# Every bracket statistic of a +-1 path depends on it only through k, its
+# count of +1 steps, so the oracle evaluates one row per type k and weights
+# it by comb(n, k) / 2^n (the method of types).  Statistics here are
+# recomputed from first principles (inline +-1 moment constants),
+# independently of the processes module, so the oracle can catch bookkeeping
+# bugs on the Monte Carlo side.
 # ---------------------------------------------------------------------------
 
 
 class _SignEnumStats:
-    """Bracket statistics of a chunk of enumerated +-1 paths."""
+    """Bracket statistics of a matrix of +-1 paths, one path per row."""
 
     def __init__(self, signs: np.ndarray):
         self.xs = signs
@@ -261,28 +265,28 @@ class _SignEnumStats:
         return pos + self.n * 0.5  # E[(xi^-)^beta] = 1/2
 
 
-def _enumerate_sign_chunks(n: int, chunk: int = 1 << 16):
-    total = 1 << n
-    cols = np.arange(n, dtype=np.uint32)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        bits = (codes[:, None] >> cols) & 1
-        yield bits.astype(float) * 2.0 - 1.0
-
-
 def check_enumeration_size(n: int) -> None:
     """The oracle's domain: 1 <= n <= ENUMERATION_CAP."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"exact enumeration needs n >= 1, capped at n = {ENUMERATION_CAP}; got {n}")
 
 
-def exact_tail_rademacher(n: int, event: TailEvent) -> float:
-    """Exact P(event) over all 2^n sign paths (exact: a count over a power of two)."""
+def _sign_type_stats(n: int) -> _SignEnumStats:
+    """Statistics of the n + 1 sign types: row k has k leading +1 steps, then -1 steps."""
     check_enumeration_size(n)
-    hits = 0
-    for signs in _enumerate_sign_chunks(n):
-        hits += int(np.count_nonzero(evaluate_event(_SignEnumStats(signs), event)))
-    return hits / float(1 << n)
+    return _SignEnumStats(np.where(np.arange(n) < np.arange(n + 1)[:, None], 1.0, -1.0))
+
+
+def sign_type_mass(inside: np.ndarray) -> float:
+    """Probability of the sign types marked by inside[k], k = 0..n, under n fair
+    signs: the integer count of paths over 2^n, so it is correctly rounded."""
+    n = len(inside) - 1
+    return sum(math.comb(n, k) for k in np.flatnonzero(inside)) / (1 << n)
+
+
+def exact_tail_rademacher(n: int, event: TailEvent) -> float:
+    """Exact P(event) over fair-sign paths, evaluated once per sign type."""
+    return sign_type_mass(evaluate_event(_sign_type_stats(n), event))
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +382,16 @@ def exact_optimized_bound_rademacher(
     beta: float | None = None,
     with_indicator: bool = True,
 ) -> OptimizedBound:
-    """inf over p of the exact enumerated expectation bound for fair-sign paths."""
-    check_enumeration_size(n)
-    norms = []
-    inds = []
-    for signs in _enumerate_sign_chunks(n):
-        st = _SignEnumStats(signs)
-        rate, norm = _rate_and_normalizer(st, x, y, beta)
-        norms.append(norm)
-        inds.append(st.s() >= x * norm)
-    norm = np.concatenate(norms)
-    indicator = np.concatenate(inds) if with_indicator else None
+    """inf over p of the exact expectation bound for fair-sign paths.
+
+    Normalizer and indicator are computed once per sign type, then expanded
+    to all 2^n paths in the order of their binary codes (step j is +1 iff
+    bit j is set), so the optimizer sums the values of a full enumeration."""
+    st = _sign_type_stats(n)
+    rate, norm = _rate_and_normalizer(st, x, y, beta)
+    path_type = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    indicator = (st.s() >= x * norm)[path_type] if with_indicator else None
+    norm = norm[path_type]
     out = optimize_expectation_values(rate, norm, indicator)
     return replace(out, se=0.0)
 

@@ -2,8 +2,8 @@
 
 None of these is called by a verification run: single paths and single
 regression runs are drawn one row at a time under the stream contract, and
-the exact means enumerate all 2^n sign paths with the oracle's own +-1
-arithmetic.
+the exact means and tails enumerate all 2^n sign paths with the oracle's own
++-1 arithmetic, the reference for its n + 1 sign types.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ import numpy as np
 from selfnorm.applications.regression import DegenerateDesignError, _sample_phi
 from selfnorm.montecarlo import (
     _SignEnumStats,
-    _enumerate_sign_chunks,
     _rate_and_normalizer,
     check_enumeration_size,
+    evaluate_event,
     exp_growth_coefficient,
+    optimize_expectation_values,
 )
 from selfnorm.processes import DifferenceModel, stream_blocks
 
@@ -124,11 +125,21 @@ def expectation_bound_from(
     return value, se
 
 
+def enumerate_sign_chunks(n: int, chunk: int = 1 << 16):
+    """All 2^n sign paths in chunks, path c with +1 at step j iff bit j of c is set."""
+    total = 1 << n
+    cols = np.arange(n, dtype=np.uint32)
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        bits = (codes[:, None] >> cols) & 1
+        yield bits.astype(float) * 2.0 - 1.0
+
+
 def exact_mean_rademacher(n: int, fn) -> float:
     """Exact E[fn(paths)] where fn maps a (chunk, n) sign matrix to values."""
     check_enumeration_size(n)
     total = 0.0
-    for signs in _enumerate_sign_chunks(n):
+    for signs in enumerate_sign_chunks(n):
         total += float(np.sum(np.asarray(fn(signs), dtype=float)))
     return total / float(1 << n)
 
@@ -142,3 +153,25 @@ def exact_supermartingale_mean_rademacher(n: int, lam: float, y: float) -> float
         return np.exp(lam * st.s() - coef * st.b_n(y))
 
     return exact_mean_rademacher(n, fn)
+
+
+def enumerated_tail_rademacher(n: int, event) -> float:
+    """Exact P(event) as a count over all 2^n sign paths."""
+    check_enumeration_size(n)
+    hits = 0
+    for signs in enumerate_sign_chunks(n):
+        hits += int(np.count_nonzero(evaluate_event(_SignEnumStats(signs), event)))
+    return hits / float(1 << n)
+
+
+def enumerated_optimized_bound_rademacher(n, x, *, y=None, beta=None, with_indicator=True):
+    """inf over p of the expectation bound on the per-path arrays of all 2^n paths."""
+    check_enumeration_size(n)
+    norms, inds = [], []
+    for signs in enumerate_sign_chunks(n):
+        st = _SignEnumStats(signs)
+        rate, norm = _rate_and_normalizer(st, x, y, beta)
+        norms.append(norm)
+        inds.append(st.s() >= x * norm)
+    indicator = np.concatenate(inds) if with_indicator else None
+    return optimize_expectation_values(rate, np.concatenate(norms), indicator)

@@ -1,6 +1,7 @@
 """Student-t rewriting, least-squares regression checks, and TSP experiments."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from selfnorm.applications.tsp import (
     tsp_martingale_diffs,
     verify_tsp,
 )
-from selfnorm.processes import BLOCK_VALUES, Gaussian, ScaledTwoPoint, substream
+from selfnorm.processes import BLOCK_VALUES, Gaussian, Rademacher, ScaledTwoPoint, substream
 
 from reference import RegressionRun, ls_estimate, simulate_regression
 
@@ -186,6 +187,25 @@ class TestVerifyRegression:
         assert exact[0] == pytest.approx(598.0 / 4096.0, rel=1e-12)
         assert exact[1] == pytest.approx(2.0 / 4096.0, rel=1e-12)
         assert all(exact_verdict(p, bound).status == "pass" for p, bound in zip(exact, bounds))
+
+    @pytest.mark.parametrize("n", [21, 200])
+    def test_exact_oracle_beyond_enumeration(self, n):
+        # only n + 1 binomial weights are summed, so n is not capped; every
+        # tail is the exact binomial sum rounded once to float
+        cases = {
+            # |theta_hat - theta| = |2k - n| / n >= x
+            "thm32_regression": ([0.175, 0.35], lambda d, x: Fraction(d, n) >= Fraction(x)),
+            # sqrt(n) |theta_hat - theta| = |2k - n| / sqrt(n) >= x
+            "thm33_regression": ([1.1, 2.05], lambda d, x: Fraction(d * d, n) >= Fraction(x) ** 2),
+        }
+        for thm, (x_grid, inside) in cases.items():
+            _, _, exact = exact_regression_records(
+                thm, n=n, x_grid=x_grid, eps_model=Rademacher()
+            )
+            for x, got in zip(x_grid, exact):
+                count = sum(math.comb(n, k) for k in range(n + 1) if inside(abs(2 * k - n), x))
+                assert 0 < count < 2 ** n
+                assert got == float(Fraction(count, 2 ** n))
 
     def test_exact_oracle_agrees_with_mc(self):
         _, _, tails = verify_regression(

@@ -212,6 +212,14 @@ class TestLoadSpec:
             load_spec(_spec(n=25, mode="exact_oracle"))
         assert any("capped at n = 20" in e for e in err.value.errors)
 
+    def test_regression_oracle_is_not_capped(self):
+        # the regression oracle sums n + 1 binomial weights, so only the diff
+        # targets keep the enumeration cap
+        raw = {**_regression_spec(), "n": 200, "mode": "exact_oracle", "phi": "ones"}
+        records = run_experiment(load_spec(raw))
+        assert [r.status for r in records] == ["pass"]
+        assert 0.0 < records[0].exact < 1.0
+
     @pytest.mark.parametrize("field", ["n", "n_rep", "inner_rep", "d", "master_seed"])
     def test_bool_rejected_for_integer_fields(self, field):
         # JSON true/false load as Python bools, which are ints

@@ -1,4 +1,4 @@
-"""Monte Carlo estimation, the exact enumeration oracle, and certificate checks."""
+"""Monte Carlo estimation, the exact sign-type oracle, and certificate checks."""
 
 import math
 
@@ -25,6 +25,9 @@ from selfnorm.montecarlo import (
 from selfnorm.processes import BatchStats, CenteredPareto, Rademacher, sample_batch
 
 from reference import (
+    enumerated_optimized_bound_rademacher,
+    enumerated_tail_rademacher,
+    enumerate_sign_chunks,
     exact_mean_rademacher,
     exact_supermartingale_mean_rademacher,
     expectation_bound_from,
@@ -95,6 +98,56 @@ class TestExactOracle:
         stats = BatchStats(batch, Rademacher())
         event = TailEvent(x=0.0, normalizer=Statistic("sqrt_sq_var"))
         assert not evaluate_event(stats, event).any()
+
+
+def _every_statistic(y):
+    return [
+        Statistic("b_n", y=y),
+        Statistic("sqrt_b_n", y=y),
+        Statistic("sq_var"),
+        Statistic("sqrt_sq_var"),
+        Statistic("cond_var"),
+        Statistic("h_n", a=y),
+        Statistic("g_n", beta=1.5),
+        Statistic("g_n_root", beta=1.5),
+    ]
+
+
+def _cross_check_events(n, y):
+    """Normalizer and window events for every statistic, raw events and the
+    sqrt(2) boundary atom; window edges sit on realized values of the statistic."""
+    events = [TailEvent(x=x) for x in (0.0, 1.0, math.sqrt(n))]
+    events.append(TailEvent(x=math.sqrt(2.0), normalizer=Statistic("sqrt_sq_var")))
+    paths = BatchStats(next(enumerate_sign_chunks(n)), Rademacher())
+    for stat in _every_statistic(y):
+        events += [TailEvent(x=x, normalizer=stat) for x in (0.0, 0.3, 1.0)]
+        values = np.sort(stat.resolve(paths))
+        lo, hi = float(values[len(values) // 4]), float(values[3 * len(values) // 4])
+        events += [
+            TailEvent(x=0.0, window=(stat, lo, math.inf)),
+            TailEvent(x=0.3, normalizer=stat, window=(stat, lo, hi)),
+        ]
+    return events
+
+
+class TestTypeOracleMatchesEnumeration:
+    """The n + 1 sign types give the same floats as all 2^n enumerated paths."""
+
+    @pytest.mark.parametrize("y", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 16])
+    def test_tails(self, n, y):
+        for event in _cross_check_events(n, y):
+            assert exact_tail_rademacher(n, event) == enumerated_tail_rademacher(n, event), event
+
+    @pytest.mark.parametrize("with_indicator", [True, False])
+    @pytest.mark.parametrize("flavor", [{"y": 0.0}, {"y": 0.5}, {"y": 1.0}, {"beta": 1.5}])
+    def test_expectation_bound(self, flavor, with_indicator):
+        for n in (7, 12):
+            got = exact_optimized_bound_rademacher(n, 0.3, with_indicator=with_indicator, **flavor)
+            ref = enumerated_optimized_bound_rademacher(
+                n, 0.3, with_indicator=with_indicator, **flavor
+            )
+            assert (got.value, got.p_star) == (ref.value, ref.p_star)
 
 
 def _stats(model, n, n_rep, master_seed):
