@@ -85,6 +85,9 @@ def _apply_overrides(raw: dict, seed, reps) -> dict:
 
 
 def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, force_mode=None):
+    if plot_data and out is None:
+        click.echo("config error: --emit-plot-data needs --out", err=True)
+        sys.exit(2)
     try:
         with open(spec_path) as fh:
             raw = json.load(fh)
@@ -115,9 +118,6 @@ def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, forc
     else:
         emit_report(records, fmt, out, spec=spec, include_timing=timing)
     if plot_data:
-        if out is None:
-            click.echo("config error: --emit-plot-data needs --out", err=True)
-            sys.exit(2)
         emit_plot_data(records, str(out) + ".plot.csv")
     sys.exit(1 if any_violation(records) else 0)
 

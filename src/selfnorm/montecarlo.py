@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import betaincinv
 
 from .bounds import beta_decay_coefficient, f_rate
 from .processes import BatchStats, DifferenceModel, sample_batch
@@ -48,14 +48,18 @@ _GOLDEN_ITERS = 60
 
 
 def clopper_pearson(hits: int, n_rep: int, gamma: float) -> tuple[float, float]:
-    """Two-sided exact binomial confidence interval at confidence level gamma."""
+    """Two-sided exact binomial confidence interval at confidence level gamma.
+
+    Each end is a Beta quantile, computed as the inverse regularized
+    incomplete beta function I_x(a, b) (``scipy.special.betaincinv``).
+    """
     if not 0 <= hits <= n_rep:
         raise ValueError(f"hits={hits} outside [0, {n_rep}]")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     alpha = 1.0 - gamma
-    lo = 0.0 if hits == 0 else float(sps.beta.ppf(alpha / 2.0, hits, n_rep - hits + 1))
-    hi = 1.0 if hits == n_rep else float(sps.beta.ppf(1.0 - alpha / 2.0, hits + 1, n_rep - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, n_rep - hits + 1, alpha / 2.0))
+    hi = 1.0 if hits == n_rep else float(betaincinv(hits + 1, n_rep - hits, 1.0 - alpha / 2.0))
     return lo, hi
 
 

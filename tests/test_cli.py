@@ -4,6 +4,9 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -485,6 +488,14 @@ class TestCli:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
 
+    def test_plot_data_without_out_exit_two_before_running(self, tmp_path):
+        runner = CliRunner()
+        for spec_path in (self._write_spec(tmp_path), tmp_path / "missing.json"):
+            result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--emit-plot-data"])
+            assert result.exit_code == 2
+            # output holds stdout and stderr together, so nothing reached stdout
+            assert result.output == "config error: --emit-plot-data needs --out\n"
+
     def test_config_error_exit_two(self, tmp_path):
         spec_path = self._write_spec(tmp_path, n=25, mode="exact_oracle")
         runner = CliRunner()
@@ -619,6 +630,19 @@ class TestCli:
             main, ["verify", "--spec", str(spec_path), "--format", "json", "--jobs", "4"]
         )
         assert one.output == four.output
+
+
+def test_cold_import_skips_scipy_stats():
+    # scipy.stats costs about half a second of start-up; the CLI needs only
+    # scipy.special
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, selfnorm, selfnorm.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestBenchmarkHooks:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from selfnorm.bounds import f_rate
 from selfnorm.montecarlo import (
@@ -58,6 +59,17 @@ class TestClopperPearson:
             clopper_pearson(11, 10, 0.95)
         with pytest.raises(ValueError):
             clopper_pearson(1, 10, 1.0)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("n_rep", [1, 2, 100, 25_000, 10**6])
+    def test_bit_identical_to_beta_quantile(self, n_rep, gamma):
+        alpha = 1.0 - gamma
+        for hits in sorted({min(max(h, 0), n_rep)
+                            for h in (0, 1, 2, n_rep // 2, n_rep - 2, n_rep - 1, n_rep)}):
+            lo = 0.0 if hits == 0 else float(stats.beta.ppf(alpha / 2, hits, n_rep - hits + 1))
+            hi = (1.0 if hits == n_rep
+                  else float(stats.beta.ppf(1 - alpha / 2, hits + 1, n_rep - hits)))
+            assert clopper_pearson(hits, n_rep, gamma) == (lo, hi), hits
 
     def test_estimate_invariants(self):
         est = MCEstimate.from_hits(7, 200, 0.99)
