@@ -3,7 +3,6 @@ models, and Monte Carlo / exact sign-type verification."""
 
 from .bounds import (
     BOUND_KINDS,
-    BoundSpec,
     RateInputs,
     clamp_probability,
     evaluate_bound,
@@ -30,7 +29,6 @@ from .montecarlo import (
     DominationVerdict,
     MCEstimate,
     MeanEstimate,
-    Statistic,
     TailEvent,
     clopper_pearson,
     domination_check,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bounds import BoundSpec, RateInputs, evaluate_bound
+from ..bounds import evaluate_bound
 from ..montecarlo import MCEstimate, closed_ge, optimize_expectation_values, sign_type_mass
 from ..processes import DifferenceModel, stream_blocks
 
@@ -123,9 +123,7 @@ def _deviation_bound(thm, x, sigma, y_xi, phi_sq, b, M) -> float:
     if thm == "thm32_regression":
         rate = x * x / (2.0 * (sigma * sigma + x * y_xi / 3.0))
         return 2.0 * optimize_expectation_values(rate, phi_sq, None).value
-    return evaluate_bound(
-        BoundSpec("thm33_regression", RateInputs(x=float(x), sigma=sigma, y=y_xi, b=b, M=M))
-    )
+    return evaluate_bound("thm33_regression", x=float(x), sigma=sigma, y=y_xi, b=b, M=M)
 
 
 def verify_regression(

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..bounds import BoundSpec, RateInputs, evaluate_bound
+from ..bounds import evaluate_bound
 from ..montecarlo import MCEstimate
 from ..processes import substream
 
@@ -218,7 +218,6 @@ def instance_tour_lengths(n: int, d: int, n_instances: int, master_seed: int) ->
 class TspDiffs:
     """Nested-Monte-Carlo estimates of the tour-length martingale increments."""
 
-    points: np.ndarray
     t_n: float
     d_hat: np.ndarray        # increment estimates, length n
     d_se: np.ndarray         # their standard errors
@@ -273,7 +272,6 @@ def tsp_martingale_diffs(
     d_hat = np.diff(level_means)
     d_se = np.sqrt(level_ses[1:] ** 2 + level_ses[:-1] ** 2)
     return TspDiffs(
-        points=pts,
         t_n=t_n,
         d_hat=d_hat,
         d_se=d_se,
@@ -344,9 +342,7 @@ def verify_tsp(
     in_window = (root_sq_sums >= lo * (1.0 - tol)) & (root_sq_sums <= hi * (1.0 + tol))
     ratios = (tour_lengths - e_t_pooled) / root_sq_sums
     hits = [int(np.count_nonzero((ratios >= t) & in_window)) for t in t_grid]
-    bounds = [
-        evaluate_bound(BoundSpec("thm34_tsp", RateInputs(t=float(t), n=n, d=d))) for t in t_grid
-    ]
+    bounds = [evaluate_bound("thm34_tsp", t=float(t), n=n, d=d) for t in t_grid]
     return TspVerification(
         c1=c1,
         window=(lo, hi),

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 
 __all__ = [
     "RateInputs",
-    "BoundSpec",
     "BOUND_KINDS",
     "psi",
     "f_rate",
@@ -321,24 +320,15 @@ _CALCULATORS = {
 BOUND_KINDS = tuple(sorted(_CALCULATORS))
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """One bound kind plus the parameters it reads."""
-
-    kind: str
-    params: RateInputs
-
-    def __post_init__(self):
-        if self.kind not in _CALCULATORS:
-            raise ValueError(
-                f"unknown bound kind {self.kind!r}; expected one of {', '.join(BOUND_KINDS)}"
-            )
-
-
-def evaluate_bound(spec: BoundSpec) -> float:
-    """Evaluate the closed-form right-hand side identified by ``spec``.
+def evaluate_bound(kind: str, /, **inputs) -> float:
+    """Evaluate the closed-form right-hand side of bound ``kind``; ``inputs``
+    are the RateInputs fields it reads, e.g. ``evaluate_bound("freedman", x=1,
+    L=1, a_bnd=0)``.
 
     Values above 1 are returned unclamped; ``thm23_exponent`` returns a decay
     coefficient rather than a probability.
     """
-    return _CALCULATORS[spec.kind](spec.params)
+    params = RateInputs(**inputs)
+    if kind not in _CALCULATORS:
+        raise ValueError(f"unknown bound kind {kind!r}; expected one of {', '.join(BOUND_KINDS)}")
+    return _CALCULATORS[kind](params)

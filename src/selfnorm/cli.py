@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .bounds import BOUND_KINDS, BoundSpec, RateInputs, clamp_probability, evaluate_bound
+from .bounds import BOUND_KINDS, clamp_probability, evaluate_bound
 from .experiments import (
     SpecValidationError,
     any_violation,
@@ -62,7 +62,7 @@ def bounds_eval(kind, params, clamp):
         except ValueError:
             raise click.ClickException(f"parameter {name}: bad number {raw!r}")
     try:
-        value = evaluate_bound(BoundSpec(kind, RateInputs(**kwargs)))
+        value = evaluate_bound(kind, **kwargs)
     except (TypeError, ValueError) as exc:
         raise click.ClickException(str(exc))
     if clamp:

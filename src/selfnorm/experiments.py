@@ -17,10 +17,9 @@ from dataclasses import MISSING, asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import BoundSpec, RateInputs, beta_decay_coefficient, evaluate_bound, field_violation
+from .bounds import beta_decay_coefficient, evaluate_bound, field_violation
 from .montecarlo import (
     MCEstimate,
-    Statistic,
     TailEvent,
     check_enumeration_size,
     domination_check,
@@ -142,8 +141,7 @@ class _Target:
     plan: object = None        # diff targets: (spec, grid point, model, window_values) -> plans
     optional_keys: tuple = ()  # each a list of exactly one value when given
     model_req: str | None = None  # a key of _MODEL_REQUIREMENTS
-    uses_model: bool = True
-    exact_ok: bool = True
+    uses_model: bool = True    # without a model there are no paths for an exact oracle
     check: object = None       # theorem rules, on valid fields only: (fields, model) -> errors
 
 
@@ -165,9 +163,13 @@ def _is_percentile(value) -> bool:
     return isinstance(value, str) and value.startswith("p")
 
 
-def _is_int(value) -> bool:
+def _is_number(value) -> bool:
     # JSON true/false load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return _is_number(value) and isinstance(value, int)
 
 
 def _check_grids(target: _Target, theorem: str, grids: dict, mode) -> list:
@@ -245,7 +247,7 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
     if not _is_int(master_seed) or not 0 <= master_seed < SEED_LIMIT:
         errors.append("master_seed: integer in [0, 2**64) required")
     theta = fields["theta"]
-    if not isinstance(theta, (int, float)):
+    if not _is_number(theta):
         errors.append("theta: number required")
     phi = fields["phi"]
     if phi not in ("uniform", "ones"):
@@ -255,7 +257,7 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
         errors.append(f"d: {d_rule}")
     for opt in ("c1", "c_const"):
         v = fields[opt]
-        if v is not None and (not isinstance(v, (int, float)) or v <= 0):
+        if v is not None and not (_is_number(v) and v > 0):  # NaN is not > 0
             errors.append(f"{opt}: must be a positive number when given")
 
     grids = fields["grids"]
@@ -280,7 +282,7 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
             errors.append(f"model: {model.family} {what}")
 
     if target is not None and mode in ("exact_oracle", "both"):
-        if not target.exact_ok:
+        if not target.uses_model:
             errors.append(f"mode: theorem {theorem} has no exact-enumeration oracle")
         elif target.plan is not None:
             if model is not None and model.family != "rademacher":
@@ -348,7 +350,8 @@ def _check_thm23(fields: dict, model) -> list:
 
 
 def _check_delyon(fields: dict, model) -> list:
-    return _grid_rule_errors(fields["grids"], ("x", "y"), lambda x, y: _bound("delyon", x=x, y=y))
+    delyon = lambda x, y: evaluate_bound("delyon", x=x, y=y)
+    return _grid_rule_errors(fields["grids"], ("x", "y"), delyon)
 
 
 def _check_tstat_domain(fields: dict, model) -> list:
@@ -387,10 +390,6 @@ def _grid_points(spec: ExperimentSpec) -> list[dict]:
 
 def _append_note(note: str, extra: str) -> str:
     return f"{note}; {extra}" if note else extra
-
-
-def _bound(kind: str, **inputs) -> float:
-    return evaluate_bound(BoundSpec(kind, RateInputs(**inputs)))
 
 
 _ECHO_FIELDS = ("x", "y", "z", "b", "M", "beta")
@@ -436,7 +435,7 @@ def _resolve_b(raw_b, window_values: np.ndarray | None) -> float:
     return float(raw_b)
 
 
-def _peeling_window(gp: dict, stat: Statistic, window_values) -> tuple[float, tuple]:
+def _peeling_window(gp: dict, stat, window_values) -> tuple[float, tuple]:
     """Resolve the grid point's b and return it with the window (stat, b, b*M)."""
     b = _resolve_b(gp["b"], window_values(stat))
     return b, (stat, b, b * gp["M"])
@@ -444,46 +443,48 @@ def _peeling_window(gp: dict, stat: Statistic, window_values) -> tuple[float, tu
 
 def _plan_bernstein(spec, gp, model, window_values):
     z = gp["z"]
-    bound = _bound("bernstein", z=z, L=spec.n * model.var(), a_bnd=model.abs_bound)
+    bound = evaluate_bound("bernstein", z=z, L=spec.n * model.var(), a_bnd=model.abs_bound)
     return [_PointPlan({"z": z}, TailEvent(x=z), bound)]
 
 
 def _plan_freedman(spec, gp, model, window_values):
     x, L = gp["x"], gp["L"]
-    event = TailEvent(x=x, window=(Statistic("cond_var"), 0.0, L))
-    return [_PointPlan({"x": x, "z": L}, event, _bound("freedman", x=x, L=L, a_bnd=model.abs_bound))]
+    event = TailEvent(x=x, window=(lambda st: st.cond_var(), 0.0, L))
+    bound = evaluate_bound("freedman", x=x, L=L, a_bnd=model.abs_bound)
+    return [_PointPlan({"x": x, "z": L}, event, bound)]
 
 
 def _plan_dvz(spec, gp, model, window_values):
     x, L, a = gp["x"], gp["L"], gp["a"]
-    event = TailEvent(x=x, window=(Statistic("h_n", a=a), 0.0, L))
-    return [_PointPlan({"x": x, "y": a, "z": L}, event, _bound("dvz", x=x, L=L, a_bnd=a))]
+    event = TailEvent(x=x, window=(lambda st: st.h_n(a), 0.0, L))
+    return [_PointPlan({"x": x, "y": a, "z": L}, event, evaluate_bound("dvz", x=x, L=L, a_bnd=a))]
 
 
 def _plan_dlp_point(spec, gp, model, window_values):
     x, y = gp["x"], gp["y"]
-    event = TailEvent(x=x, normalizer=Statistic("sq_var"), window=(Statistic("sq_var"), y, math.inf))
-    return [_PointPlan({"x": x, "y": y}, event, _bound("dlp_point", x=x, y=y))]
+    sq_var = lambda st: st.sq_var()
+    event = TailEvent(x=x, normalizer=sq_var, window=(sq_var, y, math.inf))
+    return [_PointPlan({"x": x, "y": y}, event, evaluate_bound("dlp_point", x=x, y=y))]
 
 
 def _plan_cor21_point(spec, gp, model, window_values):
     x, y = gp["x"], gp["y"]
-    norm = Statistic("b_n", y=0.0)
+    norm = lambda st: st.b_n(0.0)
     event = TailEvent(x=x, normalizer=norm, window=(norm, y, math.inf))
-    return [_PointPlan({"x": x, "y": y}, event, _bound("dlp_point", x=x, y=y))]
+    return [_PointPlan({"x": x, "y": y}, event, evaluate_bound("dlp_point", x=x, y=y))]
 
 
 def _plan_b_n_expectation(spec, gp, model, window_values):
     """cor21_expectation (y = 0) and thm21_expectation."""
     x, y = gp["x"], gp.get("y", 0.0)
-    event = TailEvent(x=x, normalizer=Statistic("b_n", y=y))
+    event = TailEvent(x=x, normalizer=lambda st: st.b_n(y))
     return [_PointPlan({"x": x, "y": y}, event, None, (x, y, None))]
 
 
 def _plan_thm21_point(spec, gp, model, window_values):
     x, y, z = gp["x"], gp["y"], gp["z"]
-    bound = _bound("thm21_point", x=x, y=y, z=z)
-    norm = Statistic("b_n", y=y)
+    bound = evaluate_bound("thm21_point", x=x, y=y, z=z)
+    norm = lambda st: st.b_n(y)
     ge = TailEvent(x=x, normalizer=norm, window=(norm, z, math.inf))
     le = TailEvent(x=x, normalizer=norm, window=(norm, 0.0, z))
     echo = {"x": x, "y": y, "z": z}
@@ -498,56 +499,57 @@ def _plan_bercu_touati(spec, gp, model, window_values):
     x, y, a, b = gp["x"], gp["y"], gp["a"], gp["b"]
     event = TailEvent(
         x=x,
-        normalizer=Statistic("sq_var", shift=a, scale=b),
-        window=(Statistic("sq_var"), y, math.inf),
+        normalizer=lambda st: a + b * st.sq_var(),
+        window=(lambda st: st.sq_var(), y, math.inf),
     )
-    bound = _bound("bercu_touati", x=x, y=y, b=b, a_bnd=a)
+    bound = evaluate_bound("bercu_touati", x=x, y=y, b=b, a_bnd=a)
     return [_PointPlan({"x": x, "y": y, "b": b}, event, bound, note=f"a={a!r}")]
 
 
 def _plan_b_n_peeling(spec, gp, model, window_values):
     """thm22_peeling and cor22_peeling (y = 0)."""
     x, y, M = gp["x"], gp.get("y", 0.0), gp["M"]
-    stat = Statistic("sqrt_b_n", y=y)
+    stat = lambda st: np.sqrt(st.b_n(y))
     b, window = _peeling_window(gp, stat, window_values)
     if spec.theorem == "thm22_peeling":
-        bound = _bound("thm22_peeling", x=x, y=y, b=b, M=M)
+        bound = evaluate_bound("thm22_peeling", x=x, y=y, b=b, M=M)
     else:
-        bound = _bound("cor22_peeling", x=x, M=M)
+        bound = evaluate_bound("cor22_peeling", x=x, M=M)
     event = TailEvent(x=x, normalizer=stat, window=window)
     return [_PointPlan({"x": x, "y": y, "b": b, "M": M}, event, bound)]
 
 
 def _plan_thm25_peeling(spec, gp, model, window_values):
     x, M = gp["x"], gp["M"]
-    stat = Statistic("sqrt_sq_var")
+    stat = lambda st: np.sqrt(st.sq_var())
     b, window = _peeling_window(gp, stat, window_values)
     event = TailEvent(x=x, normalizer=stat, window=window)
-    return [_PointPlan({"x": x, "b": b, "M": M}, event, _bound("thm25_peeling", x=x, M=M))]
+    bound = evaluate_bound("thm25_peeling", x=x, M=M)
+    return [_PointPlan({"x": x, "b": b, "M": M}, event, bound)]
 
 
 def _plan_delyon(spec, gp, model, window_values):
     x, y = gp["x"], gp["y"]
-    event = TailEvent(x=x, window=(Statistic("b_n", y=0.0), 0.0, y))
-    return [_PointPlan({"x": x, "y": y}, event, _bound("delyon", x=x, y=y))]
+    event = TailEvent(x=x, window=(lambda st: st.b_n(0.0), 0.0, y))
+    return [_PointPlan({"x": x, "y": y}, event, evaluate_bound("delyon", x=x, y=y))]
 
 
 def _plan_thm23_expectation(spec, gp, model, window_values):
     x, beta = gp["x"], gp["beta"]
-    event = TailEvent(x=x, normalizer=Statistic("g_n", beta=beta))
+    event = TailEvent(x=x, normalizer=lambda st: st.g_n(beta))
     return [_PointPlan({"x": x, "beta": beta}, event, None, (x, None, beta))]
 
 
 def _plan_thm24_peeling(spec, gp, model, window_values):
     x, beta, M = gp["x"], gp["beta"], gp["M"]
-    stat = Statistic("g_n_root", beta=beta)
+    stat = lambda st: st.g_n(beta) ** (1.0 / beta)
     # the window edge is b^{1/(beta-1)}, so a percentile anchor on the
     # root-bracket scale maps back through the inverse power
     if _is_percentile(gp["b"]):
         b = _resolve_b(gp["b"], window_values(stat)) ** (beta - 1.0)
     else:
         b = float(gp["b"])
-    bound = _bound("thm24_peeling", x=x, beta=beta, M=M)
+    bound = evaluate_bound("thm24_peeling", x=x, beta=beta, M=M)
     expo = 1.0 / (beta - 1.0)
     event = TailEvent(x=x, normalizer=stat, window=(stat, b ** expo, (b * M) ** expo))
     return [_PointPlan({"x": x, "beta": beta, "b": b, "M": M}, event, bound)]
@@ -555,10 +557,10 @@ def _plan_thm24_peeling(spec, gp, model, window_values):
 
 def _plan_thm31_tstat(spec, gp, model, window_values):
     x, M = gp["x"], gp["M"]
-    stat = Statistic("sqrt_sq_var")
+    stat = lambda st: np.sqrt(st.sq_var())
     b, window = _peeling_window(gp, stat, window_values)
     threshold = self_normalized_threshold(x, spec.n)
-    bound = _bound("thm31_tstat", x=x, n=spec.n, M=M)
+    bound = evaluate_bound("thm31_tstat", x=x, n=spec.n, M=M)
     event = TailEvent(x=threshold, normalizer=stat, window=window)
     return [_PointPlan({"x": x, "b": b, "M": M}, event, bound,
                        note="event via the equivalent self-normalized form")]
@@ -590,8 +592,8 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
     if spec.mode in ("mc", "both"):
         stats = BatchStats(sample_batch(model, spec.n, spec.n_rep, spec.master_seed), model)
 
-    def window_values(stat: Statistic):
-        return None if stats is None else stat.resolve(stats)
+    def window_values(stat):
+        return None if stats is None else stat(stats)
 
     def run_point(gp: dict) -> list[ResultRecord]:
         t0 = time.perf_counter()
@@ -680,7 +682,7 @@ def _run_azuma_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
         t = float(t)
         hits = int(np.count_nonzero(np.abs(lengths - center) >= t))
         estimate = MCEstimate.from_hits(hits, spec.n_rep, spec.gamma)
-        bound = _bound("azuma_tsp", t=t, n=spec.n, d=spec.d, c_const=spec.c_const)
+        bound = evaluate_bound("azuma_tsp", t=t, n=spec.n, d=spec.d, c_const=spec.c_const)
         out.append(_record(spec, t0, {"x": t}, {"t": t}, bound, estimate, note=note))
     return out
 
@@ -710,12 +712,8 @@ VERIFY_TARGETS = {
     "thm33_regression": _Target(
         ("x",), _run_regression_target, optional_keys=("b", "M"), check=_check_regression
     ),
-    "thm34_tsp": _Target(
-        ("t",), _run_thm34_target, uses_model=False, exact_ok=False, check=_check_thm34
-    ),
-    "azuma_tsp": _Target(
-        ("t",), _run_azuma_target, uses_model=False, exact_ok=False, check=_check_azuma
-    ),
+    "thm34_tsp": _Target(("t",), _run_thm34_target, uses_model=False, check=_check_thm34),
+    "azuma_tsp": _Target(("t",), _run_azuma_target, uses_model=False, check=_check_azuma),
 }
 
 

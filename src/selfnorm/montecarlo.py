@@ -8,6 +8,7 @@ bound exceeds the closed-form bound.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,6 @@ __all__ = [
     "MCEstimate",
     "MeanEstimate",
     "DominationVerdict",
-    "Statistic",
     "TailEvent",
     "clopper_pearson",
     "evaluate_event",
@@ -102,7 +102,6 @@ class MeanEstimate:
 class DominationVerdict:
     """Outcome of comparing an estimate against a closed-form bound."""
 
-    bound_value: float
     estimate: object
     status: str  # pass | violation_evidence | vacuous
     margin: float
@@ -118,9 +117,7 @@ def domination_check(estimate, bound: float) -> DominationVerdict:
         status = "violation_evidence"
     else:
         status = "pass"
-    return DominationVerdict(
-        bound_value=bound, estimate=estimate, status=status, margin=bound - estimate.ci_lo
-    )
+    return DominationVerdict(estimate=estimate, status=status, margin=bound - estimate.ci_lo)
 
 
 def exact_verdict(exact_p: float, bound: float) -> DominationVerdict:
@@ -131,69 +128,22 @@ def exact_verdict(exact_p: float, bound: float) -> DominationVerdict:
         status = "violation_evidence"
     else:
         status = "pass"
-    return DominationVerdict(bound_value=bound, estimate=None, status=status, margin=bound - exact_p)
-
-
-@dataclass(frozen=True)
-class Statistic:
-    """A scalar normalizer/window statistic, optionally rescaled affinely.
-
-    Names: b_n, sqrt_b_n (need y); sq_var, sqrt_sq_var, cond_var; h_n (needs a);
-    g_n, g_n_root (need beta).  The resolved value is shift + scale * base.
-    """
-
-    name: str
-    y: float | None = None
-    a: float | None = None
-    beta: float | None = None
-    shift: float = 0.0
-    scale: float = 1.0
-
-    def resolve(self, stats) -> np.ndarray:
-        base = self._base(stats)
-        if self.shift == 0.0 and self.scale == 1.0:
-            return base
-        return self.shift + self.scale * base
-
-    def _base(self, stats) -> np.ndarray:
-        name = self.name
-        if name == "b_n":
-            return stats.b_n(self._need("y"))
-        if name == "sqrt_b_n":
-            return np.sqrt(stats.b_n(self._need("y")))
-        if name == "sq_var":
-            return stats.sq_var()
-        if name == "sqrt_sq_var":
-            return np.sqrt(stats.sq_var())
-        if name == "cond_var":
-            return stats.cond_var()
-        if name == "h_n":
-            return stats.h_n(self._need("a"))
-        if name == "g_n":
-            return stats.g_n(self._need("beta"))
-        if name == "g_n_root":
-            beta = self._need("beta")
-            return stats.g_n(beta) ** (1.0 / beta)
-        raise ValueError(f"unknown statistic {name!r}")
-
-    def _need(self, field: str) -> float:
-        value = getattr(self, field)
-        if value is None:
-            raise ValueError(f"statistic {self.name!r} needs parameter {field!r}")
-        return value
+    return DominationVerdict(estimate=None, status=status, margin=bound - exact_p)
 
 
 @dataclass(frozen=True)
 class TailEvent:
     """Event {S_n / N >= x} with an optional window lo <= W <= hi.
 
-    normalizer None means the raw event {S_n >= x}.  A nonpositive normalizer
-    realization makes the ratio event false (degenerate-normalizer rule).
+    N and W are functions of a stats object that return one value per path,
+    e.g. ``lambda st: np.sqrt(st.b_n(y))``.  normalizer None means the raw
+    event {S_n >= x}.  A nonpositive normalizer realization makes the ratio
+    event false (degenerate-normalizer rule).
     """
 
     x: float
-    normalizer: Statistic | None = None
-    window: tuple[Statistic, float, float] | None = None
+    normalizer: Callable | None = None
+    window: tuple[Callable, float, float] | None = None
 
 
 _EVENT_TOL = 1e-12
@@ -212,12 +162,12 @@ def evaluate_event(stats, event: TailEvent) -> np.ndarray:
     if event.normalizer is None:
         ok = closed_ge(s, event.x)
     else:
-        norm = event.normalizer.resolve(stats)
+        norm = event.normalizer(stats)
         ratio = np.divide(s, norm, out=np.full(np.shape(s), -np.inf), where=norm > 0)
         ok = (norm > 0) & closed_ge(ratio, event.x)
     if event.window is not None:
         wstat, lo, hi = event.window
-        w = wstat.resolve(stats)
+        w = wstat(stats)
         ok = ok & closed_ge(w, lo) & closed_ge(-w, -hi)
     return ok
 
@@ -453,5 +403,5 @@ def supermartingale_check(
     se = float(np.std(values, ddof=1) / math.sqrt(n_rep)) if n_rep > 1 else 0.0
     estimate = MeanEstimate(n_rep=n_rep, mean=mean, se=se, sample_max=float(np.max(values)))
     status = "pass" if estimate.ci_lo <= 1.0 else "violation_evidence"
-    return DominationVerdict(bound_value=1.0, estimate=estimate, status=status, margin=1.0 - estimate.ci_lo)
+    return DominationVerdict(estimate=estimate, status=status, margin=1.0 - estimate.ci_lo)
 

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from selfnorm.bounds import BoundSpec, RateInputs, evaluate_bound, f_rate, psi
+from selfnorm.bounds import evaluate_bound, f_rate, psi
 from selfnorm.experiments import load_spec, render_report, run_experiment
 from selfnorm.montecarlo import supermartingale_check
 from selfnorm.processes import CenteredPareto, substream
@@ -68,8 +68,8 @@ def test_c2_bound_ordering():
     for x in grid:
         for L in grid:
             for a in grid:
-                dvz = evaluate_bound(BoundSpec("dvz", RateInputs(x=x, L=L, a_bnd=a)))
-                fr = evaluate_bound(BoundSpec("freedman", RateInputs(x=x, L=L, a_bnd=a)))
+                dvz = evaluate_bound("dvz", x=x, L=L, a_bnd=a)
+                fr = evaluate_bound("freedman", x=x, L=L, a_bnd=a)
                 if dvz > fr + 1e-15:
                     failures.append(f"dvz above freedman at ({x},{L},{a})")
     _finish("C2 bound ordering (125 points)", failures, time.perf_counter() - t0, 1.0)
@@ -215,11 +215,8 @@ def test_c7_t_statistic_rewriting():
     for nn in (5, 20, 100):
         for x in (0.5, 1.0, 2.0):
             for M in (1.0, 2.0, 4.0):
-                lhs = evaluate_bound(BoundSpec("thm31_tstat", RateInputs(x=x, n=nn, M=M)))
-                rhs = evaluate_bound(
-                    BoundSpec("thm25_peeling",
-                              RateInputs(x=self_normalized_threshold(x, nn), M=M))
-                )
+                lhs = evaluate_bound("thm31_tstat", x=x, n=nn, M=M)
+                rhs = evaluate_bound("thm25_peeling", x=self_normalized_threshold(x, nn), M=M)
                 if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
                     failures.append(f"t bound mismatch at (x={x}, n={nn}, M={M})")
     _finish("C7 t-statistic event rewriting", failures, time.perf_counter() - t0, 30.0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selfnorm.bounds import BoundSpec, RateInputs, evaluate_bound
+from selfnorm.bounds import evaluate_bound
 from selfnorm.montecarlo import domination_check, exact_verdict
 from selfnorm.applications.student import (
     DegenerateSampleError,
@@ -80,13 +80,8 @@ class TestStudentT:
         for n in (5, 20, 100):
             for x in (0.5, 1.0, 2.0):
                 for M in (1.0, 2.0, 4.0):
-                    lhs = evaluate_bound(BoundSpec("thm31_tstat", RateInputs(x=x, n=n, M=M)))
-                    rhs = evaluate_bound(
-                        BoundSpec(
-                            "thm25_peeling",
-                            RateInputs(x=self_normalized_threshold(x, n), M=M),
-                        )
-                    )
+                    lhs = evaluate_bound("thm31_tstat", x=x, n=n, M=M)
+                    rhs = evaluate_bound("thm25_peeling", x=self_normalized_threshold(x, n), M=M)
                     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -347,5 +342,5 @@ class TestVerifyTsp:
 
     def test_bound_matches_calculator(self):
         result = verify_tsp(8, 2, [3.0], 4, 1000, 0.99, 5)
-        expected = evaluate_bound(BoundSpec("thm34_tsp", RateInputs(t=3.0, n=8, d=2)))
+        expected = evaluate_bound("thm34_tsp", t=3.0, n=8, d=2)
         assert result.bounds[0] == pytest.approx(expected, rel=1e-14)

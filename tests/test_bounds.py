@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from selfnorm.bounds import (
     BOUND_KINDS,
-    BoundSpec,
     RateInputs,
     clamp_probability,
     evaluate_bound,
@@ -175,14 +174,14 @@ class TestOptimalLambdaBeta:
 
 class TestEvaluateBound:
     def test_freedman_hand_value(self):
-        spec = BoundSpec("freedman", RateInputs(x=1.0, L=1.0, a_bnd=0.0))
-        assert evaluate_bound(spec) == pytest.approx(math.exp(-0.5), rel=1e-14)
+        value = evaluate_bound("freedman", x=1.0, L=1.0, a_bnd=0.0)
+        assert value == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     def test_dvz_equals_freedman_without_truncation(self):
         for x in (0.5, 1.0, 2.0):
             for L in (0.5, 1.0, 3.0):
-                dvz = evaluate_bound(BoundSpec("dvz", RateInputs(x=x, L=L, a_bnd=0.0)))
-                freedman = evaluate_bound(BoundSpec("freedman", RateInputs(x=x, L=L, a_bnd=0.0)))
+                dvz = evaluate_bound("dvz", x=x, L=L, a_bnd=0.0)
+                freedman = evaluate_bound("freedman", x=x, L=L, a_bnd=0.0)
                 assert dvz == pytest.approx(freedman, rel=1e-14)
 
     def test_dvz_sharper_than_freedman_125_grid(self):
@@ -190,54 +189,51 @@ class TestEvaluateBound:
         for x in grid:
             for L in grid:
                 for a in (0.0, 0.5, 1.0, 2.0, 4.0):
-                    dvz = evaluate_bound(BoundSpec("dvz", RateInputs(x=x, L=L, a_bnd=a)))
-                    fr = evaluate_bound(BoundSpec("freedman", RateInputs(x=x, L=L, a_bnd=a)))
+                    dvz = evaluate_bound("dvz", x=x, L=L, a_bnd=a)
+                    fr = evaluate_bound("freedman", x=x, L=L, a_bnd=a)
                     assert dvz <= fr + 1e-15
 
     def test_peeling_collapses_without_range(self):
-        spec = BoundSpec("thm22_peeling", RateInputs(x=2.0, y=0.0, M=1.0))
-        assert evaluate_bound(spec) == pytest.approx(SQRT_E * math.exp(-2.0), rel=1e-14)
+        value = evaluate_bound("thm22_peeling", x=2.0, y=0.0, M=1.0)
+        assert value == pytest.approx(SQRT_E * math.exp(-2.0), rel=1e-14)
 
     def test_tsp_bound_vacuous_value_returned_unclamped(self):
-        spec = BoundSpec("thm34_tsp", RateInputs(t=2.0, n=100, d=2))
         expected = SQRT_E * (1.0 + 3.0 * math.log(100.0)) * math.exp(-2.0)
-        value = evaluate_bound(spec)
+        value = evaluate_bound("thm34_tsp", t=2.0, n=100, d=2)
         assert value == pytest.approx(expected, rel=1e-14)
         assert value > 1.0
         assert clamp_probability(value) == 1.0
 
     def test_bernstein_formula(self):
-        spec = BoundSpec("bernstein", RateInputs(z=2.0, L=3.0, a_bnd=1.0))
-        assert evaluate_bound(spec) == pytest.approx(
+        assert evaluate_bound("bernstein", z=2.0, L=3.0, a_bnd=1.0) == pytest.approx(
             math.exp(-0.5 * 4.0 / (3.0 + 2.0 / 3.0)), rel=1e-14
         )
 
     def test_self_normalized_point_bounds(self):
         assert evaluate_bound(
-            BoundSpec("dlp_point", RateInputs(x=0.5, y=8.0))
+            "dlp_point", x=0.5, y=8.0
         ) == pytest.approx(math.exp(-0.5 * 0.25 * 8.0), rel=1e-14)
         assert evaluate_bound(
-            BoundSpec("delyon", RateInputs(x=2.0, y=8.0))
+            "delyon", x=2.0, y=8.0
         ) == pytest.approx(math.exp(-0.25), rel=1e-14)
         assert evaluate_bound(
-            BoundSpec("bercu_touati", RateInputs(x=1.0, y=4.0, b=0.5, a_bnd=0.25))
+            "bercu_touati", x=1.0, y=4.0, b=0.5, a_bnd=0.25
         ) == pytest.approx(math.exp(-(0.125 + 0.5 * 0.25 * 4.0)), rel=1e-14)
         assert evaluate_bound(
-            BoundSpec("thm21_point", RateInputs(x=1.0, y=0.5, z=6.0))
+            "thm21_point", x=1.0, y=0.5, z=6.0
         ) == pytest.approx(math.exp(-6.0 / (2.0 * (1.0 + 1.0 / 6.0))), rel=1e-14)
 
     def test_dlp_pang_value(self):
         q = 2.0
         e = q / (2.0 * q - 1.0)
-        spec = BoundSpec("dlp_pang", RateInputs(x=1.5, q=q))
-        assert evaluate_bound(spec) == pytest.approx(
+        assert evaluate_bound("dlp_pang", x=1.5, q=q) == pytest.approx(
             e ** e * 1.5 ** (-e) * math.exp(-0.5 * 2.25), rel=1e-14
         )
 
     def test_beta_kinds(self):
-        coef = evaluate_bound(BoundSpec("thm23_exponent", RateInputs(x=3.0, beta=1.5)))
+        coef = evaluate_bound("thm23_exponent", x=3.0, beta=1.5)
         assert coef == pytest.approx(0.5 * (2.0) ** 3, rel=1e-14)  # (beta-1)(x/beta)^{beta/(beta-1)}
-        printed = evaluate_bound(BoundSpec("thm24_peeling", RateInputs(x=3.0, beta=1.5, M=4.0)))
+        printed = evaluate_bound("thm24_peeling", x=3.0, beta=1.5, M=4.0)
         expected = (1.0 + 2.0 * 4.0 * math.log(4.0)) * math.exp(-(2.0 ** 3) * (1.0 / 3.0))
         assert printed == pytest.approx(expected, rel=1e-14)
 
@@ -245,23 +241,17 @@ class TestEvaluateBound:
         x, beta, M = 3.0, 1.5, 4.0
         a = 1.0 + (beta - 1.0) / (1.0 + x)
         slices = 1 + math.ceil(math.log(M) / math.log(a))
-        printed = evaluate_bound(BoundSpec("thm24_peeling", RateInputs(x=x, beta=beta, M=M)))
-        conservative = evaluate_bound(
-            BoundSpec("thm24_peeling_conservative", RateInputs(x=x, beta=beta, M=M))
-        )
+        printed = evaluate_bound("thm24_peeling", x=x, beta=beta, M=M)
+        conservative = evaluate_bound("thm24_peeling_conservative", x=x, beta=beta, M=M)
         assert conservative == pytest.approx(
             printed / (1.0 + 2.0 * (1.0 + x) * math.log(M)) * slices, rel=1e-12
         )
         # no peeling range, single slice
-        single = evaluate_bound(
-            BoundSpec("thm24_peeling_conservative", RateInputs(x=x, beta=beta, M=1.0))
-        )
+        single = evaluate_bound("thm24_peeling_conservative", x=x, beta=beta, M=1.0)
         assert single == pytest.approx(math.exp(-8.0 / 3.0), rel=1e-12)
 
     def test_regression_and_tstat_kinds(self):
-        value = evaluate_bound(
-            BoundSpec("thm33_regression", RateInputs(x=0.5, sigma=0.1, y=0.1, b=3.0, M=2.0))
-        )
+        value = evaluate_bound("thm33_regression", x=0.5, sigma=0.1, y=0.1, b=3.0, M=2.0)
         expected = (
             2.0
             * SQRT_E
@@ -269,7 +259,7 @@ class TestEvaluateBound:
             * math.exp(-0.125 / (0.01 + 0.05 / 9.0))
         )
         assert value == pytest.approx(expected, rel=1e-12)
-        tstat = evaluate_bound(BoundSpec("thm31_tstat", RateInputs(x=2.0, n=20, M=2.0)))
+        tstat = evaluate_bound("thm31_tstat", x=2.0, n=20, M=2.0)
         shrink = math.sqrt(20.0 / 23.0)
         expected = (
             SQRT_E
@@ -279,16 +269,16 @@ class TestEvaluateBound:
         assert tstat == pytest.approx(expected, rel=1e-12)
 
     def test_azuma_dimension_split(self):
-        flat = evaluate_bound(BoundSpec("azuma_tsp", RateInputs(t=1.0, n=100, d=2, c_const=2.0)))
+        flat = evaluate_bound("azuma_tsp", t=1.0, n=100, d=2, c_const=2.0)
         assert flat == pytest.approx(math.exp(-1.0 / (2.0 * math.log(100.0))), rel=1e-14)
-        cube = evaluate_bound(BoundSpec("azuma_tsp", RateInputs(t=1.0, n=100, d=3, c_const=2.0)))
+        cube = evaluate_bound("azuma_tsp", t=1.0, n=100, d=3, c_const=2.0)
         assert cube == pytest.approx(math.exp(-1.0 / (2.0 * 100.0 ** (1.0 / 3.0))), rel=1e-14)
 
     def test_missing_parameter_names_field(self):
         with pytest.raises(ValueError, match="missing parameter.*L"):
-            evaluate_bound(BoundSpec("freedman", RateInputs(x=1.0, a_bnd=0.0)))
+            evaluate_bound("freedman", x=1.0, a_bnd=0.0)
         with pytest.raises(ValueError, match="c_const"):
-            evaluate_bound(BoundSpec("azuma_tsp", RateInputs(t=1.0, n=10, d=2)))
+            evaluate_bound("azuma_tsp", t=1.0, n=10, d=2)
 
     def test_invalid_field_rejected_on_construction(self):
         with pytest.raises(ValueError, match="beta"):
@@ -306,15 +296,20 @@ class TestEvaluateBound:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown bound kind"):
-            BoundSpec("thm99", RateInputs(x=1.0))
+            evaluate_bound("thm99", x=1.0)
+
+    def test_kind_is_positional_only(self):
+        # a stray kind= keyword is an unknown RateInputs field, not the kind
+        with pytest.raises(TypeError, match="kind"):
+            evaluate_bound("freedman", kind="dvz", x=1.0, L=1.0, a_bnd=0.0)
 
     def test_all_kinds_positive(self):
-        params = RateInputs(
+        params = dict(
             x=1.5, y=0.5, z=2.0, b=1.0, M=2.0, beta=1.5, n=50, sigma=0.5,
             t=1.5, d=2, a_bnd=0.5, L=2.0, q=2.0, c_const=1.0,
         )
         for kind in BOUND_KINDS:
-            assert evaluate_bound(BoundSpec(kind, params)) > 0.0
+            assert evaluate_bound(kind, **params) > 0.0
 
     @pytest.mark.parametrize(
         "kind,params,xs",
@@ -335,18 +330,13 @@ class TestEvaluateBound:
         ],
     )
     def test_monotone_nonincreasing_in_deviation(self, kind, params, xs):
-        values = [
-            evaluate_bound(BoundSpec(kind, RateInputs(x=float(x), **params))) for x in xs
-        ]
+        values = [evaluate_bound(kind, x=float(x), **params) for x in xs]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_tsp_kinds_monotone_in_t(self):
         ts = (0.5, 1.0, 2.0, 4.0)
         for kind, extra in (("thm34_tsp", {}), ("azuma_tsp", {"c_const": 1.0})):
-            values = [
-                evaluate_bound(BoundSpec(kind, RateInputs(t=t, n=50, d=2, **extra)))
-                for t in ts
-            ]
+            values = [evaluate_bound(kind, t=t, n=50, d=2, **extra) for t in ts]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_clamp_probability(self):

@@ -25,7 +25,7 @@ from selfnorm.experiments import (
     render_report,
     run_experiment,
 )
-from selfnorm.montecarlo import Statistic, TailEvent, exact_tail_rademacher
+from selfnorm.montecarlo import TailEvent, exact_tail_rademacher
 
 
 def _spec(**overrides):
@@ -223,11 +223,19 @@ class TestLoadSpec:
         assert [r.status for r in records] == ["pass"]
         assert 0.0 < records[0].exact < 1.0
 
-    @pytest.mark.parametrize("field", ["n", "n_rep", "inner_rep", "d", "master_seed"])
+    @pytest.mark.parametrize(
+        "field", ["n", "n_rep", "inner_rep", "d", "master_seed", "theta", "c1", "c_const"]
+    )
     def test_bool_rejected_for_integer_fields(self, field):
-        # JSON true/false load as Python bools, which are ints
+        # JSON true/false load as Python bools, which are ints; the numeric
+        # fields reject them too, each on a target that reads it
+        base = {
+            "theta": _regression_spec(),
+            "c1": PINNED_SPECS["thm34_tsp"],
+            "c_const": PINNED_SPECS["azuma_tsp"],
+        }.get(field, _spec())
         with pytest.raises(SpecValidationError) as err:
-            load_spec(_spec(**{field: True}))
+            load_spec({**base, field: True})
         assert any(e.startswith(f"{field}:") for e in err.value.errors)
 
     def test_minimum_replicates(self):
@@ -332,6 +340,9 @@ class TestLoadSpec:
         raw = {"id": "a", "theorem": "azuma_tsp", "n": 8, "grids": {"t": [2.0]}, "n_rep": 100}
         with pytest.raises(SpecValidationError, match="c_const"):
             load_spec(raw)
+        # JSON NaN loads as a float that fails every comparison
+        with pytest.raises(SpecValidationError, match="c_const: must be a positive number"):
+            load_spec({**raw, "c_const": math.nan})
 
 
 class TestRunExperiment:
@@ -371,7 +382,7 @@ class TestRunExperiment:
         # With fair signs, B_n(0) = K + n/2 for K positive signs, so the ratio
         # reaches 0.6 only when all ten signs are positive: P = 2^-10, and 500
         # replicates expect about 0.5 hits, far below the depth threshold.
-        event = TailEvent(x=0.6, normalizer=Statistic("b_n", y=0.0))
+        event = TailEvent(x=0.6, normalizer=lambda st: st.b_n(0.0))
         assert exact_tail_rademacher(10, event) == 2.0 ** -10
         assert records[0].hits < UNTESTED_DEPTH_FACTOR
         assert "untested_depth" in records[0].note

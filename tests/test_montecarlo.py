@@ -10,7 +10,6 @@ from selfnorm.bounds import f_rate
 from selfnorm.montecarlo import (
     MCEstimate,
     MeanEstimate,
-    Statistic,
     TailEvent,
     clopper_pearson,
     domination_check,
@@ -83,16 +82,16 @@ class TestExactOracle:
         assert exact_tail_rademacher(1, TailEvent(x=1.0)) == 0.5
 
     def test_two_step_boundary_ratio(self):
-        event = TailEvent(x=math.sqrt(2.0), normalizer=Statistic("sqrt_sq_var"))
+        event = TailEvent(x=math.sqrt(2.0), normalizer=lambda st: np.sqrt(st.sq_var()))
         assert exact_tail_rademacher(2, event) == 0.25
 
     def test_three_step_hand_enumeration(self):
-        event = TailEvent(x=0.5, normalizer=Statistic("b_n", y=0.0))
+        event = TailEvent(x=0.5, normalizer=lambda st: st.b_n(0.0))
         assert exact_tail_rademacher(3, event) == 0.125
 
     def test_windowed_event(self):
         # S_3 >= 1 and B_3(0) = N+ + 1.5 >= 3.5 forces at least two up-steps
-        event = TailEvent(x=1.0, window=(Statistic("b_n", y=0.0), 3.5, math.inf))
+        event = TailEvent(x=1.0, window=(lambda st: st.b_n(0.0), 3.5, math.inf))
         assert exact_tail_rademacher(3, event) == 0.5
 
     def test_mean_oracle_matches_binomial(self):
@@ -108,20 +107,20 @@ class TestExactOracle:
     def test_degenerate_normalizer_is_false(self):
         batch = np.zeros((4, 3))
         stats = BatchStats(batch, Rademacher())
-        event = TailEvent(x=0.0, normalizer=Statistic("sqrt_sq_var"))
+        event = TailEvent(x=0.0, normalizer=lambda st: np.sqrt(st.sq_var()))
         assert not evaluate_event(stats, event).any()
 
 
 def _every_statistic(y):
     return [
-        Statistic("b_n", y=y),
-        Statistic("sqrt_b_n", y=y),
-        Statistic("sq_var"),
-        Statistic("sqrt_sq_var"),
-        Statistic("cond_var"),
-        Statistic("h_n", a=y),
-        Statistic("g_n", beta=1.5),
-        Statistic("g_n_root", beta=1.5),
+        lambda st: st.b_n(y),
+        lambda st: np.sqrt(st.b_n(y)),
+        lambda st: st.sq_var(),
+        lambda st: np.sqrt(st.sq_var()),
+        lambda st: st.cond_var(),
+        lambda st: st.h_n(y),
+        lambda st: st.g_n(1.5),
+        lambda st: st.g_n(1.5) ** (1.0 / 1.5),
     ]
 
 
@@ -129,11 +128,11 @@ def _cross_check_events(n, y):
     """Normalizer and window events for every statistic, raw events and the
     sqrt(2) boundary atom; window edges sit on realized values of the statistic."""
     events = [TailEvent(x=x) for x in (0.0, 1.0, math.sqrt(n))]
-    events.append(TailEvent(x=math.sqrt(2.0), normalizer=Statistic("sqrt_sq_var")))
+    events.append(TailEvent(x=math.sqrt(2.0), normalizer=lambda st: np.sqrt(st.sq_var())))
     paths = BatchStats(next(enumerate_sign_chunks(n)), Rademacher())
     for stat in _every_statistic(y):
         events += [TailEvent(x=x, normalizer=stat) for x in (0.0, 0.3, 1.0)]
-        values = np.sort(stat.resolve(paths))
+        values = np.sort(stat(paths))
         lo, hi = float(values[len(values) // 4]), float(values[3 * len(values) // 4])
         events += [
             TailEvent(x=0.0, window=(stat, lo, math.inf)),
@@ -168,7 +167,7 @@ def _stats(model, n, n_rep, master_seed):
 
 class TestEstimateTail:
     def test_single_step_coin(self):
-        event = TailEvent(x=0.0, normalizer=Statistic("b_n", y=0.0))
+        event = TailEvent(x=0.0, normalizer=lambda st: st.b_n(0.0))
         est = estimate_tail_from(_stats(Rademacher(), 1, 2000, 424242), event, 0.99)
         assert est.ci_lo <= 0.5 <= est.ci_hi
 
@@ -179,9 +178,9 @@ class TestEstimateTail:
     @pytest.mark.parametrize("n", [5, 8, 10])
     def test_oracle_equivalence(self, n):
         events = [
-            TailEvent(x=1.0, normalizer=Statistic("sqrt_sq_var")),
-            TailEvent(x=0.3, normalizer=Statistic("b_n", y=0.0)),
-            TailEvent(x=1.0, window=(Statistic("b_n", y=0.0), 0.0, n)),
+            TailEvent(x=1.0, normalizer=lambda st: np.sqrt(st.sq_var())),
+            TailEvent(x=0.3, normalizer=lambda st: st.b_n(0.0)),
+            TailEvent(x=1.0, window=(lambda st: st.b_n(0.0), 0.0, n)),
         ]
         stats = BatchStats(sample_batch(Rademacher(), n, 40_000, 1357), Rademacher())
         for event in events:
@@ -190,7 +189,7 @@ class TestEstimateTail:
             assert est.ci_lo <= exact <= est.ci_hi
 
     def test_determinism(self):
-        event = TailEvent(x=0.5, normalizer=Statistic("sqrt_sq_var"))
+        event = TailEvent(x=0.5, normalizer=lambda st: np.sqrt(st.sq_var()))
         a = estimate_tail_from(_stats(Rademacher(), 10, 1000, 31), event, 0.99)
         b = estimate_tail_from(_stats(Rademacher(), 10, 1000, 31), event, 0.99)
         assert a == b
@@ -270,7 +269,7 @@ class TestOptimizeOverP:
     def test_dominates_exact_tail(self):
         # the optimized certificate mean is an upper bound for the tail
         for x in (0.3, 0.5):
-            event = TailEvent(x=x, normalizer=Statistic("b_n", y=0.0))
+            event = TailEvent(x=x, normalizer=lambda st: st.b_n(0.0))
             exact = exact_tail_rademacher(10, event)
             opt = exact_optimized_bound_rademacher(10, x, y=0.0)
             assert exact <= opt.value + 1e-12
@@ -281,7 +280,7 @@ class TestOptimizeOverP:
             exact_optimized_bound_rademacher(n, 0.3, y=0.0)
 
     def test_beta_flavor_exact(self):
-        event = TailEvent(x=0.3, normalizer=Statistic("g_n", beta=1.5))
+        event = TailEvent(x=0.3, normalizer=lambda st: st.g_n(1.5))
         exact = exact_tail_rademacher(8, event)
         opt = exact_optimized_bound_rademacher(8, 0.3, beta=1.5)
         assert exact <= opt.value + 1e-12
