@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bounds import evaluate_bound
-from ..montecarlo import MCEstimate, closed_ge, optimize_expectation_values, sign_type_mass
+from ..montecarlo import MCEstimate, SignTypes, closed_ge, optimize_expectation_values
 from ..processes import DifferenceModel, stream_blocks
 
 __all__ = [
@@ -84,7 +84,6 @@ class RegressionBatch:
 
 
 def regression_batch(
-    theta: float,
     phi_kind: str,
     eps_model: DifferenceModel,
     n: int,
@@ -129,7 +128,6 @@ def _deviation_bound(thm, x, sigma, y_xi, phi_sq, b, M) -> float:
 def verify_regression(
     thm: str,
     *,
-    theta: float,
     phi_kind: str,
     eps_model: DifferenceModel,
     n: int,
@@ -146,10 +144,12 @@ def verify_regression(
     thm32_regression: P(|theta_hat - theta| >= x) against twice the inf-over-p
     expectation bound (Monte Carlo over regressor paths, common random numbers).
     thm33_regression: the windowed self-normalized event against the closed form.
+    The design is exogenous, so theta_hat - theta = sum(phi eps) / sum(phi^2)
+    does not depend on theta.
     """
     if thm not in ("thm32_regression", "thm33_regression"):
         raise ValueError(f"unknown regression theorem {thm!r}")
-    batch = regression_batch(theta, phi_kind, eps_model, n, n_rep, master_seed)
+    batch = regression_batch(phi_kind, eps_model, n, n_rep, master_seed)
     deviation = np.abs(batch.err)
     in_window = True  # thm32 has no window
     if thm == "thm32_regression":
@@ -184,8 +184,8 @@ def exact_regression_records(
     if thm not in ("thm32_regression", "thm33_regression"):
         raise ValueError(f"unknown regression theorem {thm!r}")
     scale = exact_oracle_scale(n, eps_model)
-    sums = np.array([2 * k - n for k in range(n + 1)], dtype=float)
-    deviation = np.abs(scale * sums / n)
+    types = SignTypes(n)
+    deviation = np.abs(scale * types.s() / n)
     root = math.sqrt(n)
     in_window = True
     if thm == "thm32_regression":
@@ -195,7 +195,7 @@ def exact_regression_records(
         M = M if M is not None else 1.0
         deviation *= root
         in_window = b <= root <= b * M
-    tails = [sign_type_mass(closed_ge(deviation, x) & in_window) for x in x_grid]
+    tails = [types.mass(closed_ge(deviation, x) & in_window) for x in x_grid]
     # sum phi^2 = n deterministically, so the expectation is a point mass
     phi_sq = np.full(1, float(n))
     bounds = [_deviation_bound(thm, x, scale, scale, phi_sq, b, M) for x in x_grid]

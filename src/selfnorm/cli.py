@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .bounds import BOUND_KINDS, clamp_probability, evaluate_bound
+from .bounds import clamp_probability, evaluate_bound
 from .experiments import (
     SpecValidationError,
     any_violation,
@@ -50,8 +50,6 @@ def bounds_eval(kind, params, clamp):
 
     Example: selfnorm bounds eval freedman x=1 L=1 a_bnd=0
     """
-    if kind not in BOUND_KINDS:
-        raise click.ClickException(f"unknown kind {kind!r}; choose from: {', '.join(BOUND_KINDS)}")
     kwargs = {}
     for item in params:
         if "=" not in item:

@@ -287,8 +287,6 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
         elif target.plan is not None:
             if model is not None and model.family != "rademacher":
                 errors.append("mode: exact enumeration needs the rademacher model")
-            if _is_int(n):
-                errors += _rule_errors("mode", check_enumeration_size, n)
     if not errors and target.check is not None:
         # target rules call the code that owns them, which needs valid fields
         errors += target.check(fields, model)
@@ -343,10 +341,16 @@ def _check_beta_moments(fields: dict, model) -> list:
     ]
 
 
+def _check_enumeration(fields: dict, model) -> list:
+    # the exact expectation bound sums over all 2^n paths
+    if fields["mode"] != "exact_oracle":
+        return []
+    return _rule_errors("mode", check_enumeration_size, fields["n"])
+
+
 def _check_thm23(fields: dict, model) -> list:
-    return _check_beta_moments(fields, model) + _grid_rule_errors(
-        fields["grids"], ("x", "beta"), beta_decay_coefficient
-    )
+    errors = _check_enumeration(fields, model) + _check_beta_moments(fields, model)
+    return errors + _grid_rule_errors(fields["grids"], ("x", "beta"), beta_decay_coefficient)
 
 
 def _check_delyon(fields: dict, model) -> list:
@@ -627,7 +631,6 @@ def _run_regression_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord
         # a Monte Carlo run gives the records their window and bounds
         window, bounds, mc_tails = verify_regression(
             spec.theorem,
-            theta=spec.theta,
             phi_kind=spec.phi,
             eps_model=model,
             n=spec.n,
@@ -697,9 +700,9 @@ VERIFY_TARGETS = {
     "dvz": _diff(("x", "L", "a"), _plan_dvz, "sq"),
     "dlp_point": _diff(("x", "y"), _plan_dlp_point, "sym"),
     "cor21_point": _diff(("x", "y"), _plan_cor21_point, "sq"),
-    "cor21_expectation": _diff(("x",), _plan_b_n_expectation, "sq"),
+    "cor21_expectation": _diff(("x",), _plan_b_n_expectation, "sq", _check_enumeration),
     "thm21_point": _diff(("x", "y", "z"), _plan_thm21_point, "sq"),
-    "thm21_expectation": _diff(("x", "y"), _plan_b_n_expectation, "sq"),
+    "thm21_expectation": _diff(("x", "y"), _plan_b_n_expectation, "sq", _check_enumeration),
     "bercu_touati": _diff(("x", "y", "a", "b"), _plan_bercu_touati, "heavy"),
     "thm22_peeling": _diff(("x", "y", "b", "M"), _plan_b_n_peeling, "sq"),
     "cor22_peeling": _diff(("x", "b", "M"), _plan_b_n_peeling, "sq"),

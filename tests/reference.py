@@ -2,8 +2,9 @@
 
 None of these is called by a verification run: single paths and single
 regression runs are drawn one row at a time under the stream contract, and
-the exact means and tails enumerate all 2^n sign paths with the oracle's own
-+-1 arithmetic, the reference for its n + 1 sign types.
+the exact means and tails enumerate all 2^n sign paths and sum their +-1
+matrices (`_SignEnumStats`), the reference for the oracle's closed forms of
+the +1 count on its n + 1 sign types.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from selfnorm.applications.regression import DegenerateDesignError, _sample_phi
 from selfnorm.montecarlo import (
-    _SignEnumStats,
     _rate_and_normalizer,
     check_enumeration_size,
     evaluate_event,
@@ -123,6 +123,36 @@ def expectation_bound_from(
     value = m ** (1.0 / p)
     se = 0.0 if m <= 0.0 else se_mean * value / (p * m)
     return value, se
+
+
+class _SignEnumStats:
+    """Bracket statistics of a matrix of +-1 paths, one path per row."""
+
+    def __init__(self, signs: np.ndarray):
+        self.xs = signs
+        self.n = signs.shape[1]
+
+    def s(self):
+        return self.xs.sum(axis=1)
+
+    def sq_var(self):
+        return (self.xs * self.xs).sum(axis=1)
+
+    def cond_var(self):
+        return np.full(self.xs.shape[0], float(self.n))  # E[xi^2] = 1
+
+    def b_n(self, y):
+        above = ((self.xs * self.xs) * (self.xs > y)).sum(axis=1)
+        below = 1.0 if y >= 1.0 else 0.5  # E[xi^2 1{xi <= y}]
+        return above + self.n * below
+
+    def h_n(self, a):
+        big = ((self.xs * self.xs) * (np.abs(self.xs) > a)).sum(axis=1)
+        return big + self.n * 1.0
+
+    def g_n(self, beta):
+        pos = (np.maximum(self.xs, 0.0) ** beta).sum(axis=1)
+        return pos + self.n * 0.5  # E[(xi^-)^beta] = 1/2
 
 
 def enumerate_sign_chunks(n: int, chunk: int = 1 << 16):

@@ -117,6 +117,36 @@ def test_c3_exact_oracle_domination():
     _finish("C3 exact-oracle domination", failures, time.perf_counter() - t0, 30.0)
 
 
+def test_c3_exact_oracle_at_depth():
+    # sign types make exact tails O(n), so the oracle reaches depths where the
+    # bounds fall far below what plain Monte Carlo can resolve
+    t0 = time.perf_counter()
+    failures = []
+    informative = 0
+    for n in (100, 400):
+        root = math.sqrt(n)
+        suites = {
+            "cor22_peeling": {"x": [3.0, 4.0], "b": [math.sqrt(n / 2)], "M": [4.0]},
+            "thm22_peeling": {"x": [3.0, 4.0], "y": [0.5], "b": [math.sqrt(n / 2)], "M": [4.0]},
+            "thm25_peeling": {"x": [4.0, 5.0], "b": [0.9 * root], "M": [1.5]},
+            "thm31_tstat": {"x": [4.0, 5.0], "b": [0.9 * root], "M": [1.5]},
+            "cor21_point": {"x": [0.25, 0.5], "y": [n / 2]},
+            "freedman": {"x": [3.0 * root, 4.0 * root], "L": [float(n)]},
+        }
+        for theorem, grids in suites.items():
+            key = f"c3-depth-{theorem}-n{n}"
+            records = _run_and_stash(key, {
+                "id": key, "theorem": theorem, "n": n, "model": {"family": "rademacher"},
+                "grids": grids, "mode": "exact_oracle",
+            }, failures)
+            hits = sum(rec.bound < 1.0 and rec.exact > 0.0 for rec in records)
+            if not hits:
+                failures.append(f"{key}: no informative record")
+            informative += hits
+    _finish("C3 exact oracle at n = 100 and 400", failures, time.perf_counter() - t0, 30.0,
+            f"informative={informative}")
+
+
 def test_c4_supermartingale_certificates():
     t0 = time.perf_counter()
     failures = []

@@ -118,7 +118,7 @@ class TestLeastSquares:
         noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
         n = 64
         rows = BLOCK_VALUES // n
-        batch = regression_batch(0.7, "uniform", noise, n, rows + 2, 55)
+        batch = regression_batch("uniform", noise, n, rows + 2, 55)
         for r in (0, rows - 1, rows, rows + 1):
             run = simulate_regression(0.7, "uniform", noise, n, 55, replicate=r)
             assert batch.err[r] == pytest.approx(ls_estimate(run) - 0.7, rel=1e-12, abs=1e-15)
@@ -139,14 +139,14 @@ class TestVerifyRegression:
 
     def test_mc_passes_at_moderate_deviation(self):
         _, bounds, tails = verify_regression(
-            "thm32_regression", theta=1.0, phi_kind="uniform", eps_model=self.NOISE,
+            "thm32_regression", phi_kind="uniform", eps_model=self.NOISE,
             n=50, x_grid=[0.5], n_rep=20_000, gamma=0.99, master_seed=5,
         )
         assert domination_check(tails[0], bounds[0]).status == "pass"
 
     def test_zero_deviation_is_vacuous(self):
         _, bounds, tails = verify_regression(
-            "thm32_regression", theta=1.0, phi_kind="uniform", eps_model=self.NOISE,
+            "thm32_regression", phi_kind="uniform", eps_model=self.NOISE,
             n=20, x_grid=[0.0], n_rep=500, gamma=0.99, master_seed=5,
         )
         assert domination_check(tails[0], bounds[0]).status == "vacuous"
@@ -154,7 +154,7 @@ class TestVerifyRegression:
 
     def test_windowed_variant_never_violates(self):
         (b, M), bounds, tails = verify_regression(
-            "thm33_regression", theta=0.3, phi_kind="uniform", eps_model=self.NOISE,
+            "thm33_regression", phi_kind="uniform", eps_model=self.NOISE,
             n=50, x_grid=[0.2, 0.5, 1.0], n_rep=20_000, gamma=0.99, master_seed=5,
         )
         statuses = [domination_check(tail, bound).status for tail, bound in zip(tails, bounds)]
@@ -164,14 +164,14 @@ class TestVerifyRegression:
     def test_unbounded_noise_rejected(self):
         with pytest.raises(ValueError, match="bounded"):
             verify_regression(
-                "thm32_regression", theta=1.0, phi_kind="uniform", eps_model=Gaussian(sd=0.1),
+                "thm32_regression", phi_kind="uniform", eps_model=Gaussian(sd=0.1),
                 n=20, x_grid=[0.5], n_rep=500, gamma=0.99, master_seed=5,
             )
 
     def test_sigma_floor(self):
         tiny = ScaledTwoPoint(p_up=0.5, up=1e-4, down=-1e-4)
         with pytest.raises(ValueError, match="floor"):
-            regression_batch(1.0, "uniform", tiny, 10, 200, 1)
+            regression_batch("uniform", tiny, 10, 200, 1)
 
     def test_exact_oracle_hand_values(self):
         # self.NOISE is +-0.1 fair signs
@@ -204,7 +204,7 @@ class TestVerifyRegression:
 
     def test_exact_oracle_agrees_with_mc(self):
         _, _, tails = verify_regression(
-            "thm32_regression", theta=0.0, phi_kind="ones", eps_model=self.NOISE,
+            "thm32_regression", phi_kind="ones", eps_model=self.NOISE,
             n=12, x_grid=[0.05, 0.1], n_rep=40_000, gamma=0.99, master_seed=12,
         )
         _, _, exact = exact_regression_records(

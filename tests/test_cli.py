@@ -212,12 +212,14 @@ class TestLoadSpec:
 
     def test_enumeration_cap_enforced(self):
         with pytest.raises(SpecValidationError) as err:
-            load_spec(_spec(n=25, mode="exact_oracle"))
+            load_spec(_spec(
+                theorem="cor21_expectation", n=21, mode="exact_oracle", grids={"x": [0.3]}
+            ))
         assert any("capped at n = 20" in e for e in err.value.errors)
 
     def test_regression_oracle_is_not_capped(self):
-        # the regression oracle sums n + 1 binomial weights, so only the diff
-        # targets keep the enumeration cap
+        # the regression oracle sums n + 1 binomial weights, so only the exact
+        # expectation bounds keep the enumeration cap
         raw = {**_regression_spec(), "n": 200, "mode": "exact_oracle", "phi": "ones"}
         records = run_experiment(load_spec(raw))
         assert [r.status for r in records] == ["pass"]
@@ -249,7 +251,7 @@ class TestLoadSpec:
             load_spec(_spec(master_seed=2 ** 64))
 
     def test_all_errors_collected(self):
-        raw = _spec(n=25, mode="exact_oracle", gamma=2.0)
+        raw = _spec(n_rep=5, mode="exact_oracle", gamma=2.0)
         raw["grids"] = {"x": [-1.0], "b": [0.0], "M": [2.0]}
         with pytest.raises(SpecValidationError) as err:
             load_spec(raw)
@@ -478,7 +480,7 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["bounds", "eval", "nope", "x=1"])
         assert result.exit_code != 0
-        assert "unknown kind" in result.output
+        assert "unknown bound kind" in result.output
 
     def test_verify_writes_report_and_exit_zero(self, tmp_path):
         spec_path = self._write_spec(tmp_path)
@@ -508,11 +510,13 @@ class TestCli:
             assert result.output == "config error: --emit-plot-data needs --out\n"
 
     def test_config_error_exit_two(self, tmp_path):
-        spec_path = self._write_spec(tmp_path, n=25, mode="exact_oracle")
+        spec_path = self._write_spec(
+            tmp_path, theorem="cor21_expectation", n=21, mode="exact_oracle", grids={"x": [0.3]}
+        )
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
         assert result.exit_code == 2
-        assert "config error" in result.output
+        assert "config error" in result.output and "capped at n = 20" in result.output
 
     def test_unfit_integers_exit_two_before_running(self, tmp_path):
         runner = CliRunner()
