@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv
@@ -278,11 +278,11 @@ def _rate_and_normalizer(stats, x: float, y: float | None, beta: float | None):
 class OptimizedBound:
     p_star: float
     value: float
-    se: float
 
 
 def optimize_expectation_values(rate: float, norm: np.ndarray, indicator) -> OptimizedBound:
-    """inf over p > 1 with common random numbers: one fixed (norm, indicator) set."""
+    """The minimizing p and value of mean(exp(-(p-1)*rate*norm) * indicator)^(1/p) over
+    p > 1, with common random numbers: every p sees one fixed (norm, indicator) set."""
     weights = norm if indicator is None else norm[indicator]
     n_all = len(norm)
 
@@ -300,14 +300,7 @@ def optimize_expectation_values(rate: float, norm: np.ndarray, indicator) -> Opt
         candidate = objective(t)
         if candidate < value:
             t_star, value = t, candidate
-    p_star = 1.0 + math.exp(t_star)
-    z = np.exp(-(p_star - 1.0) * rate * weights)
-    full = np.zeros(n_all)
-    full[: len(z)] = z  # same multiset as the indicator-masked mean
-    m = float(np.sum(z)) / n_all
-    se_mean = float(np.std(full, ddof=1) / math.sqrt(n_all)) if n_all > 1 else 0.0
-    se = 0.0 if m <= 0.0 else se_mean * value / (p_star * m)
-    return OptimizedBound(p_star=p_star, value=value, se=se)
+    return OptimizedBound(p_star=1.0 + math.exp(t_star), value=value)
 
 
 def optimize_over_p_from(
@@ -342,8 +335,7 @@ def exact_optimized_bound_rademacher(
     path_type = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     indicator = (st.s() >= x * norm)[path_type] if with_indicator else None
     norm = norm[path_type]
-    out = optimize_expectation_values(rate, norm, indicator)
-    return replace(out, se=0.0)
+    return optimize_expectation_values(rate, norm, indicator)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ under the natural filtration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,25 +89,12 @@ class DifferenceModel:
         """E[xi^2 1{xi <= y}] for y >= 0."""
         raise UnsupportedStatisticError(f"{self.family}: variance is not finite")
 
-    def neg_sq(self) -> float:
-        """E[(xi^-)^2]."""
-        return self.sq_below(0.0)
-
     def neg_beta_moment(self, beta: float) -> float:
         """E[(xi^-)^beta] for beta > 0, where the moment is finite."""
         raise NotImplementedError
 
     def beta_integrable(self, beta: float) -> bool:
         return True
-
-    def truncated_mean(self, a: float) -> float:
-        """E[min(|xi|, a) * sign(xi)] for a > 0: zero for symmetric increments."""
-        if a <= 0:
-            raise ValueError(f"a must be > 0, got {a}")
-        return 0.0 if self.conditionally_symmetric else self._asymmetric_truncated_mean(a)
-
-    def _asymmetric_truncated_mean(self, a: float) -> float:
-        raise NotImplementedError
 
     def _check_beta(self, beta: float) -> None:
         # moment accessors accept any positive order; the (1, 2) restriction
@@ -204,9 +192,6 @@ class ScaledTwoPoint(DifferenceModel):
         self._check_beta(beta)
         return (1.0 - self.p_up) * (-self.down) ** beta
 
-    def _asymmetric_truncated_mean(self, a):
-        return self.p_up * min(self.up, a) - (1.0 - self.p_up) * min(-self.down, a)
-
 
 @dataclass(frozen=True)
 class BoundedAbove(DifferenceModel):
@@ -250,12 +235,6 @@ class BoundedAbove(DifferenceModel):
     def neg_beta_moment(self, beta):
         self._check_beta(beta)
         return self.y_cap ** beta * math.gamma(beta + 1.0) / math.e
-
-    def _asymmetric_truncated_mean(self, a):
-        c = self.y_cap
-        if a <= c:
-            return a - 2.0 * c * math.sinh(a / c) / math.e
-        return c * math.exp(-(1.0 + a / c))
 
 
 @dataclass(frozen=True)
@@ -302,12 +281,6 @@ class CenteredPareto(DifferenceModel):
             * math.gamma(bt - beta)
             / math.gamma(bt)
         )
-
-    def tail_prob(self, t: float) -> float:
-        """P(xi <= -t) = P(xi >= t) for t >= 0."""
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        return 0.5 * (1.0 + t / self.scale) ** (-self.beta_tail)
 
 
 @dataclass(frozen=True)
@@ -416,6 +389,12 @@ _FAMILIES = {
 }
 
 
+def _is_finite_real(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int; NaN fails the comparison
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) < math.inf
+
+
 def build_model(desc: dict) -> DifferenceModel:
     """Construct a model from a {"family": ..., **params} description."""
     if not isinstance(desc, dict) or "family" not in desc:
@@ -426,12 +405,11 @@ def build_model(desc: dict) -> DifferenceModel:
         raise ValueError(
             f"unknown model family {family!r}; expected one of {sorted(_FAMILIES)}"
         )
+    for key, value in params.items():
+        entries = value if isinstance(value, (list, tuple)) else [value]  # weights, scales
+        if key != "base_family" and not all(_is_finite_real(v) for v in entries):
+            raise ValueError(f"{family}.{key} = {value!r}: parameters must be finite numbers")
     cls = _FAMILIES[family]
-    if family == "conditionally_symmetric_mixture":
-        params = {
-            "weights": tuple(params["weights"]),
-            "scales": tuple(params["scales"]),
-        }
     try:
         return cls(**params)
     except TypeError as exc:
@@ -508,18 +486,9 @@ class BatchStats:
             ("h_n", a), lambda: (self._sq * (np.abs(self.xs) > a)).sum(axis=1) + self.cond_var()
         )
 
-    def pos_sq(self) -> np.ndarray:
-        return (self._sq * (self.xs > 0)).sum(axis=1)
-
-    def neg_cond(self) -> np.ndarray:
-        return np.full(self.xs.shape[0], self.n * self.model.neg_sq())
-
-    def pos_beta(self, beta: float) -> np.ndarray:
-        self.model._check_beta(beta)
-        return (np.maximum(self.xs, 0.0) ** beta).sum(axis=1)
-
     def g_n(self, beta: float) -> np.ndarray:
-        return self._cached(
-            ("g_n", beta), lambda: self.pos_beta(beta) + self.n * self.model.neg_beta_moment(beta)
-        )
+        def compute():
+            neg = self.n * self.model.neg_beta_moment(beta)  # rejects a beta the model lacks
+            return (np.maximum(self.xs, 0.0) ** beta).sum(axis=1) + neg
+        return self._cached(("g_n", beta), compute)
 

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the package against.
 
-None of these is called by a verification run: single paths and single
+None of these is called by a verification run: the truncated mean is the
+closed form behind the models' `heavy_on_left` flags, single paths and single
 regression runs are drawn one row at a time under the stream contract, and
 the exact means and tails enumerate all 2^n sign paths and sum their +-1
 matrices (`_SignEnumStats`), the reference for the oracle's closed forms of
@@ -22,7 +23,7 @@ from selfnorm.montecarlo import (
     exp_growth_coefficient,
     optimize_expectation_values,
 )
-from selfnorm.processes import DifferenceModel, stream_blocks
+from selfnorm.processes import BoundedAbove, DifferenceModel, ScaledTwoPoint, stream_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +40,23 @@ class Path:
             raise ValueError("a path needs at least one increment")
         if not np.all(np.isfinite(self.xs)):
             raise ValueError("path contains non-finite increments")
+
+
+def truncated_mean(model: DifferenceModel, a: float) -> float:
+    """E[min(|xi|, a) sign(xi)] for a > 0, in closed form: zero for conditionally
+    symmetric increments.  The model is heavy on left iff it is <= 0 for every a."""
+    if a <= 0:
+        raise ValueError(f"a must be > 0, got {a}")
+    if model.conditionally_symmetric:
+        return 0.0
+    if isinstance(model, ScaledTwoPoint):
+        return model.p_up * min(model.up, a) - (1.0 - model.p_up) * min(-model.down, a)
+    if isinstance(model, BoundedAbove):
+        c = model.y_cap
+        if a <= c:
+            return a - 2.0 * c * math.sinh(a / c) / math.e
+        return c * math.exp(-(1.0 + a / c))
+    raise NotImplementedError(f"no truncated mean for {model.family}")
 
 
 def _replicate_block(n: int, master_seed: int, replicate: int):

@@ -240,6 +240,25 @@ class TestLoadSpec:
             load_spec({**base, field: True})
         assert any(e.startswith(f"{field}:") for e in err.value.errors)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"family": "gaussian", "sd": math.nan},
+            {"family": "scaled_two_point", "p_up": 0.5, "up": math.nan, "down": -1.0},
+            {"family": "bounded_above", "y_cap": math.inf},
+            {"family": "gaussian", "sd": True},
+        ],
+        ids=["gaussian-nan", "two_point-nan", "bounded_above-inf", "gaussian-bool"],
+    )
+    def test_non_finite_or_bool_model_parameter_exits_two(self, tmp_path, model):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec(model=model)))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert "config error: model:" in result.output
+        assert "must be finite numbers" in result.output
+
     def test_minimum_replicates(self):
         assert load_spec(_spec(n_rep=100)).n_rep == 100
         with pytest.raises(SpecValidationError, match="n_rep"):

@@ -23,7 +23,7 @@ from selfnorm.processes import (
     substream,
 )
 
-from reference import Path, sample_path
+from reference import Path, sample_path, truncated_mean
 
 N_MOMENT_DRAWS = 1_000_000
 MOMENT_SEED = 20240817
@@ -113,7 +113,7 @@ class TestClosedFormMoments:
         _assert_mean_close(xs * xs, m.var(), "var")
         _assert_mean_close(xs * xs * (xs <= 0.5), m.sq_below(0.5), "sq_below(0.5)")
         _assert_mean_close(xs * xs * (xs <= 1.0), m.sq_below(1.0), "sq_below(1)")
-        _assert_mean_close(np.maximum(-xs, 0.0) ** 2, m.neg_sq(), "neg_sq")
+        _assert_mean_close(np.maximum(-xs, 0.0) ** 2, m.sq_below(0.0), "sq_below(0)")
         _assert_mean_close(np.maximum(-xs, 0.0) ** 1.5, m.neg_beta_moment(1.5), "neg_beta")
 
     def test_scaled_two_point(self):
@@ -156,7 +156,7 @@ class TestClosedFormMoments:
         _assert_mean_close(np.maximum(-xs, 0.0) ** 0.6, m.neg_beta_moment(0.6), "neg_beta(0.6)")
         for t in (0.5, 2.0, 10.0):
             hits = np.count_nonzero(xs <= -t)
-            p = m.tail_prob(t)
+            p = 0.5 * (1.0 + t / m.scale) ** (-m.beta_tail)  # P(xi <= -t)
             se = math.sqrt(p * (1 - p) / len(xs))
             assert abs(hits / len(xs) - p) <= 5.0 * se, f"tail at {t}"
 
@@ -171,7 +171,7 @@ class TestClosedFormMoments:
 
     def test_symmetric_families_split_conditional_variance(self):
         for m in (Rademacher(), Gaussian(sd=2.0), SymmetricMixture(weights=(1.0,), scales=(1.5,))):
-            assert m.neg_sq() == pytest.approx(m.var() / 2.0, rel=1e-14)
+            assert m.sq_below(0.0) == pytest.approx(m.var() / 2.0, rel=1e-14)
 
 
 def bounded_truncated_mean_quadrature(c: float, a: float) -> float:
@@ -188,20 +188,20 @@ def bounded_truncated_mean_quadrature(c: float, a: float) -> float:
 class TestTruncatedMeanAndHeaviness:
     def test_symmetric_models_are_exactly_balanced(self):
         for a in (0.1, 1.0, 10.0):
-            assert Rademacher().truncated_mean(a) == 0.0
-            assert Gaussian(sd=0.5).truncated_mean(a) == 0.0
+            assert truncated_mean(Rademacher(), a) == 0.0
+            assert truncated_mean(Gaussian(sd=0.5), a) == 0.0
 
     def test_two_point_hand_values(self):
         m = ScaledTwoPoint(p_up=1.0 / 3.0, up=2.0, down=-1.0)
-        assert m.truncated_mean(1.0) == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        assert m.truncated_mean(2.0) == pytest.approx(0.0, abs=1e-12)
+        assert truncated_mean(m, 1.0) == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert truncated_mean(m, 2.0) == pytest.approx(0.0, abs=1e-12)
         bad = ScaledTwoPoint(p_up=2.0 / 3.0, up=1.0, down=-2.0)
-        assert bad.truncated_mean(1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert truncated_mean(bad, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("a", [0.2, 0.9, 1.0, 1.7, 5.0])
     def test_bounded_above_against_quadrature(self, c, a):
-        got = BoundedAbove(c).truncated_mean(a * c)
+        got = truncated_mean(BoundedAbove(c), a * c)
         assert got == pytest.approx(bounded_truncated_mean_quadrature(c, a * c), abs=1e-9)
 
     def test_heavy_on_left_verdicts(self):
@@ -209,13 +209,13 @@ class TestTruncatedMeanAndHeaviness:
         grid = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
         models = ALL_MODELS + [ScaledTwoPoint(p_up=2 / 3, up=1.0, down=-2.0)]
         for model in models:
-            means = [model.truncated_mean(a) for a in grid]
+            means = [truncated_mean(model, a) for a in grid]
             assert model.heavy_on_left == (max(means) <= 1e-12), model
 
     def test_bounded_above_is_not_heavy_on_left(self):
         model = BoundedAbove(1.0)
         assert not model.heavy_on_left
-        assert max(model.truncated_mean(a) for a in (0.1, 0.5, 1.0, 2.0)) > 0
+        assert max(truncated_mean(model, a) for a in (0.1, 0.5, 1.0, 2.0)) > 0
 
     def test_declared_flags(self):
         assert Rademacher().heavy_on_left
@@ -241,10 +241,11 @@ class TestPathStats:
         st = _path_stats(Rademacher(), [1.0, -1.0, 1.0])
         assert st.s()[0] == 1.0
         assert st.sq_var()[0] == 3.0
-        assert st.pos_sq()[0] == 2.0
-        assert st.neg_cond()[0] == pytest.approx(1.5)
         assert st.b_n(0.0)[0] == pytest.approx(3.5)
-        assert st.b_n(0.0)[0] == pytest.approx(st.pos_sq()[0] + st.neg_cond()[0])
+        # B_n(0): realized squares of the 2 positive steps plus n E[(xi^-)^2] = 3 * 0.5
+        pos_sq = ((st.xs > 0) * st.xs ** 2).sum(axis=1)
+        assert pos_sq[0] == 2.0
+        assert st.b_n(0.0)[0] == pytest.approx(pos_sq[0] + 3 * Rademacher().sq_below(0.0))
         assert st.g_n(1.5)[0] == pytest.approx(2.0 + 1.5)
 
     def test_y_above_support_kills_realized_part(self):
@@ -266,7 +267,8 @@ class TestPathStats:
         batch = sample_batch(model, 40, 50, 2718)
         stats = BatchStats(batch, model)
         b0 = stats.b_n(0.0)
-        assert np.allclose(b0, stats.pos_sq() + stats.neg_cond(), rtol=1e-12)
+        pos_sq = ((batch > 0) * batch ** 2).sum(axis=1)
+        assert np.allclose(b0, pos_sq + batch.shape[1] * model.sq_below(0.0), rtol=1e-12)
         for y in (0.0, 0.3, 1.0):
             # B differs from H by the realized mass below -y and the
             # predictable mass above y, both nonnegative
@@ -353,6 +355,10 @@ class TestModelConstruction:
             build_model({"family": "cauchy"})
         with pytest.raises(ValueError, match="bad parameters"):
             build_model({"family": "gaussian", "mean": 3.0})
+        mixture = {"family": "conditionally_symmetric_mixture", "weights": [1.0], "scales": [1.0]}
+        for bad in ({k: v for k, v in mixture.items() if k != "weights"}, {**mixture, "bogus": 3}):
+            with pytest.raises(ValueError, match="bad parameters for family"):
+                build_model(bad)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
