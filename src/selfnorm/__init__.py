@@ -3,7 +3,6 @@ models, and Monte Carlo / exact sign-type verification."""
 
 from .bounds import (
     BOUND_KINDS,
-    RateInputs,
     clamp_probability,
     evaluate_bound,
     f_rate,

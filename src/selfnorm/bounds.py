@@ -7,12 +7,11 @@ when a reportable probability is wanted.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
-from dataclasses import dataclass, fields
 
 __all__ = [
-    "RateInputs",
     "BOUND_KINDS",
     "psi",
     "f_rate",
@@ -114,28 +113,29 @@ def clamp_probability(value: float) -> float:
     return min(value, 1.0)
 
 
-# Per-field validation predicates for RateInputs; a field left as None is
-# simply absent and only checked when the requested bound kind reads it.
+# The parameter catalogue: every input name a bound kind may read, with the
+# rule its value must meet.  Each calculator below takes by name the inputs
+# its kind reads; each given input is checked, even one the kind ignores.
 _FIELD_RULES = {
-    "x": (lambda v: v >= 0, "must be >= 0"),
-    "y": (lambda v: v >= 0, "must be >= 0"),
-    "z": (lambda v: v > 0, "must be > 0"),
-    "b": (lambda v: v > 0, "must be > 0"),
-    "M": (lambda v: v >= 1, "must be >= 1"),
-    "beta": (lambda v: 1.0 < v < 2.0, "must be in (1, 2)"),
-    "n": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),
-    "sigma": (lambda v: v > 0, "must be > 0"),
-    "t": (lambda v: v > 0, "must be > 0"),
-    "d": (lambda v: isinstance(v, int) and v >= 2, "must be an integer >= 2"),
-    "a_bnd": (lambda v: v >= 0, "must be >= 0"),
-    "L": (lambda v: v > 0, "must be > 0"),
-    "q": (lambda v: v >= 1, "must be >= 1"),
-    "c_const": (lambda v: v > 0, "must be > 0"),
+    "x": (lambda v: v >= 0, "must be >= 0"),  # deviation level
+    "y": (lambda v: v >= 0, "must be >= 0"),  # truncation / upper-bound level
+    "z": (lambda v: v > 0, "must be > 0"),  # variance-process level
+    "b": (lambda v: v > 0, "must be > 0"),  # peeling base scale
+    "M": (lambda v: v >= 1, "must be >= 1"),  # peeling range ratio
+    "beta": (lambda v: 1.0 < v < 2.0, "must be in (1, 2)"),  # moment order
+    "n": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),  # sample size
+    "sigma": (lambda v: v > 0, "must be > 0"),  # noise standard deviation
+    "t": (lambda v: v > 0, "must be > 0"),  # tour-length deviation level
+    "d": (lambda v: isinstance(v, int) and v >= 2, "must be an integer >= 2"),  # spatial dimension
+    "a_bnd": (lambda v: v >= 0, "must be >= 0"),  # increment bound / affine offset
+    "L": (lambda v: v > 0, "must be > 0"),  # variance cap
+    "q": (lambda v: v >= 1, "must be >= 1"),  # Holder exponent
+    "c_const": (lambda v: v > 0, "must be > 0"),  # caller-supplied absolute constant
 }
 
 
 def field_violation(name: str, value) -> str | None:
-    """The rule that ``value`` breaks as RateInputs field ``name``, or None.
+    """The rule that ``value`` breaks as catalogue input ``name``, or None.
 
     Booleans break every rule: JSON true/false must not pass as 1 and 0.
     """
@@ -145,154 +145,92 @@ def field_violation(name: str, value) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class RateInputs:
-    """Parameter bundle shared by every bound kind.
-
-    Unused fields may be left as None; each provided field is validated on
-    construction and violations raise, never clamp.
-    """
-
-    x: float | None = None          # deviation level
-    y: float | None = None          # truncation / upper-bound level
-    z: float | None = None          # variance-process level
-    b: float | None = None          # peeling base scale
-    M: float | None = None          # peeling range ratio
-    beta: float | None = None       # moment order in (1, 2)
-    n: int | None = None            # sample size
-    sigma: float | None = None      # noise standard deviation
-    t: float | None = None          # tour-length deviation level
-    d: int | None = None            # spatial dimension
-    a_bnd: float | None = None      # increment bound / affine offset
-    L: float | None = None          # variance cap
-    q: float | None = None          # Holder exponent
-    c_const: float | None = None    # caller-supplied absolute constant
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            rule = field_violation(f.name, value)
-            if rule is not None:
-                raise ValueError(f"RateInputs.{f.name}={value!r} {rule}")
-
-    def require(self, kind: str, *names: str) -> list:
-        missing = [name for name in names if getattr(self, name) is None]
-        if missing:
-            raise ValueError(
-                f"evaluate_bound({kind}): missing parameter(s) {', '.join(missing)}"
-            )
-        return [getattr(self, name) for name in names]
+def _bernstein(z, L, a_bnd) -> float:
+    return math.exp(-0.5 * z * z / (L + a_bnd * z / 3.0))
 
 
-def _bernstein(p: RateInputs) -> float:
-    z, var, a = p.require("bernstein", "z", "L", "a_bnd")
-    return math.exp(-0.5 * z * z / (var + a * z / 3.0))
+def _freedman(x, L, a_bnd) -> float:
+    return math.exp(-0.5 * x * x / (L + a_bnd * x / 3.0))
 
 
-def _freedman(p: RateInputs) -> float:
-    x, L, a = p.require("freedman", "x", "L", "a_bnd")
-    return math.exp(-0.5 * x * x / (L + a * x / 3.0))
+def _dvz(x, L, a_bnd) -> float:
+    return math.exp(-0.5 * (x * x / L) * psi(a_bnd * x / L))
 
 
-def _dvz(p: RateInputs) -> float:
-    x, L, a = p.require("dvz", "x", "L", "a_bnd")
-    return math.exp(-0.5 * (x * x / L) * psi(a * x / L))
-
-
-def _dlp_point(p: RateInputs) -> float:
-    x, y = p.require("dlp_point", "x", "y")
+def _dlp_point(x, y) -> float:
     return math.exp(-0.5 * x * x * y)
 
 
-def _dlp_pang(p: RateInputs) -> float:
-    x, q = p.require("dlp_pang", "x", "q")
+def _dlp_pang(x, q) -> float:
     if x <= 0:
         raise ValueError("evaluate_bound(dlp_pang): x must be > 0")
     e = q / (2.0 * q - 1.0)
     return e ** e * x ** (-e) * math.exp(-0.5 * x * x)
 
 
-def _bercu_touati(p: RateInputs) -> float:
-    x, y, b, a = p.require("bercu_touati", "x", "y", "b", "a_bnd")
-    return math.exp(-x * x * (a * b + 0.5 * b * b * y))
+def _bercu_touati(x, y, b, a_bnd) -> float:
+    return math.exp(-x * x * (a_bnd * b + 0.5 * b * b * y))
 
 
-def _thm21_point(p: RateInputs) -> float:
-    x, y, z = p.require("thm21_point", "x", "y", "z")
+def _thm21_point(x, y, z) -> float:
     return math.exp(-0.5 * x * x * z / (1.0 + x * y / 3.0))
 
 
-def _thm22_peeling(p: RateInputs) -> float:
-    x, y, M = p.require("thm22_peeling", "x", "y", "M")
+def _thm22_peeling(x, y, M, b=None) -> float:
     if y > 0:
-        (b,) = p.require("thm22_peeling", "b")
+        if b is None:
+            raise ValueError("evaluate_bound(thm22_peeling): missing parameter(s) b")
         denom = 1.0 + x * y / (3.0 * b)
     else:
         denom = 1.0
     return peeling_prefactor(x, M) * math.exp(-0.5 * x * x / denom)
 
 
-def _sq_peeling(kind: str):
-    def calc(p: RateInputs) -> float:
-        x, M = p.require(kind, "x", "M")
-        return peeling_prefactor(x, M) * math.exp(-0.5 * x * x)
-
-    return calc
+def _sq_peeling(x, M) -> float:
+    return peeling_prefactor(x, M) * math.exp(-0.5 * x * x)
 
 
-def _delyon(p: RateInputs) -> float:
-    x, y = p.require("delyon", "x", "y")
+def _delyon(x, y) -> float:
     if y <= 0:
         raise ValueError("evaluate_bound(delyon): y must be > 0")
     return math.exp(-0.5 * x * x / y)
 
 
-def _thm23_exponent(p: RateInputs) -> float:
-    x, beta = p.require("thm23_exponent", "x", "beta")
-    return beta_decay_coefficient(x, beta)
+def _thm24_rate(x, beta) -> float:
+    return (x / beta) ** (beta / (beta - 1.0)) * (1.0 - 1.0 / beta)
 
 
-def _thm24_peeling(p: RateInputs) -> float:
-    x, beta, M = p.require("thm24_peeling", "x", "beta", "M")
-    rate = (x / beta) ** (beta / (beta - 1.0)) * (1.0 - 1.0 / beta)
-    return (1.0 + 2.0 * (1.0 + x) * math.log(M)) * math.exp(-rate)
+def _thm24_peeling(x, beta, M) -> float:
+    return (1.0 + 2.0 * (1.0 + x) * math.log(M)) * math.exp(-_thm24_rate(x, beta))
 
 
-def _thm24_peeling_conservative(p: RateInputs) -> float:
-    x, beta, M = p.require("thm24_peeling_conservative", "x", "beta", "M")
-    rate = (x / beta) ** (beta / (beta - 1.0)) * (1.0 - 1.0 / beta)
+def _thm24_peeling_conservative(x, beta, M) -> float:
     a = 1.0 + (beta - 1.0) / (1.0 + x)
     slices = 1.0 + math.ceil(math.log(M) / math.log(a))
-    return slices * math.exp(-rate)
+    return slices * math.exp(-_thm24_rate(x, beta))
 
 
-def _thm31_tstat(p: RateInputs) -> float:
-    x, n, M = p.require("thm31_tstat", "x", "n", "M")
+def _thm31_tstat(x, n, M) -> float:
     shrink = math.sqrt(n / (n + x * x - 1.0))
     return SQRT_E * (1.0 + 2.0 * (1.0 + x * shrink) * math.log(M)) * math.exp(
         -0.5 * n * x * x / (n + x * x - 1.0)
     )
 
 
-def _thm33_regression(p: RateInputs) -> float:
-    x, sigma, y, b, M = p.require("thm33_regression", "x", "sigma", "y", "b", "M")
+def _thm33_regression(x, sigma, y, b, M) -> float:
     prefactor = 2.0 * SQRT_E * (1.0 + 2.0 * (1.0 + x / sigma) * math.log(M))
     return prefactor * math.exp(-0.5 * x * x / (sigma * sigma + x * y / (3.0 * b)))
 
 
-def _thm34_tsp(p: RateInputs) -> float:
-    t, n, d = p.require("thm34_tsp", "t", "n", "d")
+def _thm34_tsp(t, n, d) -> float:
     return SQRT_E * (1.0 + (2.0 / d) * (1.0 + t) * math.log(n)) * math.exp(-0.5 * t * t)
 
 
-def _azuma_tsp(p: RateInputs) -> float:
-    t, n, d, c = p.require("azuma_tsp", "t", "n", "d", "c_const")
+def _azuma_tsp(t, n, d, c_const) -> float:
     if d == 2:
-        scale = c * math.log(n)
+        scale = c_const * math.log(n)
     else:
-        scale = c * n ** ((d - 2.0) / d)
+        scale = c_const * n ** ((d - 2.0) / d)
     return math.exp(-t * t / scale)
 
 
@@ -305,10 +243,10 @@ _CALCULATORS = {
     "bercu_touati": _bercu_touati,
     "thm21_point": _thm21_point,
     "thm22_peeling": _thm22_peeling,
-    "cor22_peeling": _sq_peeling("cor22_peeling"),
-    "thm25_peeling": _sq_peeling("thm25_peeling"),
+    "cor22_peeling": _sq_peeling,
+    "thm25_peeling": _sq_peeling,
     "delyon": _delyon,
-    "thm23_exponent": _thm23_exponent,
+    "thm23_exponent": beta_decay_coefficient,
     "thm24_peeling": _thm24_peeling,
     "thm24_peeling_conservative": _thm24_peeling_conservative,
     "thm31_tstat": _thm31_tstat,
@@ -322,13 +260,25 @@ BOUND_KINDS = tuple(sorted(_CALCULATORS))
 
 def evaluate_bound(kind: str, /, **inputs) -> float:
     """Evaluate the closed-form right-hand side of bound ``kind``; ``inputs``
-    are the RateInputs fields it reads, e.g. ``evaluate_bound("freedman", x=1,
-    L=1, a_bnd=0)``.
+    are catalogue names (the keys of ``_FIELD_RULES``), e.g.
+    ``evaluate_bound("freedman", x=1, L=1, a_bnd=0)``.
 
-    Values above 1 are returned unclamped; ``thm23_exponent`` returns a decay
-    coefficient rather than a probability.
+    Every given input is validated; one the kind does not read is accepted
+    and ignored, an unknown name raises TypeError, and a missing one raises
+    ValueError naming it.  Values above 1 are returned unclamped;
+    ``thm23_exponent`` returns a decay coefficient rather than a probability.
     """
-    params = RateInputs(**inputs)
+    for name, value in inputs.items():
+        if name not in _FIELD_RULES:
+            raise TypeError(f"evaluate_bound({kind}): unknown parameter {name!r}")
+        rule = field_violation(name, value)
+        if rule is not None:
+            raise ValueError(f"evaluate_bound({kind}): {name}={value!r} {rule}")
     if kind not in _CALCULATORS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {', '.join(BOUND_KINDS)}")
-    return _CALCULATORS[kind](params)
+    calc = _CALCULATORS[kind]
+    params = inspect.signature(calc).parameters.values()
+    missing = [p.name for p in params if p.default is p.empty and p.name not in inputs]
+    if missing:
+        raise ValueError(f"evaluate_bound({kind}): missing parameter(s) {', '.join(missing)}")
+    return calc(**{p.name: inputs[p.name] for p in params if p.name in inputs})

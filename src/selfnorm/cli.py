@@ -82,6 +82,16 @@ def _apply_overrides(raw: dict, seed, reps) -> dict:
     return raw
 
 
+def _check_writable(path) -> None:
+    """Exit 2 unless ``path`` opens for writing; append mode truncates nothing."""
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        click.echo(f"config error: cannot write {path}: {exc.strerror}", err=True)
+        sys.exit(2)
+
+
 def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, force_mode=None):
     if plot_data and out is None:
         click.echo("config error: --emit-plot-data needs --out", err=True)
@@ -104,6 +114,10 @@ def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, forc
         for err in exc.errors:
             click.echo(f"config error: {err}", err=True)
         sys.exit(2)
+    if out is not None:
+        _check_writable(out)
+    if plot_data:
+        _check_writable(str(out) + ".plot.csv")
     try:
         records = run_experiment(spec, jobs=jobs)
     except Exception as exc:
@@ -130,7 +144,8 @@ _verify_options = [
     click.option("--emit-plot-data", "plot_data", is_flag=True,
                  help="Also write <out>.plot.csv with (x, p_hat, ci_hi, bound) rows."),
     click.option("--jobs", type=click.IntRange(min=1), default=1,
-                 help="Concurrent grid points; output is identical at any value."),
+                 help="Concurrent grid points of diff targets (regression, thm34_tsp and "
+                      "azuma_tsp runs ignore it); output is identical at any value."),
     click.option("--timing", is_flag=True,
                  help="Include wall_ms in the report (breaks byte-identical re-runs)."),
 ]
@@ -180,6 +195,7 @@ def report(in_path, fmt, out, timing):
             spec = load_spec(spec_dict)
         except SpecValidationError:
             spec = None
+    _check_writable(out)
     emit_report(records, fmt, out, spec=spec, include_timing=timing)
     sys.exit(0)
 

@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from selfnorm.bounds import (
     BOUND_KINDS,
-    RateInputs,
     clamp_probability,
     evaluate_bound,
     f_rate,
@@ -279,29 +278,37 @@ class TestEvaluateBound:
             evaluate_bound("freedman", x=1.0, a_bnd=0.0)
         with pytest.raises(ValueError, match="c_const"):
             evaluate_bound("azuma_tsp", t=1.0, n=10, d=2)
+        # b is read only when y > 0
+        with pytest.raises(ValueError, match="missing parameter.*b"):
+            evaluate_bound("thm22_peeling", x=1.0, y=0.5, M=2.0)
 
     def test_invalid_field_rejected_on_construction(self):
+        # every given input is checked, also one the kind does not read
         with pytest.raises(ValueError, match="beta"):
-            RateInputs(beta=2.5)
+            evaluate_bound("freedman", x=1.0, L=1.0, a_bnd=0.0, beta=2.5)
         with pytest.raises(ValueError, match="M"):
-            RateInputs(M=0.5)
+            evaluate_bound("cor22_peeling", x=1.0, M=0.5)
         with pytest.raises(ValueError, match="sigma"):
-            RateInputs(sigma=0.0)
+            evaluate_bound("thm33_regression", x=0.5, sigma=0.0, y=0.1, b=3.0, M=2.0)
+        with pytest.raises(ValueError, match="x=nan"):
+            evaluate_bound("dvz", x=math.nan, L=1.0, a_bnd=0.0)
 
     @pytest.mark.parametrize("name", ["x", "M", "n", "t"])
     def test_bool_rejected_on_construction(self, name):
         # JSON true/false load as bools, which would pass as 1 and 0
-        with pytest.raises(ValueError, match=f"RateInputs.{name}=True"):
-            RateInputs(**{name: True})
+        with pytest.raises(ValueError, match=f"{name}=True"):
+            evaluate_bound("thm31_tstat", **{"x": 1.0, "n": 10, "M": 2.0, name: True})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown bound kind"):
             evaluate_bound("thm99", x=1.0)
 
     def test_kind_is_positional_only(self):
-        # a stray kind= keyword is an unknown RateInputs field, not the kind
+        # a stray kind= keyword is an unknown input name, not the kind
         with pytest.raises(TypeError, match="kind"):
             evaluate_bound("freedman", kind="dvz", x=1.0, L=1.0, a_bnd=0.0)
+        with pytest.raises(TypeError, match="lam"):
+            evaluate_bound("freedman", x=1.0, L=1.0, a_bnd=0.0, lam=1.0)
 
     def test_all_kinds_positive(self):
         params = dict(

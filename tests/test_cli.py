@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from selfnorm import experiments
+from selfnorm import cli, experiments
+from selfnorm.bounds import BOUND_KINDS, evaluate_bound
 from selfnorm.cli import main
 from selfnorm.experiments import (
     CSV_COLUMNS,
@@ -377,6 +378,21 @@ class TestRunExperiment:
             assert rec.status in ("pass", "vacuous")
             assert rec.ci_lo <= rec.exact <= rec.ci_hi
 
+    def test_both_mode_exact_tail_decides_closed_form_bound(self, monkeypatch):
+        # S_10 >= 3 sqrt(10) needs ten up-steps (probability 2^-10): 100
+        # replicates see no hit, while the exact tail is far above the bound
+        monkeypatch.setattr(experiments, "evaluate_bound", lambda kind, /, **inputs: 1e-9)
+        spec = load_spec(_spec(mode="both", n_rep=100, grids={"x": [3.0], "b": [2.8], "M": [2.0]}))
+        (rec,) = run_experiment(spec)
+        assert rec.hits == 0 and rec.exact == 2.0 ** -10
+        assert rec.status == "violation_evidence"
+
+    def test_both_mode_estimated_bound_keeps_mc_verdict(self):
+        spec = load_spec(_spec(theorem="cor21_expectation", mode="both", grids={"x": [0.3]}))
+        (rec,) = run_experiment(spec)
+        assert rec.exact is not None and rec.p_hat is not None
+        assert "exact tail not compared (estimated bound)" in rec.note
+
     def test_rerun_is_byte_identical(self):
         spec = load_spec(_spec())
         a = render_report(run_experiment(spec), "json", spec=spec)
@@ -495,6 +511,18 @@ class TestCli:
         assert result.exit_code == 0
         assert result.output.strip() == "1"
 
+    @pytest.mark.parametrize("kind", BOUND_KINDS)
+    def test_bounds_eval_every_kind(self, kind):
+        # the parameter set of test_bounds' test_all_kinds_positive
+        params = dict(
+            x=1.5, y=0.5, z=2.0, b=1.0, M=2.0, beta=1.5, n=50, sigma=0.5,
+            t=1.5, d=2, a_bnd=0.5, L=2.0, q=2.0, c_const=1.0,
+        )
+        args = [f"{name}={value}" for name, value in params.items()]
+        result = CliRunner().invoke(main, ["bounds", "eval", kind, *args])
+        assert result.exit_code == 0, result.output
+        assert result.output == format(evaluate_bound(kind, **params), ".17g") + "\n"
+
     def test_bounds_eval_bad_kind(self):
         runner = CliRunner()
         result = runner.invoke(main, ["bounds", "eval", "nope", "x=1"])
@@ -527,6 +555,34 @@ class TestCli:
             assert result.exit_code == 2
             # output holds stdout and stderr together, so nothing reached stdout
             assert result.output == "config error: --emit-plot-data needs --out\n"
+
+    def test_unwritable_out_exit_two_before_running(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before checking the output paths")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        spec_path = self._write_spec(tmp_path)
+        runner = CliRunner()
+        missing = tmp_path / "missing" / "r.json"
+        result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--out", str(missing)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"config error: cannot write {missing}")
+        # an unwritable plot-data path fails too, and leaves an existing report whole
+        out = tmp_path / "r.json"
+        emit_report(run_experiment(load_spec(_spec())), "json", out)
+        kept = out.read_text()
+        (tmp_path / "r.json.plot.csv").mkdir()
+        result = runner.invoke(
+            main, ["verify", "--spec", str(spec_path), "--out", str(out), "--emit-plot-data"]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith(f"config error: cannot write {out}.plot.csv")
+        assert out.read_text() == kept
+        result = runner.invoke(
+            main, ["report", "--in", str(out), "--format", "csv", "--out", str(missing)]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith(f"config error: cannot write {missing}")
 
     def test_config_error_exit_two(self, tmp_path):
         spec_path = self._write_spec(
