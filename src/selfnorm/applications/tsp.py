@@ -31,7 +31,9 @@ __all__ = [
 
 HELD_KARP_CAP = 12
 
-# Instances solved per held_karp_batch call in instance_tour_lengths.
+# Point sets solved per held_karp_batch call: instances in
+# instance_tour_lengths, and one instance's rows across all its levels in
+# tsp_martingale_diffs.
 TSP_INSTANCE_BLOCK = 2048
 
 
@@ -71,10 +73,17 @@ def dist_matrix_batch(points: np.ndarray) -> np.ndarray:
         # term-by-term coordinate sum would differ from dist_matrix in the
         # last bit.
         return dist_matrix(pts)
-    cols = np.ascontiguousarray(pts.transpose(1, 2, 0))  # (n, d, B)
-    diff = cols[:, None] - cols[None, :]
-    diff *= diff
-    return np.sqrt(diff.sum(axis=2)).transpose(2, 0, 1)
+    coords = np.ascontiguousarray(pts.transpose(2, 1, 0))  # (d, n, B)
+    # squared coordinate differences added term by term, x0 + x1 (+ ...),
+    # the order dist_matrix sums fewer than 8 terms in
+    sq = np.subtract(coords[0][:, None], coords[0][None, :])  # (n, n, B)
+    sq *= sq
+    term = np.empty_like(sq)
+    for col in coords[1:]:
+        np.subtract(col[:, None], col[None, :], out=term)
+        term *= term
+        sq += term
+    return np.sqrt(sq, out=sq).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -200,18 +209,32 @@ def _instance_points(n: int, d: int, master_seed: int, instance: int) -> np.ndar
     return sample_points(n, d, substream(master_seed, _stream_id(instance, 0, _ROLE_POINTS)))
 
 
+def _tour_lengths(n_rows: int, block_points) -> np.ndarray:
+    """Exact tour lengths of n_rows point sets, TSP_INSTANCE_BLOCK per solve.
+
+    ``block_points(start, stop)`` returns the (stop - start, n, d) points of
+    rows start..stop-1.  Each tour is a column of its own in the DP, so a
+    row's length does not depend on the rows solved beside it.
+    """
+    lengths = np.empty(n_rows)
+    for start in range(0, n_rows, TSP_INSTANCE_BLOCK):
+        stop = min(start + TSP_INSTANCE_BLOCK, n_rows)
+        lengths[start:stop] = held_karp_batch(dist_matrix_batch(block_points(start, stop)))
+    return lengths
+
+
 def instance_tour_lengths(n: int, d: int, n_instances: int, master_seed: int) -> np.ndarray:
     """Exact tour lengths of instances 0..n_instances-1 of the point streams.
 
-    Tours are solved TSP_INSTANCE_BLOCK instances per batch, so the distance
-    arrays stay small at n_instances = 1e5.
+    Points are drawn one block at a time, so the point and distance arrays
+    stay small at n_instances = 1e5.
     """
-    lengths = np.empty(n_instances)
-    for start in range(0, n_instances, TSP_INSTANCE_BLOCK):
-        stop = min(start + TSP_INSTANCE_BLOCK, n_instances)
-        points = np.stack([_instance_points(n, d, master_seed, r) for r in range(start, stop)])
-        lengths[start:stop] = held_karp_batch(dist_matrix_batch(points))
-    return lengths
+    return _tour_lengths(
+        n_instances,
+        lambda start, stop: np.stack(
+            [_instance_points(n, d, master_seed, r) for r in range(start, stop)]
+        ),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,27 +271,29 @@ def tsp_martingale_diffs(
     uniformly, solving an exact tour per resample.  Means at adjacent levels
     share no draws, and E[T_n] is re-estimated from a separate substream so
     the telescoped sum can be reconciled against T_n - E[T_n] statistically.
+
+    All tours of the instance are solved as one batch: row 0 is the instance
+    itself (T_n), then inner_rep resamples for each of levels 0..n-1 and for
+    the reference estimate, each level drawn from its own substream.
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     check_tsp_size(n, inner_rep)
-    t_n = held_karp(dist_matrix(pts)).length
-    level_means = np.empty(n + 1)
-    level_ses = np.zeros(n + 1)
-    level_means[n] = t_n
-
-    def estimate_level(i: int, role: int) -> tuple[float, float]:
+    batch = np.empty((1 + (n + 1) * inner_rep, n, d))
+    batch[0] = pts
+    slots = batch[1:].reshape(n + 1, inner_rep, n, d)
+    for slot, (i, role) in enumerate([(i, _ROLE_LEVEL) for i in range(n)] + [(0, _ROLE_REF)]):
         rng = substream(master_seed, _stream_id(instance, i, role))
-        resampled = rng.random((inner_rep, n - i, d))
-        batch_pts = np.empty((inner_rep, n, d))
-        batch_pts[:, :i, :] = pts[:i]
-        batch_pts[:, i:, :] = resampled
-        lengths = held_karp_batch(dist_matrix_batch(batch_pts))
-        return float(lengths.mean()), float(lengths.std(ddof=1) / math.sqrt(inner_rep))
-
-    for i in range(n):
-        level_means[i], level_ses[i] = estimate_level(i, _ROLE_LEVEL)
-    e_t_ref, e_t_ref_se = estimate_level(0, _ROLE_REF)
+        slots[slot, :, :i] = pts[:i]
+        slots[slot, :, i:] = rng.random((inner_rep, n - i, d))
+    lengths = _tour_lengths(len(batch), lambda start, stop: batch[start:stop])
+    per_slot = lengths[1:].reshape(n + 1, inner_rep)
+    means = [float(row.mean()) for row in per_slot]
+    ses = [float(row.std(ddof=1) / math.sqrt(inner_rep)) for row in per_slot]
+    t_n = float(lengths[0])
+    level_means = np.array(means[:n] + [t_n])
+    level_ses = np.array(ses[:n] + [0.0])
+    e_t_ref, e_t_ref_se = means[n], ses[n]
     d_hat = np.diff(level_means)
     d_se = np.sqrt(level_ses[1:] ** 2 + level_ses[:-1] ** 2)
     return TspDiffs(

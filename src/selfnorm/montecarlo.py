@@ -12,7 +12,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bounds import beta_decay_coefficient, f_rate
 from .processes import BatchStats, DifferenceModel, sample_batch
@@ -52,7 +51,11 @@ def clopper_pearson(hits: int, n_rep: int, gamma: float) -> tuple[float, float]:
 
     Each end is a Beta quantile, computed as the inverse regularized
     incomplete beta function I_x(a, b) (``scipy.special.betaincinv``).
+    SciPy is imported here, so runs without a Monte Carlo estimate (bound
+    evaluation, the exact oracle) never load it.
     """
+    from scipy.special import betaincinv
+
     if not 0 <= hits <= n_rep:
         raise ValueError(f"hits={hits} outside [0, {n_rep}]")
     if not 0.0 < gamma < 1.0:

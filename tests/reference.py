@@ -5,7 +5,8 @@ closed form behind the models' `heavy_on_left` flags, single paths and single
 regression runs are drawn one row at a time under the stream contract, and
 the exact means and tails enumerate all 2^n sign paths and sum their +-1
 matrices (`_SignEnumStats`), the reference for the oracle's closed forms of
-the +1 count on its n + 1 sign types.
+the +1 count on its n + 1 sign types, and the nested TSP estimates solve one
+batch per level, the reference for the one batch per instance.
 """
 
 from __future__ import annotations
@@ -23,7 +24,22 @@ from selfnorm.montecarlo import (
     exp_growth_coefficient,
     optimize_expectation_values,
 )
-from selfnorm.processes import BoundedAbove, DifferenceModel, ScaledTwoPoint, stream_blocks
+from selfnorm.applications.tsp import (
+    _ROLE_LEVEL,
+    _ROLE_REF,
+    _stream_id,
+    check_tsp_size,
+    dist_matrix,
+    held_karp,
+    held_karp_batch,
+)
+from selfnorm.processes import (
+    BoundedAbove,
+    DifferenceModel,
+    ScaledTwoPoint,
+    stream_blocks,
+    substream,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,3 +239,30 @@ def enumerated_optimized_bound_rademacher(n, x, *, y=None, beta=None, with_indic
         inds.append(st.s() >= x * norm)
     indicator = np.concatenate(inds) if with_indicator else None
     return optimize_expectation_values(rate, np.concatenate(norms), indicator)
+
+
+def nested_level_estimates(points, inner_rep: int, master_seed: int, instance: int = 0):
+    """(t_n, level_means, level_ses, e_t_ref, e_t_ref_se) of the nested TSP
+    estimates, one held_karp_batch call per level on stacked dist_matrix
+    distances and T_n from the dict DP."""
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    check_tsp_size(n, inner_rep)
+    t_n = held_karp(dist_matrix(pts)).length
+    level_means = np.empty(n + 1)
+    level_ses = np.zeros(n + 1)
+    level_means[n] = t_n
+
+    def estimate_level(i: int, role: int) -> tuple[float, float]:
+        rng = substream(master_seed, _stream_id(instance, i, role))
+        resampled = rng.random((inner_rep, n - i, d))
+        batch_pts = np.empty((inner_rep, n, d))
+        batch_pts[:, :i, :] = pts[:i]
+        batch_pts[:, i:, :] = resampled
+        lengths = held_karp_batch(dist_matrix(batch_pts))
+        return float(lengths.mean()), float(lengths.std(ddof=1) / math.sqrt(inner_rep))
+
+    for i in range(n):
+        level_means[i], level_ses[i] = estimate_level(i, _ROLE_LEVEL)
+    e_t_ref, e_t_ref_se = estimate_level(0, _ROLE_REF)
+    return t_n, level_means, level_ses, e_t_ref, e_t_ref_se

@@ -33,7 +33,7 @@ from selfnorm.applications.tsp import (
 )
 from selfnorm.processes import BLOCK_VALUES, Gaussian, Rademacher, ScaledTwoPoint, substream
 
-from reference import RegressionRun, ls_estimate, simulate_regression
+from reference import RegressionRun, ls_estimate, nested_level_estimates, simulate_regression
 
 
 class TestStudentT:
@@ -251,7 +251,7 @@ class TestTours:
         singles = np.array([held_karp(dists[i]).length for i in range(25)])
         assert np.array_equal(batch, singles)
 
-    @pytest.mark.parametrize("d", [2, 3, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 9])
     def test_dist_matrix_batch_matches_stacked(self, d):
         pts = substream(6, d).random((13, 7, d))
         stacked = np.stack([dist_matrix(p) for p in pts])
@@ -310,6 +310,28 @@ class TestTspMartingale:
             if abs(diffs.reconciliation_gap) <= 3.0 * diffs.reconciliation_se:
                 hits += 1
         assert hits >= 4
+
+    @pytest.mark.parametrize("inner_rep", [1000, 1003])
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8])
+    def test_one_batch_matches_per_level_reference(self, n, d, inner_rep):
+        # every float equals one held_karp_batch call per level; level slots
+        # start at rows 1 + slot * inner_rep, so 1003 leaves them unaligned
+        # and one level always spans the TSP_INSTANCE_BLOCK boundary
+        assert any(
+            1 + slot * inner_rep < TSP_INSTANCE_BLOCK < 1 + (slot + 1) * inner_rep
+            for slot in range(n + 1)
+        )
+        pts = sample_points(n, d, substream(60, n * d))
+        diffs = tsp_martingale_diffs(pts, inner_rep, 61, instance=3)
+        t_n, level_means, level_ses, e_t_ref, e_t_ref_se = nested_level_estimates(
+            pts, inner_rep, 61, instance=3
+        )
+        assert diffs.t_n == t_n
+        assert np.array_equal(diffs.level_means, level_means)
+        assert np.array_equal(diffs.level_ses, level_ses)
+        assert diffs.e_t_ref == e_t_ref
+        assert diffs.e_t_ref_se == e_t_ref_se
 
     def test_preconditions(self):
         # sample_points applies the same cap, so draw the 13 points directly

@@ -735,6 +735,29 @@ def test_cold_import_skips_scipy_stats():
     assert result.stdout.strip() == "False"
 
 
+def test_scipy_loads_only_for_monte_carlo_intervals():
+    # clopper_pearson imports scipy.special when first called: importing the
+    # CLI and an exact-oracle run load no SciPy, a Monte Carlo run does
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = (
+        "import json, sys, selfnorm.cli\n"
+        "from selfnorm.experiments import load_spec, render_report, run_experiment\n"
+        "def run(raw):\n"
+        "    spec = load_spec(raw)\n"
+        "    render_report(run_experiment(spec), 'json', spec)\n"
+        "    return 'scipy' in sys.modules\n"
+        "exact, mc = json.loads(sys.argv[1])\n"
+        "print('scipy' in sys.modules, run(exact), run(mc))\n"
+    )
+    specs = [PINNED_SPECS["freedman-exact"], PINNED_SPECS["freedman-mc"]]
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(specs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == ["False", "False", "True"]
+
+
 class TestBenchmarkHooks:
     """The benchmark's tracer patches names in selfnorm; a rename breaks it here."""
 
