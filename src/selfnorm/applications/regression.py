@@ -4,6 +4,7 @@ least-squares deviation bounds."""
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,6 @@ def _sample_phi(kind: str, rng, shape) -> np.ndarray:
     if kind == "ones":
         return np.ones(shape)
     raise ValueError(f"unknown regressor kind {kind!r}; expected 'uniform' or 'ones'")
-
-
-def _regression_blocks(phi_kind, eps_model, n, n_rep, master_seed):
-    """Yield (start, phi, eps) per block of the stream contract; phi is drawn first."""
-    for start, rows, rng in stream_blocks(n, n_rep, master_seed):
-        phi = _sample_phi(phi_kind, rng, (rows, n))
-        yield start, phi, eps_model.sample(rng, (rows, n))
 
 
 def noise_bounds(eps_model: DifferenceModel, phi_kind: str) -> tuple[float, float]:
@@ -89,18 +83,34 @@ def regression_batch(
     n: int,
     n_rep: int,
     master_seed: int,
+    jobs: int = 1,
 ) -> RegressionBatch:
+    """Each block of the stream contract is drawn (phi first, then eps) and
+    reduced into its own rows of err and phi_sq, on `jobs` threads when
+    jobs > 1; a block depends only on its substream, so the rows do not
+    depend on jobs."""
     sigma, y_xi = noise_bounds(eps_model, phi_kind)
     err = np.empty(n_rep)
     phi_sq = np.empty(n_rep)
-    for start, phi, eps in _regression_blocks(phi_kind, eps_model, n, n_rep, master_seed):
-        k = min(len(phi), n_rep - start)
-        phi, eps = phi[:k], eps[:k]
+
+    def fill(block) -> None:
+        start, rows, rng = block
+        k = min(rows, n_rep - start)
+        phi = _sample_phi(phi_kind, rng, (rows, n))[:k]
+        eps = eps_model.sample(rng, (rows, n))[:k]
         ssq = (phi * phi).sum(axis=1)
         phi_sq[start:start + k] = ssq
         err[start:start + k] = np.divide(
             (phi * eps).sum(axis=1), ssq, out=np.full(k, np.nan), where=ssq > 0
         )
+
+    blocks = stream_blocks(n, n_rep, master_seed)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(fill, blocks))
+    else:
+        for block in blocks:
+            fill(block)
     if np.any(~np.isfinite(err)):
         raise DegenerateDesignError("a replicate produced an all-zero design")
     return RegressionBatch(err=err, phi_sq=phi_sq, sigma=sigma, y_xi=y_xi)
@@ -137,9 +147,11 @@ def verify_regression(
     master_seed: int,
     b: float | None = None,
     M: float | None = None,
+    jobs: int = 1,
 ) -> tuple[tuple, list, list]:
     """Window (b, M), and per grid x the deviation bound and an MCEstimate of
     the tail, for the least-squares estimator; b = M = None for thm32.
+    The replicates are drawn on `jobs` threads (see regression_batch).
 
     thm32_regression: P(|theta_hat - theta| >= x) against twice the inf-over-p
     expectation bound (Monte Carlo over regressor paths, common random numbers).
@@ -149,7 +161,7 @@ def verify_regression(
     """
     if thm not in ("thm32_regression", "thm33_regression"):
         raise ValueError(f"unknown regression theorem {thm!r}")
-    batch = regression_batch(phi_kind, eps_model, n, n_rep, master_seed)
+    batch = regression_batch(phi_kind, eps_model, n, n_rep, master_seed, jobs)
     deviation = np.abs(batch.err)
     in_window = True  # thm32 has no window
     if thm == "thm32_regression":

@@ -31,9 +31,9 @@ __all__ = [
 
 HELD_KARP_CAP = 12
 
-# Point sets solved per held_karp_batch call: instances in
-# instance_tour_lengths, and one instance's rows across all its levels in
-# tsp_martingale_diffs.
+# Point sets solved per held_karp_batch call (instances in
+# instance_tour_lengths, one instance's rows across all its levels in
+# tsp_martingale_diffs), and the default width of its DP table.
 TSP_INSTANCE_BLOCK = 2048
 
 
@@ -164,7 +164,7 @@ def _transition_plan(n: int):
     return base, steps, finals
 
 
-def held_karp_batch(dists: np.ndarray, chunk: int = 2048) -> np.ndarray:
+def held_karp_batch(dists: np.ndarray, chunk: int = TSP_INSTANCE_BLOCK) -> np.ndarray:
     """Exact tour lengths for a batch of distance matrices, shape (B, n, n).
 
     Each chunk of instances shares one DP table of 2^(n-1) (n-1) rows; the

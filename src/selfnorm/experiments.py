@@ -646,6 +646,7 @@ def _run_regression_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord
             master_seed=spec.master_seed,
             b=b,
             M=M,
+            jobs=jobs,
         )
     echo = dict(zip(("b", "M"), window))
     note = f"theta={spec.theta!r}; phi={spec.phi}"

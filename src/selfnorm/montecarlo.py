@@ -44,6 +44,11 @@ ENUMERATION_CAP = 20
 # inf over p > 1 is searched on ln(p - 1) over this window.
 P_SEARCH_WINDOW = (1e-3, 50.0)
 _GOLDEN_ITERS = 60
+# np.exp(a) is exactly 0.0 below this cut, which lies under ln(min subnormal / 2)
+# ~ -745.13.  np.exp is an order of magnitude slower on a lane that underflows
+# than on a normal result (two, on a subnormal one), so the objective leaves
+# the lanes below the cut at zero.
+_EXP_ZERO_CUT = -746.0
 
 
 def clopper_pearson(hits: int, n_rep: int, gamma: float) -> tuple[float, float]:
@@ -288,10 +293,21 @@ def optimize_expectation_values(rate: float, norm: np.ndarray, indicator) -> Opt
     p > 1, with common random numbers: every p sees one fixed (norm, indicator) set."""
     weights = norm if indicator is None else norm[indicator]
     n_all = len(norm)
+    w_ends = (float(weights.min()), float(weights.max())) if weights.size else ()
 
     def objective(log_pm1: float) -> float:
         p = 1.0 + math.exp(log_pm1)
-        z = np.exp(-(p - 1.0) * rate * weights)
+        c = -(p - 1.0) * rate
+        a_ends = [c * w for w in w_ends]  # the extremes of c * weights: rounding is monotone
+        if all(a < _EXP_ZERO_CUT for a in a_ends):
+            return 0.0  # every term is exactly 0.0 (or there is none)
+        z = c * weights
+        if all(a >= _EXP_ZERO_CUT for a in a_ends):
+            np.exp(z, out=z)
+        else:
+            # zeros stay in place, so the pairwise sum adds the same terms in the
+            # same order; NaN terms are not below the cut and still go through exp
+            z = np.exp(z, out=np.zeros_like(z), where=~(z < _EXP_ZERO_CUT))
         m = float(np.sum(z)) / n_all
         return 0.0 if m <= 0.0 else m ** (1.0 / p)
 

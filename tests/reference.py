@@ -5,8 +5,10 @@ closed form behind the models' `heavy_on_left` flags, single paths and single
 regression runs are drawn one row at a time under the stream contract, and
 the exact means and tails enumerate all 2^n sign paths and sum their +-1
 matrices (`_SignEnumStats`), the reference for the oracle's closed forms of
-the +1 count on its n + 1 sign types, and the nested TSP estimates solve one
-batch per level, the reference for the one batch per instance.
+the +1 count on its n + 1 sign types, the nested TSP estimates solve one
+batch per level, the reference for the one batch per instance, and the
+inf-over-p objective sends every term through np.exp, the reference for the
+objective that skips terms known to underflow.
 """
 
 from __future__ import annotations
@@ -157,6 +159,16 @@ def expectation_bound_from(
     value = m ** (1.0 / p)
     se = 0.0 if m <= 0.0 else se_mean * value / (p * m)
     return value, se
+
+
+def plain_objective(rate: float, norm: np.ndarray, indicator, log_pm1: float) -> float:
+    """The inf-over-p objective at p = 1 + e^log_pm1, every term through np.exp:
+    mean(exp(-(p-1)*rate*w))^(1/p) over the indicated weights w, the mean taken
+    over all of norm."""
+    weights = norm if indicator is None else norm[indicator]
+    p = 1.0 + math.exp(log_pm1)
+    m = float(np.sum(np.exp(-(p - 1.0) * rate * weights))) / len(norm)
+    return 0.0 if m <= 0.0 else m ** (1.0 / p)
 
 
 class _SignEnumStats:

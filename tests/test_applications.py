@@ -124,6 +124,29 @@ class TestLeastSquares:
             assert batch.err[r] == pytest.approx(ls_estimate(run) - 0.7, rel=1e-12, abs=1e-15)
             assert batch.phi_sq[r] == pytest.approx(float(np.sum(run.phi * run.phi)), rel=1e-14)
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("n_rep", [3 * (BLOCK_VALUES // 64) + 5, 100])
+    def test_batch_identical_at_any_jobs(self, jobs, n_rep):
+        # 3 whole blocks and a partial one, or less than one block
+        noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
+        serial = regression_batch("uniform", noise, 64, n_rep, 55)
+        threaded = regression_batch("uniform", noise, 64, n_rep, 55, jobs=jobs)
+        assert np.array_equal(threaded.err, serial.err)
+        assert np.array_equal(threaded.phi_sq, serial.phi_sq)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_block_error_surfaces(self, jobs):
+        class FailingNoise(ScaledTwoPoint):
+            def sample(self, rng, size):
+                raise RuntimeError("noise draw failed")
+
+        noise = FailingNoise(p_up=0.5, up=0.1, down=-0.1)
+        with pytest.raises(RuntimeError, match="noise draw failed"):
+            regression_batch("uniform", noise, 64, 3 * (BLOCK_VALUES // 64) + 5, 55, jobs=jobs)
+        with pytest.raises(RuntimeError, match="noise draw failed"):
+            verify_regression("thm32_regression", phi_kind="uniform", eps_model=noise, n=64,
+                              x_grid=[0.2], n_rep=500, gamma=0.95, master_seed=1, jobs=jobs)
+
     def test_observation_equation_exact(self):
         noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
         run = simulate_regression(2.0, "uniform", noise, 25, 99)

@@ -1,13 +1,18 @@
 """Monte Carlo estimation, the exact sign-type oracle, and certificate checks."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from selfnorm import montecarlo
+from selfnorm.applications.regression import regression_batch
 from selfnorm.bounds import f_rate
 from selfnorm.montecarlo import (
+    P_SEARCH_WINDOW,
+    _EXP_ZERO_CUT,
     MCEstimate,
     MeanEstimate,
     TailEvent,
@@ -20,10 +25,11 @@ from selfnorm.montecarlo import (
     exact_verdict,
     exp_growth_coefficient,
     golden_section_min,
+    optimize_expectation_values,
     optimize_over_p_from,
     supermartingale_check,
 )
-from selfnorm.processes import BatchStats, CenteredPareto, Rademacher, sample_batch
+from selfnorm.processes import BatchStats, CenteredPareto, Rademacher, ScaledTwoPoint, sample_batch
 
 from reference import (
     enumerated_optimized_bound_rademacher,
@@ -32,6 +38,7 @@ from reference import (
     exact_mean_rademacher,
     exact_supermartingale_mean_rademacher,
     expectation_bound_from,
+    plain_objective,
 )
 
 
@@ -290,6 +297,93 @@ class TestOptimizeOverP:
             out = optimize_over_p_from(stats, x, y=0.0)
             at_two, _ = expectation_bound_from(stats, x, y=0.0, p=2.0)
             assert out.value <= at_two + 1e-12
+
+
+def _objective(monkeypatch, rate, norm, indicator):
+    """The objective optimize_expectation_values hands to golden_section_min."""
+    seen = []
+
+    def spy(f, lo, hi, *args, **kwargs):
+        seen.append(f)
+        return golden_section_min(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "golden_section_min", spy)
+    optimize_expectation_values(rate, norm, indicator)
+    return seen[0]
+
+
+_T_LO, _T_HI = math.log(P_SEARCH_WINDOW[0]), math.log(P_SEARCH_WINDOW[1])
+_T_GRID = np.append(np.linspace(_T_LO, _T_HI, 241), 0.0)  # 0.0 is p = 2
+
+
+def _exponent_range(rate, weights, t):
+    c = -math.exp(t) * rate
+    return c * weights.max(), c * weights.min()
+
+
+def _straddle_weights():
+    rng = np.random.default_rng(7)
+    # exponents c * w from about -1500 to -5 at the top of the window, and
+    # lanes at the cut and in the subnormal band (-745.13, -708.4) at p = 2
+    edges = [746.0, np.nextafter(746.0, 0.0), np.nextafter(746.0, 1e3), 745.5, 745.0, 720.0, 708.0]
+    return np.concatenate([rng.uniform(0.1, 30.0, 4000), edges])
+
+
+class TestObjectiveUnderflowPaths:
+    """The objective skips exp on terms below the cut, and every value must
+    equal the plain objective's bit for bit."""
+
+    def test_exp_is_exactly_zero_below_the_cut(self):
+        assert _EXP_ZERO_CUT < math.log(np.finfo(float).smallest_subnormal) - math.log(2.0)
+        a = np.linspace(-1e4, _EXP_ZERO_CUT, 2_000_001)
+        assert a[-1] == _EXP_ZERO_CUT
+        assert not np.any(np.exp(a))
+        for k in range(1, 17):  # short arrays take the non-vector tail loop
+            assert not np.any(np.exp(a[-k:]))
+
+    @pytest.mark.parametrize(
+        "case", ["never", "straddle", "straddle_indicator", "subnormal", "always", "empty"]
+    )
+    def test_objective_matches_plain(self, monkeypatch, case):
+        rng = np.random.default_rng(3)
+        rate, indicator = 1.0, None
+        if case == "never":
+            norm = rng.uniform(0.0, 1.0, 5000)
+            assert _exponent_range(rate, norm, _T_HI)[0] >= _EXP_ZERO_CUT
+        elif case.startswith("straddle"):
+            norm = _straddle_weights()
+            if case == "straddle_indicator":
+                indicator = rng.random(len(norm)) < 0.5
+                indicator[-7:] = True
+            lo_at_two, hi_at_two = _exponent_range(rate, norm, 0.0)
+            assert lo_at_two < _EXP_ZERO_CUT <= hi_at_two
+            assert np.any((-norm > -745.13) & (-norm < -708.4))
+        elif case == "subnormal":
+            # at p = 2 every term is subnormal, some of them the smallest one
+            norm = rng.uniform(709.0, 745.12, 5000)
+            assert 0.0 < plain_objective(rate, norm, None, 0.0) < 1e-153
+        elif case == "always":
+            norm = rng.uniform(1e6, 2e6, 5000)
+            assert _exponent_range(rate, norm, _T_LO)[1] < _EXP_ZERO_CUT
+        else:
+            norm = rng.uniform(0.0, 1.0, 50)
+            indicator = np.zeros(len(norm), dtype=bool)
+        objective = _objective(monkeypatch, rate, norm, indicator)
+        for t in _T_GRID:
+            got, want = objective(t), plain_objective(rate, norm, indicator, t)
+            assert got == want, (case, t)  # False for NaN
+            if case in ("always", "empty"):
+                assert got == 0.0
+
+    @pytest.mark.parametrize("x", [0.2, 0.5, 1.0])
+    def test_golden_section_unchanged_on_regression_masses(self, monkeypatch, x):
+        # C8's design: uniform phi, n = 50, sigma = y_xi = 0.1
+        noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
+        phi_sq = regression_batch("uniform", noise, 50, 5000, 808).phi_sq
+        rate = x * x / (2.0 * (0.01 + x * 0.1 / 3.0))
+        objective = _objective(monkeypatch, rate, phi_sq, None)
+        plain = partial(plain_objective, rate, phi_sq, None)
+        assert golden_section_min(objective, _T_LO, _T_HI) == golden_section_min(plain, _T_LO, _T_HI)
 
 
 class TestDominationCheck:
