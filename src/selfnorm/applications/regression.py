@@ -4,14 +4,13 @@ least-squares deviation bounds."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..bounds import evaluate_bound
 from ..montecarlo import MCEstimate, SignTypes, closed_ge, optimize_expectation_values
-from ..processes import DifferenceModel, stream_blocks
+from ..processes import DifferenceModel, map_jobs, stream_blocks
 
 __all__ = [
     "noise_bounds",
@@ -104,13 +103,7 @@ def regression_batch(
             (phi * eps).sum(axis=1), ssq, out=np.full(k, np.nan), where=ssq > 0
         )
 
-    blocks = stream_blocks(n, n_rep, master_seed)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
+    map_jobs(fill, stream_blocks(n, n_rep, master_seed), jobs)
     if np.any(~np.isfinite(err)):
         raise DegenerateDesignError("a replicate produced an all-zero design")
     return RegressionBatch(err=err, phi_sq=phi_sq, sigma=sigma, y_xi=y_xi)

@@ -144,9 +144,9 @@ _verify_options = [
     click.option("--emit-plot-data", "plot_data", is_flag=True,
                  help="Also write <out>.plot.csv with (x, p_hat, ci_hi, bound) rows."),
     click.option("--jobs", type=click.IntRange(min=1), default=1,
-                 help="Concurrent grid points of diff targets, and threads filling the "
-                      "stream blocks of regression runs (thm34_tsp and azuma_tsp runs "
-                      "ignore it); output is identical at any value."),
+                 help="Threads for the grid points, sample and bracket statistics of diff "
+                      "targets and the stream blocks of regression runs (thm34_tsp and "
+                      "azuma_tsp runs ignore it); output is identical at any value."),
     click.option("--timing", is_flag=True,
                  help="Include wall_ms in the report (breaks byte-identical re-runs)."),
 ]

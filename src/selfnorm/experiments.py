@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .montecarlo import (
     exact_verdict,
     optimize_over_p_from,
 )
-from .processes import BatchStats, build_model, sample_batch
+from .processes import BatchStats, build_model, map_jobs, sample_batch
 from .applications.regression import exact_oracle_scale, noise_bounds
 from .applications.regression import exact_regression_records, verify_regression
 from .applications.student import self_normalized_threshold
@@ -600,7 +599,8 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
     plan_point = VERIFY_TARGETS[spec.theorem].plan
     stats = None
     if spec.mode in ("mc", "both"):
-        stats = BatchStats(sample_batch(model, spec.n, spec.n_rep, spec.master_seed), model)
+        xs = sample_batch(model, spec.n, spec.n_rep, spec.master_seed, jobs)
+        stats = BatchStats(xs, model, jobs)
 
     def window_values(stat):
         return None if stats is None else stat(stats)
@@ -613,12 +613,7 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
         except Exception as exc:
             raise RuntimeError(f"grid point {gp}: {exc}") from exc
 
-    points = _grid_points(spec)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(run_point, points))
-    else:
-        nested = [run_point(gp) for gp in points]
+    nested = map_jobs(run_point, _grid_points(spec), jobs)
     return [rec for group in nested for rec in group]
 
 

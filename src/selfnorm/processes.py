@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "substream",
     "BLOCK_VALUES",
     "stream_blocks",
+    "map_jobs",
     "sample_batch",
     "BatchStats",
 ]
@@ -53,6 +56,10 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
 BLOCK_VALUES = 2 ** 17
 
 
+def _block_rows(n: int) -> int:
+    return max(1, BLOCK_VALUES // n)
+
+
 def stream_blocks(n: int, n_rep: int, master_seed: int, first: int = 0):
     """The stream contract: yield (start, rows, rng) for each block of replicates.
 
@@ -62,9 +69,18 @@ def stream_blocks(n: int, n_rep: int, master_seed: int, first: int = 0):
     one, so row r is a pure function of (model, n, master_seed, r) and never
     depends on n_rep.  Blocks start from the one holding row `first`.
     """
-    rows = max(1, BLOCK_VALUES // n)
+    rows = _block_rows(n)
     for block in range(first // rows, -(-n_rep // rows)):
         yield block * rows, rows, substream(master_seed, block)
+
+
+def map_jobs(fn, items, jobs: int = 1) -> list:
+    """[fn(item) for item in items], on `jobs` threads when jobs > 1; the
+    first exception raised by any call propagates."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return list(map(fn, items))
 
 
 class DifferenceModel:
@@ -263,7 +279,7 @@ class CenteredPareto(DifferenceModel):
     def sample(self, rng, size):
         u = rng.random(size)
         v = np.where(u < 0.5, 2.0 * u, 2.0 * (1.0 - u))
-        # v = 0 cannot occur for u in [0, 1) except u exactly 1/2-adjacent zeros
+        # v = 0 exactly when u == 0.0, whose magnitude would be infinite
         v = np.maximum(v, np.finfo(float).tiny)
         mag = self.scale * (v ** (-1.0 / self.beta_tail) - 1.0)
         return np.where(u < 0.5, -mag, mag)
@@ -416,19 +432,24 @@ def build_model(desc: dict) -> DifferenceModel:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from exc
 
 
-def sample_batch(model: DifferenceModel, n: int, n_rep: int, master_seed: int) -> np.ndarray:
+def sample_batch(model: DifferenceModel, n: int, n_rep: int, master_seed: int,
+                 jobs: int = 1) -> np.ndarray:
     """(n_rep, n) matrix of replicates under the stream contract of `stream_blocks`.
 
-    Filled one block at a time, so rows [0, k) are the same for every n_rep >= k.
+    Filled one block at a time, on `jobs` threads when jobs > 1, so rows
+    [0, k) are the same for every n_rep >= k and every jobs.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n_rep < 1:
         raise ValueError(f"n_rep must be >= 1, got {n_rep}")
     out = np.empty((n_rep, n), dtype=float)
-    for start, rows, rng in stream_blocks(n, n_rep, master_seed):
-        dst = out[start:start + rows]
-        dst[:] = model.sample(rng, (rows, n))[: len(dst)]
+
+    def fill(block) -> None:
+        start, rows, rng = block
+        out[start:start + rows] = model.sample(rng, (rows, n))[: n_rep - start]
+
+    map_jobs(fill, stream_blocks(n, n_rep, master_seed), jobs)
     return out
 
 
@@ -438,57 +459,58 @@ class BatchStats:
     Realized sums use the sampled increments; predictable terms use the
     model's closed-form conditional moments.  `s`, `sq_var`, `b_n`, `h_n` and
     `g_n` are memoized per (method, parameter) and returned read-only, since
-    one batch serves every grid point of a run.
+    one batch serves every grid point of a run.  A lock makes the first caller
+    of a key compute it, by row blocks of the stream contract's size on `jobs`
+    threads, and grid points on other threads wait for that one array.
     """
 
-    def __init__(self, xs: np.ndarray, model: DifferenceModel):
+    def __init__(self, xs: np.ndarray, model: DifferenceModel, jobs: int = 1):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         self.xs = xs
         self.model = model
         self.n = xs.shape[1]
-        self._sq = xs * xs
+        self.jobs = jobs
         self._cache = {}
+        self._lock = threading.Lock()
 
-    def _cached(self, key: tuple, compute) -> np.ndarray:
+    def _cached(self, key: tuple, row_sums) -> np.ndarray:
         value = self._cache.get(key)
         if value is None:
-            value = compute()
-            value.flags.writeable = False
-            # concurrent grid points may race to fill a key; the values are
-            # equal, and setdefault makes every caller share the first one
-            value = self._cache.setdefault(key, value)
+            with self._lock:
+                value = self._cache.get(key)
+                if value is None:
+                    value = np.empty(self.xs.shape[0])
+                    rows = _block_rows(self.n)
+
+                    def fill(start: int) -> None:
+                        value[start:start + rows] = row_sums(self.xs[start:start + rows])
+
+                    map_jobs(fill, range(0, len(value), rows), self.jobs)
+                    value.flags.writeable = False
+                    self._cache[key] = value
         return value
 
     def s(self) -> np.ndarray:
-        return self._cached(("s", None), lambda: self.xs.sum(axis=1))
+        return self._cached(("s", None), lambda x: x.sum(axis=1))
 
     def sq_var(self) -> np.ndarray:
-        return self._cached(("sq_var", None), lambda: self._sq.sum(axis=1))
+        return self._cached(("sq_var", None), lambda x: (x * x).sum(axis=1))
 
     def cond_var(self) -> np.ndarray:
         return np.full(self.xs.shape[0], self.n * self.model.var())
 
-    def sq_var_above(self, y: float) -> np.ndarray:
+    def b_n(self, y: float) -> np.ndarray:
         if y < 0:
             raise ValueError(f"y must be >= 0, got {y}")
-        return (self._sq * (self.xs > y)).sum(axis=1)
-
-    def cond_var_below(self, y: float) -> np.ndarray:
-        return np.full(self.xs.shape[0], self.n * self.model.sq_below(y))
-
-    def b_n(self, y: float) -> np.ndarray:
-        return self._cached(("b_n", y), lambda: self.sq_var_above(y) + self.cond_var_below(y))
+        below = self.n * self.model.sq_below(y)
+        return self._cached(("b_n", y), lambda x: (x * x * (x > y)).sum(axis=1) + below)
 
     def h_n(self, a: float) -> np.ndarray:
         if a < 0:
             raise ValueError(f"a must be >= 0, got {a}")
-        return self._cached(
-            ("h_n", a), lambda: (self._sq * (np.abs(self.xs) > a)).sum(axis=1) + self.cond_var()
-        )
+        var = self.n * self.model.var()
+        return self._cached(("h_n", a), lambda x: (x * x * (np.abs(x) > a)).sum(axis=1) + var)
 
     def g_n(self, beta: float) -> np.ndarray:
-        def compute():
-            neg = self.n * self.model.neg_beta_moment(beta)  # rejects a beta the model lacks
-            return (np.maximum(self.xs, 0.0) ** beta).sum(axis=1) + neg
-        return self._cached(("g_n", beta), compute)
-
+        neg = self.n * self.model.neg_beta_moment(beta)  # rejects a beta the model lacks
+        return self._cached(("g_n", beta), lambda x: (np.maximum(x, 0.0) ** beta).sum(axis=1) + neg)

@@ -6,9 +6,11 @@ regression runs are drawn one row at a time under the stream contract, and
 the exact means and tails enumerate all 2^n sign paths and sum their +-1
 matrices (`_SignEnumStats`), the reference for the oracle's closed forms of
 the +1 count on its n + 1 sign types, the nested TSP estimates solve one
-batch per level, the reference for the one batch per instance, and the
+batch per level, the reference for the one batch per instance, the
 inf-over-p objective sends every term through np.exp, the reference for the
-objective that skips terms known to underflow.
+objective that skips terms known to underflow, and the truncated bracket
+B_n(y) is formed over the whole batch at once, the reference for
+`BatchStats`, which forms it one row block at a time.
 """
 
 from __future__ import annotations
@@ -93,6 +95,19 @@ def sample_path(model: DifferenceModel, n: int, master_seed: int, replicate: int
     row, rows, rng = _replicate_block(n, master_seed, replicate)
     xs = model.sample(rng, (rows, n))[row].copy()
     return Path(xs=xs, model=model, master_seed=master_seed, replicate=replicate)
+
+
+def sq_var_above(xs: np.ndarray, y: float) -> np.ndarray:
+    """Per row of xs: the realized squares of the steps above y, the realized
+    part of B_n(y), formed over the whole batch at once."""
+    if y < 0:
+        raise ValueError(f"y must be >= 0, got {y}")
+    return ((xs * xs) * (xs > y)).sum(axis=1)
+
+
+def cond_var_below(xs: np.ndarray, model: DifferenceModel, y: float) -> np.ndarray:
+    """Per row of xs: n E[xi^2 1{xi <= y}], the predictable part of B_n(y)."""
+    return np.full(xs.shape[0], xs.shape[1] * model.sq_below(y))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from selfnorm import processes
+from selfnorm.experiments import load_spec, run_experiment
 from selfnorm.processes import (
     BLOCK_VALUES,
     BatchStats,
@@ -23,7 +25,7 @@ from selfnorm.processes import (
     substream,
 )
 
-from reference import Path, sample_path, truncated_mean
+from reference import Path, cond_var_below, sample_path, sq_var_above, truncated_mean
 
 N_MOMENT_DRAWS = 1_000_000
 MOMENT_SEED = 20240817
@@ -79,6 +81,30 @@ class TestSamplingContracts:
         full = sample_batch(model, n, 5000, 31)
         for n_rep in (11, BLOCK_VALUES // n + 1):
             assert np.array_equal(sample_batch(model, n, n_rep, 31), full[:n_rep])
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("n_rep", [3 * (BLOCK_VALUES // 64) + 5, 100])
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
+    def test_batch_identical_at_any_jobs(self, model, n_rep, jobs):
+        # 3 whole blocks and a partial one, or less than one block
+        serial = sample_batch(model, 64, n_rep, 31)
+        assert np.array_equal(sample_batch(model, 64, n_rep, 31, jobs=jobs), serial)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_block_error_surfaces(self, jobs, monkeypatch):
+        def failing(self, rng, size):
+            raise RuntimeError("increment draw failed")
+
+        monkeypatch.setattr(Gaussian, "sample", failing)
+        n_rep = 3 * (BLOCK_VALUES // 64) + 5
+        with pytest.raises(RuntimeError, match="increment draw failed"):
+            sample_batch(Gaussian(), 64, n_rep, 55, jobs=jobs)
+        spec = load_spec({"id": "failing", "theorem": "cor22_peeling", "n": 64,
+                          "model": {"family": "gaussian"},
+                          "grids": {"x": [0.5, 1.0], "b": [2.0], "M": [2.0]},
+                          "n_rep": n_rep, "master_seed": 55})
+        with pytest.raises(RuntimeError, match="increment draw failed"):
+            run_experiment(spec, jobs=jobs)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
@@ -250,7 +276,7 @@ class TestPathStats:
 
     def test_y_above_support_kills_realized_part(self):
         st = _path_stats(Rademacher(), [1.0, -1.0, 1.0, 1.0])
-        assert st.sq_var_above(1.0)[0] == 0.0
+        assert sq_var_above(st.xs, 1.0)[0] == 0.0
         assert st.b_n(1.0)[0] == pytest.approx(st.cond_var()[0])
 
     def test_all_below_threshold_makes_h_predictable(self):
@@ -280,7 +306,7 @@ class TestPathStats:
             assert np.all(gap >= -1e-12)
             # realized squares split at the threshold
             below = ((batch ** 2) * (batch <= y)).sum(axis=1)
-            assert np.allclose(stats.sq_var(), stats.sq_var_above(y) + below, rtol=1e-12)
+            assert np.allclose(stats.sq_var(), sq_var_above(batch, y) + below, rtol=1e-12)
 
     def test_brackets_are_memoized_per_parameter(self):
         model = BoundedAbove(1.0)
@@ -293,7 +319,9 @@ class TestPathStats:
         assert stats.b_n(0.0) is not stats.b_n(0.5)
         assert not np.array_equal(stats.b_n(0.0), stats.b_n(0.5))
         assert not np.array_equal(stats.g_n(1.2), stats.g_n(1.5))
-        assert np.array_equal(stats.b_n(0.5), stats.sq_var_above(0.5) + stats.cond_var_below(0.5))
+        assert np.array_equal(
+            stats.b_n(0.5), sq_var_above(stats.xs, 0.5) + cond_var_below(stats.xs, model, 0.5)
+        )
 
     def test_memoized_brackets_are_read_only(self):
         model = Rademacher()
@@ -304,11 +332,45 @@ class TestPathStats:
                 arr[0] = 99.0
         assert np.array_equal(stats.b_n(0.0), before)
 
-    def test_memoized_brackets_shared_across_threads(self):
-        # grid points run on threads under --jobs; every caller of one key must
-        # get the one stored array even when several threads compute it
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
+    def test_brackets_identical_at_any_jobs(self, model, jobs):
+        # 2 whole row blocks and a partial one; each bracket must equal its
+        # whole-batch formula bit for bit
+        n = 64
+        xs = sample_batch(model, n, 2 * (BLOCK_VALUES // n) + 7, 12)
+        serial, threaded = BatchStats(xs, model), BatchStats(xs, model, jobs=jobs)
+        pairs = [
+            (lambda st: st.s(), xs.sum(axis=1)),
+            (lambda st: st.sq_var(), (xs * xs).sum(axis=1)),
+            (lambda st: st.g_n(1.5),
+             (np.maximum(xs, 0.0) ** 1.5).sum(axis=1) + n * model.neg_beta_moment(1.5)),
+        ]
+        if model.square_integrable:
+            for y in (0.0, 0.3, 1.0):
+                pairs += [
+                    (lambda st, y=y: st.b_n(y),
+                     sq_var_above(xs, y) + cond_var_below(xs, model, y)),
+                    (lambda st, y=y: st.h_n(y),
+                     ((xs * xs) * (np.abs(xs) > y)).sum(axis=1) + serial.cond_var()),
+                ]
+        for bracket, reference in pairs:
+            assert np.array_equal(bracket(serial), reference)
+            assert np.array_equal(bracket(threaded), reference)
+
+    def test_memoized_brackets_shared_across_threads(self, monkeypatch):
+        # grid points run on threads under --jobs; each key must be computed
+        # once, and every caller of it must get the one stored array
         model = BoundedAbove(1.0)
-        stats = BatchStats(sample_batch(model, 50, 2000, 4), model)
+        stats = BatchStats(sample_batch(model, 50, 6000, 4), model, jobs=2)
+        computed = []
+        map_jobs = processes.map_jobs
+
+        def counted(fill, blocks, jobs=1):
+            computed.append(jobs)
+            return map_jobs(fill, blocks, jobs)
+
+        monkeypatch.setattr(processes, "map_jobs", counted)
         ys = [0.1 * k for k in range(8)]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -318,9 +380,10 @@ class TestPathStats:
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(old)
+        assert computed == [2] * len(ys)
         for y, arr in zip(ys * 6, results):
             assert arr is stats.b_n(y)
-            assert np.array_equal(arr, stats.sq_var_above(y) + stats.cond_var_below(y))
+            assert np.array_equal(arr, sq_var_above(stats.xs, y) + cond_var_below(stats.xs, model, y))
 
     def test_unsupported_statistic_propagates(self):
         stats = BatchStats(sample_batch(CenteredPareto(beta_tail=1.9), 10, 5, 1), CenteredPareto(beta_tail=1.9))
