@@ -73,17 +73,23 @@ def dist_matrix_batch(points: np.ndarray) -> np.ndarray:
         # term-by-term coordinate sum would differ from dist_matrix in the
         # last bit.
         return dist_matrix(pts)
+    n = pts.shape[1]
     coords = np.ascontiguousarray(pts.transpose(2, 1, 0))  # (d, n, B)
-    # squared coordinate differences added term by term, x0 + x1 (+ ...),
-    # the order dist_matrix sums fewer than 8 terms in
-    sq = np.subtract(coords[0][:, None], coords[0][None, :])  # (n, n, B)
-    sq *= sq
-    term = np.empty_like(sq)
-    for col in coords[1:]:
-        np.subtract(col[:, None], col[None, :], out=term)
-        term *= term
-        sq += term
-    return np.sqrt(sq, out=sq).transpose(2, 0, 1)
+    out = np.empty((n, n, pts.shape[0]))
+    out[range(n), range(n)] = 0.0
+    for k in range(n - 1):
+        # pairs (k, j > k) once, as (x_j - x_k)^2 == (x_k - x_j)^2; squared
+        # coordinate differences added term by term, x0 + x1 (+ ...), the
+        # order dist_matrix sums fewer than 8 terms in
+        row = np.subtract(coords[0, k + 1 :], coords[0, k], out=out[k, k + 1 :])
+        row *= row
+        for col in coords[1:]:
+            term = col[k + 1 :] - col[k]
+            term *= term
+            row += term
+        np.sqrt(row, out=row)
+        out[k + 1 :, k] = row
+    return out.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -142,23 +148,22 @@ def _transition_plan(n: int):
 
     DP row ``mask * m + (j - 1)`` holds the shortest path from city 0 through
     the cities of ``mask`` ending at j; distance row ``k * n + j`` holds the
-    distance from k to j.
+    distance from k to j.  There is one step per subset of two or more
+    cities, smaller subsets first.  The step ``(dst, src, kj)`` of a subset
+    of s cities fills its s rows ``dst``, one per end city j, from an
+    (s - 1, s) candidate block: column j pairs DP row (mask ^ j, k) in
+    ``src`` with distance row (k, j) in ``kj``, one per other member k.
     """
     m = n - 1
     base = [(1 << (j - 1)) * m + (j - 1) for j in range(1, n)]
     steps = []
-    masks = sorted(range(1, 1 << m), key=lambda v: v.bit_count())
-    for mask in masks:
+    for mask in sorted(range(1, 1 << m), key=int.bit_count):
         if mask & (mask - 1) == 0:
             continue
-        for j in range(1, n):
-            bit = 1 << (j - 1)
-            if not mask & bit:
-                continue
-            prev = mask ^ bit
-            ks = np.array([k for k in range(1, n) if prev & (1 << (k - 1))], dtype=np.intp)
-            src = (prev * m + (ks - 1)).astype(np.intp)
-            steps.append((mask * m + (j - 1), src, ks * n + j))
+        js = np.array([j for j in range(1, n) if mask >> (j - 1) & 1], dtype=np.intp)
+        ks = np.array([[k for k in js if k != j] for j in js], dtype=np.intp).T
+        prev = mask ^ (1 << (js - 1))
+        steps.append((mask * m + js - 1, prev * m + ks - 1, ks * n + js))
     full = (1 << m) - 1
     finals = np.array([full * m + (j - 1) for j in range(1, n)], dtype=np.intp)
     return base, steps, finals
@@ -169,6 +174,10 @@ def held_karp_batch(dists: np.ndarray, chunk: int = TSP_INSTANCE_BLOCK) -> np.nd
 
     Each chunk of instances shares one DP table of 2^(n-1) (n-1) rows; the
     chunk shrinks so that the table holds at most 2**24 values (128 MB).
+    Each subset's rows take one step: the gathered DP candidates plus their
+    distances, reduced by min over the previous city.  A row is the exact
+    minimum of the same single additions ``held_karp`` compares, so every
+    length equals its ``held_karp`` length bit for bit.
     """
     dists = np.asarray(dists, dtype=float)
     batch, n = dists.shape[0], dists.shape[1]
@@ -184,12 +193,11 @@ def held_karp_batch(dists: np.ndarray, chunk: int = TSP_INSTANCE_BLOCK) -> np.nd
         # row k * n + j: distance from k to j across the chunk
         d = np.ascontiguousarray(by_pair[:, :, start : start + chunk]).reshape(n * n, -1)
         dp = np.empty(((1 << m) * m, d.shape[1]))
-        for j, flat in enumerate(base, start=1):
-            dp[flat] = d[j]
+        dp[base] = d[1:n]  # row of {j} ending at j: distance from 0 to j
         for dst, src, kj in steps:
             cand = dp[src]
             cand += d[kj]
-            cand.min(axis=0, out=dp[dst])
+            dp[dst] = cand.min(axis=0)
         closing = d[n : n * n : n]  # row j - 1: distance from city j back to 0
         out[start : start + d.shape[1]] = (dp[finals] + closing).min(axis=0)
     return out
@@ -362,7 +370,8 @@ def verify_tsp(
         c1 = float(root_sq_sums.min() / math.sqrt(n))
     lo = c1 * n ** (0.5 - 1.0 / d)
     hi = c1 * math.sqrt(n)
-    # closed window with one-ulp slack so the calibrating instance stays inside
+    # closed window widened by a relative 1e-12 (thousands of ulps), so the
+    # rounding of c1 and of lo, hi cannot put the calibrating instance outside
     tol = 1e-12
     in_window = (root_sq_sums >= lo * (1.0 - tol)) & (root_sq_sums <= hi * (1.0 + tol))
     ratios = (tour_lengths - e_t_pooled) / root_sq_sums

@@ -1,5 +1,6 @@
 """Student-t rewriting, least-squares regression checks, and TSP experiments."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from selfnorm.applications.regression import (
 )
 from selfnorm.applications.tsp import (
     TSP_INSTANCE_BLOCK,
+    _transition_plan,
     dist_matrix,
     dist_matrix_batch,
     held_karp,
@@ -276,13 +278,43 @@ class TestTours:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 9])
     def test_dist_matrix_batch_matches_stacked(self, d):
-        pts = substream(6, d).random((13, 7, d))
-        stacked = np.stack([dist_matrix(p) for p in pts])
-        batch = dist_matrix_batch(pts)
-        assert batch.shape == (13, 7, 7)
-        assert np.array_equal(batch, stacked)
+        # n = 2 and 3 give one and two rows of pairs (k, j > k); n = 12 is the cap
+        for n in (2, 3, 7, 12):
+            pts = substream(6, d).random((13, n, d))
+            stacked = np.stack([dist_matrix(p) for p in pts])
+            batch = dist_matrix_batch(pts)
+            assert batch.shape == (13, n, n)
+            assert np.array_equal(batch, stacked)
 
-    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_transition_plan_fills_each_row_once(self, n):
+        # one step per subset of >= 2 cities; each (mask, j) row is written
+        # once, from exactly the candidates (mask ^ j, k), k in mask \ {j},
+        # all of them written before
+        m = n - 1
+        base, steps, _ = _transition_plan(n)
+        assert len(steps) == 2 ** m - n
+        written = set(base)
+        for dst, src, kj in steps:
+            assert src.shape == kj.shape == (len(dst) - 1, len(dst))
+            mask = int(dst[0]) // m
+            members = [j for j in range(1, n) if mask >> (j - 1) & 1]
+            assert sorted(int(row) - mask * m + 1 for row in dst) == members
+            for col, row in enumerate(dst):
+                j = int(row) - mask * m + 1
+                prev = mask ^ (1 << (j - 1))
+                cands = {divmod(int(r), m) for r in src[:, col]}
+                assert cands == {(prev, k - 1) for k in members if k != j}
+                assert {divmod(int(r), n) for r in kj[:, col]} == {
+                    (k, j) for k in members if k != j
+                }
+                assert all(int(r) in written for r in src[:, col])
+            assert written.isdisjoint(int(row) for row in dst)
+            written.update(int(row) for row in dst)
+        # every (mask, j in mask) row: m * 2^(m-1) of them
+        assert len(written) == m * 2 ** (m - 1)
+
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_batch_matches_single_on_plain_array(self, n):
         pts = substream(8, n).random((10, n, 2))
         dists = np.stack([dist_matrix(p) for p in pts])
@@ -334,9 +366,11 @@ class TestTspMartingale:
                 hits += 1
         assert hits >= 4
 
-    @pytest.mark.parametrize("inner_rep", [1000, 1003])
-    @pytest.mark.parametrize("d", [2, 3, 9])
-    @pytest.mark.parametrize("n", [2, 3, 7, 8])
+    @pytest.mark.parametrize(
+        "n, d, inner_rep",
+        # n = 10 at d = 2 is the C9 acceptance shape
+        list(itertools.product([2, 3, 7, 8], [2, 3, 9], [1000, 1003])) + [(10, 2, 1000)],
+    )
     def test_one_batch_matches_per_level_reference(self, n, d, inner_rep):
         # every float equals one held_karp_batch call per level; level slots
         # start at rows 1 + slot * inner_rep, so 1003 leaves them unaligned
