@@ -27,12 +27,10 @@ from .processes import (
 from .montecarlo import (
     DominationVerdict,
     MCEstimate,
-    MeanEstimate,
     TailEvent,
     clopper_pearson,
     domination_check,
     exact_tail_rademacher,
-    supermartingale_check,
 )
 from .experiments import (
     ExperimentSpec,

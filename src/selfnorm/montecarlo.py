@@ -1,4 +1,4 @@
-"""Monte Carlo and exact sign-type estimation of tail events and certificates.
+"""Monte Carlo and exact sign-type estimation of tail events and expectation bounds.
 
 A Monte Carlo run can never prove an inequality; verdicts therefore only
 report `violation_evidence` when the exact Clopper-Pearson lower confidence
@@ -7,6 +7,7 @@ bound exceeds the closed-form bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import beta_decay_coefficient, f_rate
-from .processes import BatchStats, DifferenceModel, sample_batch
 
 __all__ = [
     "MCEstimate",
-    "MeanEstimate",
     "DominationVerdict",
     "TailEvent",
     "clopper_pearson",
@@ -34,7 +33,6 @@ __all__ = [
     "golden_section_min",
     "domination_check",
     "exact_verdict",
-    "supermartingale_check",
     "exp_growth_coefficient",
     "ENUMERATION_CAP",
     "P_SEARCH_WINDOW",
@@ -86,24 +84,6 @@ class MCEstimate:
     def from_hits(cls, hits: int, n_rep: int, gamma: float) -> "MCEstimate":
         lo, hi = clopper_pearson(hits, n_rep, gamma)
         return cls(n_rep=n_rep, hits=hits, p_hat=hits / n_rep, ci_lo=lo, ci_hi=hi, gamma=gamma)
-
-
-@dataclass(frozen=True)
-class MeanEstimate:
-    """Normal-approximation estimate of an unbounded positive mean.
-
-    The sample maximum is reported alongside because heavy right tails make
-    the normal interval optimistic.
-    """
-
-    n_rep: int
-    mean: float
-    se: float
-    sample_max: float
-
-    @property
-    def ci_lo(self) -> float:
-        return self.mean - 3.0 * self.se
 
 
 @dataclass(frozen=True)
@@ -288,11 +268,22 @@ class OptimizedBound:
     value: float
 
 
-def optimize_expectation_values(rate: float, norm: np.ndarray, indicator) -> OptimizedBound:
+def optimize_expectation_values(
+    rate: float, norm: np.ndarray, indicator, lanes: np.ndarray | None = None, n_all: int = 0
+) -> OptimizedBound:
     """The minimizing p and value of mean(exp(-(p-1)*rate*norm) * indicator)^(1/p) over
-    p > 1, with common random numbers: every p sees one fixed (norm, indicator) set."""
+    p > 1, with common random numbers: every p sees one fixed (norm, indicator) set.
+
+    With lanes, norm holds one value per type, lanes the type of each term in
+    order, and n_all the count the mean divides by.  exp is then taken once per
+    type and its results are gathered per term, so the summed array equals the
+    one exp of the expanded values gives, element for element and in order (a
+    lane's product and exp do not depend on where it sits), and NumPy's
+    pairwise sum returns the same float.  The cut's shortcuts then look at
+    every type, read by a lane or not; a type no lane reads can only send an
+    evaluation down the exp path, whose terms are the same."""
     weights = norm if indicator is None else norm[indicator]
-    n_all = len(norm)
+    n_all = len(norm) if lanes is None else n_all
     w_ends = (float(weights.min()), float(weights.max())) if weights.size else ()
 
     def objective(log_pm1: float) -> float:
@@ -308,6 +299,8 @@ def optimize_expectation_values(rate: float, norm: np.ndarray, indicator) -> Opt
             # zeros stay in place, so the pairwise sum adds the same terms in the
             # same order; NaN terms are not below the cut and still go through exp
             z = np.exp(z, out=np.zeros_like(z), where=~(z < _EXP_ZERO_CUT))
+        if lanes is not None:
+            z = z[lanes]
         m = float(np.sum(z)) / n_all
         return 0.0 if m <= 0.0 else m ** (1.0 / p)
 
@@ -345,20 +338,30 @@ def exact_optimized_bound_rademacher(
 ) -> OptimizedBound:
     """inf over p of the exact expectation bound for fair-sign paths.
 
-    Normalizer and indicator are computed once per sign type, then expanded
-    to all 2^n paths in the order of their binary codes (step j is +1 iff
-    bit j is set), so the optimizer sums the values of a full enumeration."""
+    Normalizer and indicator are computed once per sign type.  The optimizer
+    takes exp once per type and gathers one term per path in the event, in
+    the order of the paths' binary codes (step j is +1 iff bit j is set), so
+    it sums the same floats, in the same order, as a full enumeration."""
     check_enumeration_size(n)
     st = SignTypes(n)
     rate, norm = _rate_and_normalizer(st, x, y, beta)
+    path_type = _path_types(n)
+    lanes = path_type[(st.s() >= x * norm)[path_type]] if with_indicator else path_type
+    return optimize_expectation_values(rate, norm, None, lanes.astype(np.intp), 1 << n)
+
+
+@functools.cache
+def _path_types(n: int) -> np.ndarray:
+    """The sign type (count of +1 steps) of each of the 2^n paths, in path order.
+    Read-only, since every caller shares it; n <= ENUMERATION_CAP keeps the
+    cache under 2 MiB."""
     path_type = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    indicator = (st.s() >= x * norm)[path_type] if with_indicator else None
-    norm = norm[path_type]
-    return optimize_expectation_values(rate, norm, indicator)
+    path_type.flags.writeable = False
+    return path_type
 
 
 # ---------------------------------------------------------------------------
-# Supermartingale certificates.
+# The growth coefficient of the supermartingale certificate U_n.
 # ---------------------------------------------------------------------------
 
 
@@ -372,43 +375,3 @@ def exp_growth_coefficient(lam: float, y: float) -> float:
     if u < 1e-4:
         return 0.5 * lam * lam * (1.0 + u / 3.0 + u * u / 12.0)
     return (math.expm1(u) - u) / (y * y)
-
-
-def _certificate_values(stats, kind: str, lam: float, y: float | None, beta: float | None):
-    if kind == "U":
-        if y is None:
-            raise ValueError("kind U needs y >= 0")
-        coef = exp_growth_coefficient(lam, y)
-        return np.exp(lam * stats.s() - coef * stats.b_n(y))
-    if kind == "V":
-        if beta is None:
-            raise ValueError("kind V needs beta in (1, 2)")
-        return np.exp(lam * stats.s() - lam ** beta * stats.g_n(beta))
-    raise ValueError(f"kind must be 'U' or 'V', got {kind!r}")
-
-
-def supermartingale_check(
-    kind: str,
-    model: DifferenceModel,
-    n: int,
-    lam: float,
-    *,
-    y: float | None = None,
-    beta: float | None = None,
-    n_rep: int,
-    gamma: float = 0.99,
-    master_seed: int = 0,
-) -> DominationVerdict:
-    """Check E[certificate] <= 1 via a normal-approximation interval.
-
-    Passes iff mean - 3*SE <= 1.  The certificate is positive and can be
-    heavy-tailed; the sample maximum is carried in the estimate for honesty.
-    """
-    stats = BatchStats(sample_batch(model, n, n_rep, master_seed), model)
-    values = _certificate_values(stats, kind, lam, y, beta)
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n_rep)) if n_rep > 1 else 0.0
-    estimate = MeanEstimate(n_rep=n_rep, mean=mean, se=se, sample_max=float(np.max(values)))
-    status = "pass" if estimate.ci_lo <= 1.0 else "violation_evidence"
-    return DominationVerdict(estimate=estimate, status=status, margin=1.0 - estimate.ci_lo)
-

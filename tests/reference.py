@@ -10,7 +10,10 @@ batch per level, the reference for the one batch per instance, the
 inf-over-p objective sends every term through np.exp, the reference for the
 objective that skips terms known to underflow, and the truncated bracket
 B_n(y) is formed over the whole batch at once, the reference for
-`BatchStats`, which forms it one row block at a time.
+`BatchStats`, which forms it one row block at a time.  The Monte Carlo
+supermartingale certificate check, a normal-approximation interval on
+E[U_n] or E[V_n], is kept for the certificate tests; no verify target has
+used it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from selfnorm.applications.regression import DegenerateDesignError, _sample_phi
 from selfnorm.montecarlo import (
+    DominationVerdict,
     _rate_and_normalizer,
     check_enumeration_size,
     evaluate_event,
@@ -38,9 +42,11 @@ from selfnorm.applications.tsp import (
     held_karp_batch,
 )
 from selfnorm.processes import (
+    BatchStats,
     BoundedAbove,
     DifferenceModel,
     ScaledTwoPoint,
+    sample_batch,
     stream_blocks,
     substream,
 )
@@ -244,6 +250,63 @@ def exact_supermartingale_mean_rademacher(n: int, lam: float, y: float) -> float
         return np.exp(lam * st.s() - coef * st.b_n(y))
 
     return exact_mean_rademacher(n, fn)
+
+
+@dataclass(frozen=True)
+class MeanEstimate:
+    """Normal-approximation estimate of an unbounded positive mean.
+
+    The sample maximum is reported alongside because heavy right tails make
+    the normal interval optimistic.
+    """
+
+    n_rep: int
+    mean: float
+    se: float
+    sample_max: float
+
+    @property
+    def ci_lo(self) -> float:
+        return self.mean - 3.0 * self.se
+
+
+def _certificate_values(stats, kind: str, lam: float, y: float | None, beta: float | None):
+    if kind == "U":
+        if y is None:
+            raise ValueError("kind U needs y >= 0")
+        coef = exp_growth_coefficient(lam, y)
+        return np.exp(lam * stats.s() - coef * stats.b_n(y))
+    if kind == "V":
+        if beta is None:
+            raise ValueError("kind V needs beta in (1, 2)")
+        return np.exp(lam * stats.s() - lam ** beta * stats.g_n(beta))
+    raise ValueError(f"kind must be 'U' or 'V', got {kind!r}")
+
+
+def supermartingale_check(
+    kind: str,
+    model: DifferenceModel,
+    n: int,
+    lam: float,
+    *,
+    y: float | None = None,
+    beta: float | None = None,
+    n_rep: int,
+    gamma: float = 0.99,
+    master_seed: int = 0,
+) -> DominationVerdict:
+    """Check E[certificate] <= 1 via a normal-approximation interval.
+
+    Passes iff mean - 3*SE <= 1.  The certificate is positive and can be
+    heavy-tailed; the sample maximum is carried in the estimate for honesty.
+    """
+    stats = BatchStats(sample_batch(model, n, n_rep, master_seed), model)
+    values = _certificate_values(stats, kind, lam, y, beta)
+    mean = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(n_rep)) if n_rep > 1 else 0.0
+    estimate = MeanEstimate(n_rep=n_rep, mean=mean, se=se, sample_max=float(np.max(values)))
+    status = "pass" if estimate.ci_lo <= 1.0 else "violation_evidence"
+    return DominationVerdict(estimate=estimate, status=status, margin=1.0 - estimate.ci_lo)
 
 
 def enumerated_tail_rademacher(n: int, event) -> float:

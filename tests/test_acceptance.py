@@ -14,11 +14,10 @@ import numpy as np
 
 from selfnorm.bounds import evaluate_bound, f_rate, psi
 from selfnorm.experiments import load_spec, render_report, run_experiment
-from selfnorm.montecarlo import supermartingale_check
 from selfnorm.processes import CenteredPareto, substream
 from selfnorm.applications.student import self_normalized_threshold
 
-from reference import exact_supermartingale_mean_rademacher
+from reference import exact_supermartingale_mean_rademacher, supermartingale_check
 
 # criterion id -> (spec dict, canonical json report) for the determinism re-run
 _RERUNS: dict = {}

@@ -23,6 +23,8 @@ from selfnorm.applications.regression import (
 )
 from selfnorm.applications.tsp import (
     TSP_INSTANCE_BLOCK,
+    _ROLE_LEVEL,
+    _stream_id,
     _transition_plan,
     dist_matrix,
     dist_matrix_batch,
@@ -389,6 +391,25 @@ class TestTspMartingale:
         assert np.array_equal(diffs.level_ses, level_ses)
         assert diffs.e_t_ref == e_t_ref
         assert diffs.e_t_ref_se == e_t_ref_se
+
+    def test_held_karp_kernel_at_the_c9_shape(self):
+        # rows built as tsp_martingale_diffs builds them at n = 10, d = 2 (C9),
+        # from levels 0, 5 and 9, each solved by the batch kernel and by the
+        # dict DP on its own
+        n, d, inner_rep = 10, 2, 1000
+        pts = sample_points(n, d, substream(62, 0))
+        rows = []
+        for i, take in ((0, 6), (5, 5), (9, 5)):
+            rng = substream(63, _stream_id(0, i, _ROLE_LEVEL))
+            level = np.empty((inner_rep, n, d))
+            level[:, :i] = pts[:i]
+            level[:, i:] = rng.random((inner_rep, n - i, d))
+            rows.append(level[:take])
+        dists = dist_matrix_batch(np.concatenate(rows))
+        assert dists.shape == (16, n, n)
+        batch = held_karp_batch(dists)
+        for r in range(16):
+            assert batch[r] == held_karp(dists[r]).length, r
 
     def test_preconditions(self):
         # sample_points applies the same cap, so draw the 13 points directly

@@ -1,6 +1,8 @@
 """Monte Carlo estimation, the exact sign-type oracle, and certificate checks."""
 
+import itertools
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -14,7 +16,6 @@ from selfnorm.montecarlo import (
     P_SEARCH_WINDOW,
     _EXP_ZERO_CUT,
     MCEstimate,
-    MeanEstimate,
     TailEvent,
     clopper_pearson,
     domination_check,
@@ -27,11 +28,11 @@ from selfnorm.montecarlo import (
     golden_section_min,
     optimize_expectation_values,
     optimize_over_p_from,
-    supermartingale_check,
 )
 from selfnorm.processes import BatchStats, CenteredPareto, Rademacher, ScaledTwoPoint, sample_batch
 
 from reference import (
+    MeanEstimate,
     enumerated_optimized_bound_rademacher,
     enumerated_tail_rademacher,
     enumerate_sign_chunks,
@@ -39,6 +40,7 @@ from reference import (
     exact_supermartingale_mean_rademacher,
     expectation_bound_from,
     plain_objective,
+    supermartingale_check,
 )
 
 
@@ -159,12 +161,39 @@ class TestTypeOracleMatchesEnumeration:
     @pytest.mark.parametrize("with_indicator", [True, False])
     @pytest.mark.parametrize("flavor", [{"y": 0.0}, {"y": 0.5}, {"y": 1.0}, {"beta": 1.5}])
     def test_expectation_bound(self, flavor, with_indicator):
-        for n in (7, 12):
-            got = exact_optimized_bound_rademacher(n, 0.3, with_indicator=with_indicator, **flavor)
+        for n, x in itertools.product((1, 2, 7, 12, 16), (0.1, 0.3, 0.9)):
+            got = exact_optimized_bound_rademacher(n, x, with_indicator=with_indicator, **flavor)
             ref = enumerated_optimized_bound_rademacher(
-                n, 0.3, with_indicator=with_indicator, **flavor
+                n, x, with_indicator=with_indicator, **flavor
             )
-            assert (got.value, got.p_star) == (ref.value, ref.p_star)
+            assert (got.value, got.p_star) == (ref.value, ref.p_star), (n, x)
+
+    @pytest.mark.parametrize("x", [0.1, 0.3])
+    def test_expectation_bound_at_the_benchmark_size(self, x):
+        got = exact_optimized_bound_rademacher(20, x, y=0.0)
+        ref = enumerated_optimized_bound_rademacher(20, x, y=0.0)
+        assert (got.value, got.p_star) == (ref.value, ref.p_star)
+
+    def test_expectation_bound_on_an_empty_event(self):
+        # one step: S_1 = 1 < 0.9 * B_1(0) = 1.35 and S_1 = -1 < 0.45
+        got = exact_optimized_bound_rademacher(1, 0.9, y=0.0)
+        ref = enumerated_optimized_bound_rademacher(1, 0.9, y=0.0)
+        assert got.value == 0.0
+        assert (got.value, got.p_star) == (ref.value, ref.p_star)
+
+    def test_expectation_bound_memory(self):
+        # exp per sign type and a gather of the event's terms: at n = 20 the
+        # call holds about 16 bytes per path in the event, its type index and
+        # one evaluation's terms (4.3 MiB at x = 0.1); 2^20-long float arrays
+        # took 14 MiB
+        exact_optimized_bound_rademacher(20, 0.1, y=0.0)  # builds the cached type table
+        tracemalloc.start()
+        try:
+            exact_optimized_bound_rademacher(20, 0.1, y=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, peak
 
 
 def _stats(model, n, n_rep, master_seed):
@@ -299,7 +328,7 @@ class TestOptimizeOverP:
             assert out.value <= at_two + 1e-12
 
 
-def _objective(monkeypatch, rate, norm, indicator):
+def _objective(monkeypatch, rate, norm, indicator, *index):
     """The objective optimize_expectation_values hands to golden_section_min."""
     seen = []
 
@@ -308,7 +337,7 @@ def _objective(monkeypatch, rate, norm, indicator):
         return golden_section_min(f, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "golden_section_min", spy)
-    optimize_expectation_values(rate, norm, indicator)
+    optimize_expectation_values(rate, norm, indicator, *index)
     return seen[0]
 
 
@@ -374,6 +403,35 @@ class TestObjectiveUnderflowPaths:
             assert got == want, (case, t)  # False for NaN
             if case in ("always", "empty"):
                 assert got == 0.0
+
+    @pytest.mark.parametrize("case", ["straddle", "subnormal", "always", "empty"])
+    def test_per_type_exp_matches_expanded_terms(self, monkeypatch, case):
+        # made-up per-type values: term i has type types[i] and norm
+        # values[types[i]]; the indicated terms are gathered in order, and the
+        # mean is over all 8192
+        rng = np.random.default_rng(11)
+        values = {
+            "straddle": np.arange(1.0, 2001.0),  # c * w from -1 to -2000 at p = 2
+            "subnormal": np.linspace(709.0, 745.12, 2000),
+            "always": np.linspace(1e6, 2e6, 2000),
+            "empty": np.arange(1.0, 2001.0),
+        }[case]
+        n_all = 8192
+        types = rng.integers(0, len(values), n_all)
+        indicator = rng.random(n_all) < 0.6
+        if case == "empty":
+            indicator[:] = False
+        lanes = types[indicator].astype(np.intp)
+        expanded = values[types]
+        got = optimize_expectation_values(1.0, values, None, lanes, n_all)
+        want = optimize_expectation_values(1.0, expanded, indicator)
+        assert (got.value, got.p_star) == (want.value, want.p_star)
+        per_type = _objective(monkeypatch, 1.0, values, None, lanes, n_all)
+        per_path = _objective(monkeypatch, 1.0, expanded, indicator)
+        for t in _T_GRID:
+            assert per_type(t) == per_path(t), (case, t)
+        if case in ("always", "empty"):
+            assert got.value == 0.0
 
     @pytest.mark.parametrize("x", [0.2, 0.5, 1.0])
     def test_golden_section_unchanged_on_regression_masses(self, monkeypatch, x):
