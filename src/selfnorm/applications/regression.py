@@ -68,10 +68,10 @@ def exact_oracle_scale(n: int, eps_model: DifferenceModel, phi_kind: str = "ones
 
 @dataclass(frozen=True, eq=False)
 class RegressionBatch:
-    """Vectorized replicates: estimation errors and design masses."""
+    """Rows of the regression measurement: Monte Carlo replicates or sign types."""
 
-    err: np.ndarray      # theta_hat - theta per replicate
-    phi_sq: np.ndarray   # sum phi^2 per replicate
+    err: np.ndarray      # theta_hat - theta per row
+    phi_sq: np.ndarray   # sum phi^2 per row
     sigma: float
     y_xi: float          # almost-sure upper bound on xi = phi*eps
 
@@ -109,23 +109,38 @@ def regression_batch(
     return RegressionBatch(err=err, phi_sq=phi_sq, sigma=sigma, y_xi=y_xi)
 
 
-def _resolve_window(batch: RegressionBatch, b, M) -> tuple[float, float]:
-    root = np.sqrt(batch.phi_sq)
+def _resolve_window(root: np.ndarray, b, M) -> tuple[float, float]:
+    """The given window, or [p10, p90] of the normalizer sqrt(sum phi^2)."""
     if b is None:
         b = float(np.percentile(root, 10.0))
     if M is None:
-        hi = float(np.percentile(root, 90.0))
-        M = max(hi / b, 1.0)
+        M = max(float(np.percentile(root, 90.0)) / b, 1.0)
     return float(b), float(M)
 
 
-def _deviation_bound(thm, x, sigma, y_xi, phi_sq, b, M) -> float:
-    """thm32_regression: twice the inf-over-p expectation bound over the design
-    masses phi_sq.  thm33_regression: the closed form on the window [b, b*M]."""
+def _measure(thm, rows: RegressionBatch, tail, design, x_grid, b, M) -> tuple[tuple, list, list]:
+    """Window (b, M), and per grid x the deviation bound and tail(event mask).
+
+    thm32_regression: |theta_hat - theta| >= x against twice the inf-over-p
+    expectation bound over the design masses `design`; b = M = None.
+    thm33_regression: the windowed self-normalized event, closed at both
+    window edges, against the closed form on [b, b*M].
+    """
+    sigma, y, deviation = rows.sigma, rows.y_xi, np.abs(rows.err)
+    in_window = True  # thm32 has no window
     if thm == "thm32_regression":
-        rate = x * x / (2.0 * (sigma * sigma + x * y_xi / 3.0))
-        return 2.0 * optimize_expectation_values(rate, phi_sq, None).value
-    return evaluate_bound("thm33_regression", x=float(x), sigma=sigma, y=y_xi, b=b, M=M)
+        b = M = None
+        rates = [x * x / (2.0 * (sigma * sigma + x * y / 3.0)) for x in x_grid]
+        bounds = [2.0 * optimize_expectation_values(r, design, None).value for r in rates]
+    elif thm == "thm33_regression":
+        root = np.sqrt(rows.phi_sq)
+        b, M = _resolve_window(root, b, M)
+        deviation *= root
+        in_window = closed_ge(root, b) & closed_ge(-root, -b * M)
+        bounds = [evaluate_bound(thm, x=float(x), sigma=sigma, y=y, b=b, M=M) for x in x_grid]
+    else:
+        raise ValueError(f"unknown regression theorem {thm!r}")
+    return (b, M), bounds, [tail(closed_ge(deviation, x) & in_window) for x in x_grid]
 
 
 def verify_regression(
@@ -144,30 +159,14 @@ def verify_regression(
 ) -> tuple[tuple, list, list]:
     """Window (b, M), and per grid x the deviation bound and an MCEstimate of
     the tail, for the least-squares estimator; b = M = None for thm32.
-    The replicates are drawn on `jobs` threads (see regression_batch).
-
-    thm32_regression: P(|theta_hat - theta| >= x) against twice the inf-over-p
-    expectation bound (Monte Carlo over regressor paths, common random numbers).
-    thm33_regression: the windowed self-normalized event against the closed form.
-    The design is exogenous, so theta_hat - theta = sum(phi eps) / sum(phi^2)
-    does not depend on theta.
+    The replicates, drawn on `jobs` threads (see regression_batch), are the
+    rows of the measurement and their design masses the expectation bound's
+    sample (common random numbers). The design is exogenous, so
+    theta_hat - theta = sum(phi eps) / sum(phi^2) does not depend on theta.
     """
-    if thm not in ("thm32_regression", "thm33_regression"):
-        raise ValueError(f"unknown regression theorem {thm!r}")
     batch = regression_batch(phi_kind, eps_model, n, n_rep, master_seed, jobs)
-    deviation = np.abs(batch.err)
-    in_window = True  # thm32 has no window
-    if thm == "thm32_regression":
-        b = M = None
-    else:
-        b, M = _resolve_window(batch, b, M)
-        root = np.sqrt(batch.phi_sq)
-        deviation *= root
-        in_window = closed_ge(root, b) & closed_ge(-root, -b * M)
-    hits = [int(np.count_nonzero(closed_ge(deviation, x) & in_window)) for x in x_grid]
-    tails = [MCEstimate.from_hits(h, n_rep, gamma) for h in hits]
-    bounds = [_deviation_bound(thm, x, batch.sigma, batch.y_xi, batch.phi_sq, b, M) for x in x_grid]
-    return (b, M), bounds, tails
+    tail = lambda mask: MCEstimate.from_hits(int(np.count_nonzero(mask)), n_rep, gamma)
+    return _measure(thm, batch, tail, batch.phi_sq, x_grid, b, M)
 
 
 def exact_regression_records(
@@ -184,24 +183,10 @@ def exact_regression_records(
 
     With a constant design, theta_hat - theta = scale * S_n / n, so both the
     tail and the expectation bound depend on a path only through its count k
-    of up-steps, and each tail is a sum over these sign types.
+    of up-steps: the rows of the shared measurement are the n + 1 sign types,
+    each tail is the mass of its types, and the design is the point mass n.
     """
-    if thm not in ("thm32_regression", "thm33_regression"):
-        raise ValueError(f"unknown regression theorem {thm!r}")
     scale = exact_oracle_scale(n, eps_model)
     types = SignTypes(n)
-    deviation = np.abs(scale * types.s() / n)
-    root = math.sqrt(n)
-    in_window = True
-    if thm == "thm32_regression":
-        b = M = None
-    else:
-        b = b if b is not None else root
-        M = M if M is not None else 1.0
-        deviation *= root
-        in_window = b <= root <= b * M
-    tails = [types.mass(closed_ge(deviation, x) & in_window) for x in x_grid]
-    # sum phi^2 = n deterministically, so the expectation is a point mass
-    phi_sq = np.full(1, float(n))
-    bounds = [_deviation_bound(thm, x, scale, scale, phi_sq, b, M) for x in x_grid]
-    return (b, M), bounds, tails
+    rows = RegressionBatch(scale * types.s() / n, np.full(n + 1, float(n)), scale, scale)
+    return _measure(thm, rows, types.mass, np.full(1, float(n)), x_grid, b, M)

@@ -28,7 +28,7 @@ from .montecarlo import (
     exact_verdict,
     optimize_over_p_from,
 )
-from .processes import BatchStats, build_model, map_jobs, sample_batch
+from .processes import BatchStats, build_model, is_finite_real, map_jobs, sample_batch
 from .applications.regression import exact_oracle_scale, noise_bounds
 from .applications.regression import exact_regression_records, verify_regression
 from .applications.student import self_normalized_threshold
@@ -162,13 +162,8 @@ def _is_percentile(value) -> bool:
     return isinstance(value, str) and value.startswith("p")
 
 
-def _is_number(value) -> bool:
-    # JSON true/false load as bool, which Python counts as int
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value) -> bool:
-    return _is_number(value) and isinstance(value, int)
+    return is_finite_real(value) and isinstance(value, int)
 
 
 def _check_grids(target: _Target, theorem: str, grids: dict, mode) -> list:
@@ -246,8 +241,8 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
     if not _is_int(master_seed) or not 0 <= master_seed < SEED_LIMIT:
         errors.append("master_seed: integer in [0, 2**64) required")
     theta = fields["theta"]
-    if not _is_number(theta):
-        errors.append("theta: number required")
+    if not is_finite_real(theta):
+        errors.append("theta: finite number required")
     phi = fields["phi"]
     if phi not in ("uniform", "ones"):
         errors.append(f"phi: {phi!r} not in (uniform, ones)")
@@ -256,7 +251,7 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
         errors.append(f"d: {d_rule}")
     for opt in ("c1", "c_const"):
         v = fields[opt]
-        if v is not None and not (_is_number(v) and v > 0):  # NaN is not > 0
+        if v is not None and not (is_finite_real(v) and v > 0):
             errors.append(f"{opt}: must be a positive number when given")
 
     grids = fields["grids"]
@@ -435,17 +430,17 @@ class _PointPlan:
     suffix: str = ""
 
 
-def _resolve_b(raw_b, window_values: np.ndarray | None) -> float:
+def _resolve_b(raw_b, stat, window_values) -> float:
+    """A numeric b as given; a percentile "pNN" of the window statistic over
+    the Monte Carlo batch (validation allows percentiles only in mode mc)."""
     if _is_percentile(raw_b):
-        if window_values is None:
-            raise ValueError("percentile b needs Monte Carlo samples")
-        return float(np.percentile(window_values, float(raw_b[1:])))
+        return float(np.percentile(window_values(stat), float(raw_b[1:])))
     return float(raw_b)
 
 
 def _peeling_window(gp: dict, stat, window_values) -> tuple[float, tuple]:
     """Resolve the grid point's b and return it with the window (stat, b, b*M)."""
-    b = _resolve_b(gp["b"], window_values(stat))
+    b = _resolve_b(gp["b"], stat, window_values)
     return b, (stat, b, b * gp["M"])
 
 
@@ -553,10 +548,9 @@ def _plan_thm24_peeling(spec, gp, model, window_values):
     stat = lambda st: st.g_n(beta) ** (1.0 / beta)
     # the window edge is b^{1/(beta-1)}, so a percentile anchor on the
     # root-bracket scale maps back through the inverse power
+    b = _resolve_b(gp["b"], stat, window_values)
     if _is_percentile(gp["b"]):
-        b = _resolve_b(gp["b"], window_values(stat)) ** (beta - 1.0)
-    else:
-        b = float(gp["b"])
+        b **= beta - 1.0
     bound = evaluate_bound("thm24_peeling", x=x, beta=beta, M=M)
     expo = 1.0 / (beta - 1.0)
     event = TailEvent(x=x, normalizer=stat, window=(stat, b ** expo, (b * M) ** expo))
@@ -603,7 +597,7 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
         stats = BatchStats(xs, model, jobs)
 
     def window_values(stat):
-        return None if stats is None else stat(stats)
+        return stat(stats)
 
     def run_point(gp: dict) -> list[ResultRecord]:
         t0 = time.perf_counter()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -218,7 +219,6 @@ class BoundedAbove(DifferenceModel):
     """
 
     y_cap: float
-    base_family: str = "exponential"
 
     family = "bounded_above"
     square_integrable = True
@@ -226,8 +226,6 @@ class BoundedAbove(DifferenceModel):
     def __post_init__(self):
         if self.y_cap <= 0:
             raise ValueError(f"y_cap must be > 0, got {self.y_cap}")
-        if self.base_family != "exponential":
-            raise ValueError(f"unknown base_family {self.base_family!r}")
 
     @property
     def upper_bound(self):
@@ -405,10 +403,11 @@ _FAMILIES = {
 }
 
 
-def _is_finite_real(value) -> bool:
-    # JSON true/false load as bool, which Python counts as int; NaN fails the comparison
+def is_finite_real(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int; NaN fails the
+    # comparison, and so does an integer too large to convert to a float
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and abs(value) < math.inf
+    return real and abs(value) <= sys.float_info.max
 
 
 def build_model(desc: dict) -> DifferenceModel:
@@ -423,7 +422,7 @@ def build_model(desc: dict) -> DifferenceModel:
         )
     for key, value in params.items():
         entries = value if isinstance(value, (list, tuple)) else [value]  # weights, scales
-        if key != "base_family" and not all(_is_finite_real(v) for v in entries):
+        if not all(is_finite_real(v) for v in entries):
             raise ValueError(f"{family}.{key} = {value!r}: parameters must be finite numbers")
     cls = _FAMILIES[family]
     try:

@@ -229,16 +229,32 @@ class TestVerifyRegression:
                 assert 0 < count < 2 ** n
                 assert got == float(Fraction(count, 2 ** n))
 
-    def test_exact_oracle_agrees_with_mc(self):
-        _, _, tails = verify_regression(
-            "thm32_regression", phi_kind="ones", eps_model=self.NOISE,
-            n=12, x_grid=[0.05, 0.1], n_rep=40_000, gamma=0.99, master_seed=12,
+    @pytest.mark.parametrize(
+        "thm, x_grid, b",
+        [
+            ("thm32_regression", [0.05, 0.1], None),
+            ("thm33_regression", [0.15, 0.3], None),
+            # a lower edge a hair above sqrt(n) still holds the constant
+            # design: both modes close the window with the same slack
+            ("thm33_regression", [0.15], math.sqrt(12) * (1 + 1e-13)),
+        ],
+        ids=["thm32", "thm33", "thm33-window-edge"],
+    )
+    def test_exact_oracle_agrees_with_mc(self, thm, x_grid, b):
+        # phi = 1 makes the design constant, so both modes take the same
+        # window and the same closed-form bound
+        window, bounds, tails = verify_regression(
+            thm, phi_kind="ones", eps_model=self.NOISE,
+            n=12, x_grid=x_grid, n_rep=40_000, gamma=0.99, master_seed=12, b=b,
         )
-        _, _, exact = exact_regression_records(
-            "thm32_regression", n=12, x_grid=[0.05, 0.1], eps_model=self.NOISE
+        exact_window, exact_bounds, exact = exact_regression_records(
+            thm, n=12, x_grid=x_grid, eps_model=self.NOISE, b=b
         )
+        assert exact_window == window
+        if thm == "thm33_regression":
+            assert exact_bounds == bounds
         for mc, ex in zip(tails, exact):
-            assert mc.ci_lo <= ex <= mc.ci_hi
+            assert 0 < ex and mc.ci_lo <= ex <= mc.ci_hi
 
 
 def _square_points():

@@ -260,6 +260,27 @@ class TestLoadSpec:
         assert "config error: model:" in result.output
         assert "must be finite numbers" in result.output
 
+    @pytest.mark.parametrize(
+        "field, value, base",
+        [
+            ("theta", math.nan, "regression"),
+            ("theta", math.inf, "regression"),
+            ("theta", 10 ** 400, "regression"),
+            ("c1", math.inf, "thm34_tsp"),
+            ("c_const", math.inf, "azuma_tsp"),
+        ],
+        ids=["theta-nan", "theta-inf", "theta-overflow", "c1-inf", "c_const-inf"],
+    )
+    def test_non_finite_spec_number_exits_two(self, tmp_path, field, value, base):
+        # NaN and Infinity are not JSON numbers (RFC 8259), though json.load
+        # reads them; an integer beyond the float range cannot be converted
+        raw = _regression_spec() if base == "regression" else PINNED_SPECS[base]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**raw, field: value}))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert f"config error: {field}:" in result.output
+
     def test_minimum_replicates(self):
         assert load_spec(_spec(n_rep=100)).n_rep == 100
         with pytest.raises(SpecValidationError, match="n_rep"):

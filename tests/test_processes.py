@@ -418,6 +418,8 @@ class TestModelConstruction:
             build_model({"family": "cauchy"})
         with pytest.raises(ValueError, match="bad parameters"):
             build_model({"family": "gaussian", "mean": 3.0})
+        with pytest.raises(ValueError, match="base_family"):
+            build_model({"family": "bounded_above", "y_cap": 1.0, "base_family": "exponential"})
         mixture = {"family": "conditionally_symmetric_mixture", "weights": [1.0], "scales": [1.0]}
         for bad in ({k: v for k, v in mixture.items() if k != "weights"}, {**mixture, "bogus": 3}):
             with pytest.raises(ValueError, match="bad parameters for family"):
