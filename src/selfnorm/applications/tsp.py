@@ -3,6 +3,7 @@ windowed self-normalized deviation checks for the centered tour length."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,9 +32,9 @@ __all__ = [
 
 HELD_KARP_CAP = 12
 
-# Point sets solved per held_karp_batch call (instances in
-# instance_tour_lengths, one instance's rows across all its levels in
-# tsp_martingale_diffs), and the default width of its DP table.
+# Instances drawn and solved per held_karp_batch call in
+# instance_tour_lengths, and the most distance matrices (DP table columns)
+# held_karp_batch solves side by side.
 TSP_INSTANCE_BLOCK = 2048
 
 
@@ -143,106 +144,123 @@ def held_karp(dist: np.ndarray) -> TourResult:
 
 
 @lru_cache(maxsize=None)
-def _transition_plan(n: int):
-    """Flattened-index DP schedule shared by all batches of the same size.
+def _transition_plan(tours: tuple, size: int):
+    """Flattened-index DP schedule for tours over shared (size, size)
+    distance matrices, built once per set of tours.
 
-    DP row ``mask * m + (j - 1)`` holds the shortest path from city 0 through
-    the cities of ``mask`` ending at j; distance row ``k * n + j`` holds the
-    distance from k to j.  There is one step per subset of two or more
-    cities, smaller subsets first.  The step ``(dst, src, kj)`` of a subset
-    of s cities fills its s rows ``dst``, one per end city j, from an
-    (s - 1, s) candidate block: column j pairs DP row (mask ^ j, k) in
-    ``src`` with distance row (k, j) in ``kj``, one per other member k.
+    Distance row ``k * size + j`` holds the distance from point k to point j.
+    A DP state is the shortest path from a tour's start through a set of its
+    points ending at one of them, keyed by (start, set, end): tours that
+    share a start and a set share the state, which is computed once.  The
+    states of s-point sets form layer s, and layer s + 1 reads only layer s,
+    so odd and even layers take turns in two regions of the table.  Layer 1
+    is filled from distance rows ``base``; then each set of s >= 2 points
+    takes one step, layer by layer.  The step ``(first, src, kj)`` fills the
+    set's s rows ``first .. first + s - 1``, one per end j, from an (s - 1, s)
+    candidate block: column j pairs DP row (set - j, k) in ``src`` with
+    distance row (k, j) in ``kj``, one per other member k.  Row l of
+    ``finals`` and ``closing`` holds tour l's rows over all its points and
+    the distances from each end back to its start.
     """
-    m = n - 1
-    base = [(1 << (j - 1)) * m + (j - 1) for j in range(1, n)]
+    layers = [{} for _ in tours[0][1:]]  # layers[s - 1]: (start, set) -> members
+    for start, *rest in tours:
+        for s, layer in enumerate(layers, 1):
+            for members in itertools.combinations(rest, s):
+                layer.setdefault((start, sum(1 << j for j in members)), members)
+    sizes = [s * len(layer) for s, layer in enumerate(layers, 1)]
+    region = (0, max(sizes[0::2]))  # odd layers from row 0, even ones after them
+    rows = {}
+    for s, layer in enumerate(layers, 1):
+        row = region[s % 2 == 0]
+        for (start, mask), members in layer.items():
+            for j in members:
+                rows[start, mask, j] = row
+                row += 1
+    base = np.array([start * size + j for (start, _), (j,) in layers[0].items()])
     steps = []
-    for mask in sorted(range(1, 1 << m), key=int.bit_count):
-        if mask & (mask - 1) == 0:
-            continue
-        js = np.array([j for j in range(1, n) if mask >> (j - 1) & 1], dtype=np.intp)
-        ks = np.array([[k for k in js if k != j] for j in js], dtype=np.intp).T
-        prev = mask ^ (1 << (js - 1))
-        steps.append((mask * m + js - 1, prev * m + ks - 1, ks * n + js))
-    full = (1 << m) - 1
-    finals = np.array([full * m + (j - 1) for j in range(1, n)], dtype=np.intp)
-    return base, steps, finals
+    for s, layer in enumerate(layers[1:], 2):
+        for (start, mask), members in layer.items():
+            others = [[k for k in members if k != j] for j in members]
+            src = [[rows[start, mask ^ 1 << j, ks[a]] for j, ks in zip(members, others)]
+                   for a in range(s - 1)]
+            kj = [[ks[a] * size + j for j, ks in zip(members, others)] for a in range(s - 1)]
+            steps.append((rows[start, mask, members[0]], np.array(src), np.array(kj)))
+    full = [(start, sum(1 << j for j in rest), rest) for start, *rest in tours]
+    finals = np.array([[rows[start, mask, j] for j in rest] for start, mask, rest in full])
+    closing = np.array([[j * size + start for j in rest] for start, _, rest in full])
+    return region[1] + max(sizes[1::2], default=0), base, steps, finals, closing
 
 
-def held_karp_batch(dists: np.ndarray, chunk: int = TSP_INSTANCE_BLOCK) -> np.ndarray:
-    """Exact tour lengths for a batch of distance matrices, shape (B, n, n).
+def held_karp_batch(dists: np.ndarray, tours=None, chunk: int = TSP_INSTANCE_BLOCK) -> np.ndarray:
+    """Exact lengths of tours over a batch of distance matrices.
 
-    Each chunk of instances shares one DP table of 2^(n-1) (n-1) rows; the
-    chunk shrinks so that the table holds at most 2**24 values (128 MB).
-    Each subset's rows take one step: the gathered DP candidates plus their
-    distances, reduced by min over the previous city.  A row is the exact
-    minimum of the same single additions ``held_karp`` compares, so every
-    length equals its ``held_karp`` length bit for bit.
+    ``dists`` has shape (B, P, P); ``tours`` is an (L, n) array of point ids
+    into each matrix, by default the one tour through all P points.  The
+    result is flat, of length L * B: tour l of matrix b at ``l * B + b``.
+    Tour l of matrix b is the tour of the points ``tours[l]`` in that order,
+    so its first point is the start.
+
+    Each chunk of matrices shares one DP table, whose rows are shared by
+    every tour that reaches the same (start, set, end) state; the chunk
+    shrinks so that the table holds at most 2**23 values (64 MB).  Each
+    set's rows take one step: the gathered DP candidates plus their
+    distances, reduced by min over the previous point.  A row is the exact
+    minimum of the same single additions ``held_karp`` compares on the
+    tour's own submatrix, so every length equals its ``held_karp`` length
+    bit for bit.
     """
     dists = np.asarray(dists, dtype=float)
-    batch, n = dists.shape[0], dists.shape[1]
-    check_tsp_size(n)
-    if n == 2:
-        return 2.0 * dists[:, 0, 1]
-    out = np.empty(batch)
-    base, steps, finals = _transition_plan(n)
-    m = n - 1
-    chunk = min(chunk, 2 ** 24 // ((1 << m) * m))
+    batch, size = dists.shape[0], dists.shape[1]
+    tours = np.arange(size)[None] if tours is None else np.asarray(tours)
+    check_tsp_size(tours.shape[1])
+    n_rows, base, steps, finals, closing = _transition_plan(
+        tuple(map(tuple, tours.tolist())), size
+    )
+    chunk = min(chunk, 2 ** 23 // n_rows)
+    out = np.empty((len(tours), batch))
     by_pair = dists.transpose(1, 2, 0)  # free for dist_matrix_batch's layout
     for start in range(0, batch, chunk):
-        # row k * n + j: distance from k to j across the chunk
-        d = np.ascontiguousarray(by_pair[:, :, start : start + chunk]).reshape(n * n, -1)
-        dp = np.empty(((1 << m) * m, d.shape[1]))
-        dp[base] = d[1:n]  # row of {j} ending at j: distance from 0 to j
-        for dst, src, kj in steps:
+        # row k * size + j: distance from k to j across the chunk
+        d = np.ascontiguousarray(by_pair[:, :, start : start + chunk]).reshape(size * size, -1)
+        dp = np.empty((n_rows, d.shape[1]))
+        dp[: len(base)] = d[base]
+        for first, src, kj in steps:
             cand = dp[src]
             cand += d[kj]
-            dp[dst] = cand.min(axis=0)
-        closing = d[n : n * n : n]  # row j - 1: distance from city j back to 0
-        out[start : start + d.shape[1]] = (dp[finals] + closing).min(axis=0)
-    return out
+            cand.min(axis=0, out=dp[first : first + cand.shape[1]])
+        out[:, start : start + d.shape[1]] = (dp[finals] + d[closing]).min(axis=1)
+    return out.reshape(-1)
 
 
-def _stream_id(instance: int, level: int, role: int) -> int:
-    # level < 64 (n is capped far below), role < 4
-    return (instance << 8) | (level << 2) | role
+def _stream_id(instance: int, role: int) -> int:
+    # role < 4; instances lie 256 ids apart, the layout that every instance's
+    # points, and so the pinned TSP reports, are drawn from
+    return (instance << 8) | role
 
 
-_ROLE_LEVEL = 0    # conditional-mean estimate at one level
+_ROLE_LEVEL = 0    # the resamples shared by all levels of the nested estimate
 _ROLE_REF = 1      # independent reference estimate of E[T_n]
 _ROLE_POINTS = 2   # the instance's own points
 
 
 def _instance_points(n: int, d: int, master_seed: int, instance: int) -> np.ndarray:
-    return sample_points(n, d, substream(master_seed, _stream_id(instance, 0, _ROLE_POINTS)))
-
-
-def _tour_lengths(n_rows: int, block_points) -> np.ndarray:
-    """Exact tour lengths of n_rows point sets, TSP_INSTANCE_BLOCK per solve.
-
-    ``block_points(start, stop)`` returns the (stop - start, n, d) points of
-    rows start..stop-1.  Each tour is a column of its own in the DP, so a
-    row's length does not depend on the rows solved beside it.
-    """
-    lengths = np.empty(n_rows)
-    for start in range(0, n_rows, TSP_INSTANCE_BLOCK):
-        stop = min(start + TSP_INSTANCE_BLOCK, n_rows)
-        lengths[start:stop] = held_karp_batch(dist_matrix_batch(block_points(start, stop)))
-    return lengths
+    return sample_points(n, d, substream(master_seed, _stream_id(instance, _ROLE_POINTS)))
 
 
 def instance_tour_lengths(n: int, d: int, n_instances: int, master_seed: int) -> np.ndarray:
     """Exact tour lengths of instances 0..n_instances-1 of the point streams.
 
-    Points are drawn one block at a time, so the point and distance arrays
-    stay small at n_instances = 1e5.
+    Points are drawn and solved TSP_INSTANCE_BLOCK instances at a time, so
+    the point and distance arrays stay small at n_instances = 1e5.  Each
+    tour is a column of its own in the DP, so its length does not depend on
+    the instances solved beside it.
     """
-    return _tour_lengths(
-        n_instances,
-        lambda start, stop: np.stack(
-            [_instance_points(n, d, master_seed, r) for r in range(start, stop)]
-        ),
-    )
+    lengths = np.empty(n_instances)
+    for start in range(0, n_instances, TSP_INSTANCE_BLOCK):
+        stop = min(start + TSP_INSTANCE_BLOCK, n_instances)
+        points = np.stack([_instance_points(n, d, master_seed, r) for r in range(start, stop)])
+        lengths[start:stop] = held_karp_batch(dist_matrix_batch(points))
+    return lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,38 +294,45 @@ def tsp_martingale_diffs(
     """Estimate d_i = E[T_n | first i points] - E[T_n | first i-1 points].
 
     Each conditional mean fixes the first i points and redraws the rest
-    uniformly, solving an exact tour per resample.  Means at adjacent levels
-    share no draws, and E[T_n] is re-estimated from a separate substream so
-    the telescoped sum can be reconciled against T_n - E[T_n] statistically.
+    uniformly, solving an exact tour per resample.  The levels share their
+    draws (common random numbers): replicate r resamples all n points once,
+    as Z^r, and level i uses (X_0..X_{i-1}, Z^r_i..Z^r_{n-1}), so adjacent
+    levels differ in one point and d_se is the standard error of the paired
+    differences T_i^r - T_{i-1}^r (with T_n^r = T_n).  E[T_n] is
+    re-estimated from a separate substream so the telescoped sum can be
+    reconciled against T_n - E[T_n] statistically.
 
-    All tours of the instance are solved as one batch: row 0 is the instance
-    itself (T_n), then inner_rep resamples for each of levels 0..n-1 and for
-    the reference estimate, each level drawn from its own substream.
+    The n level tours of replicate r are tours over the 2n points
+    (X; Z^r), solved in one ``held_karp_batch`` call that computes the DP
+    states they share once.  A second call solves the instance itself (T_n)
+    and the reference resamples.
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     check_tsp_size(n, inner_rep)
-    batch = np.empty((1 + (n + 1) * inner_rep, n, d))
-    batch[0] = pts
-    slots = batch[1:].reshape(n + 1, inner_rep, n, d)
-    for slot, (i, role) in enumerate([(i, _ROLE_LEVEL) for i in range(n)] + [(0, _ROLE_REF)]):
-        rng = substream(master_seed, _stream_id(instance, i, role))
-        slots[slot, :, :i] = pts[:i]
-        slots[slot, :, i:] = rng.random((inner_rep, n - i, d))
-    lengths = _tour_lengths(len(batch), lambda start, stop: batch[start:stop])
-    per_slot = lengths[1:].reshape(n + 1, inner_rep)
+
+    def resamples(role: int) -> np.ndarray:
+        return substream(master_seed, _stream_id(instance, role)).random((inner_rep, n, d))
+
+    shared = resamples(_ROLE_LEVEL)
+    stack = np.concatenate([np.broadcast_to(pts, shared.shape), shared], axis=1)
+    ids = np.arange(n)
+    tours = np.where(ids < ids[:, None], ids, ids + n)  # row i: X ids below i, Z ids from i
+    levels = held_karp_batch(dist_matrix_batch(stack), tours).reshape(n, inner_rep)
+    ref = np.concatenate([pts[None], resamples(_ROLE_REF)])  # row 0 gives T_n
+    ref_lengths = held_karp_batch(dist_matrix_batch(ref))
+    t_n = float(ref_lengths[0])
+    per_slot = list(levels) + [ref_lengths[1:]]
     means = [float(row.mean()) for row in per_slot]
     ses = [float(row.std(ddof=1) / math.sqrt(inner_rep)) for row in per_slot]
-    t_n = float(lengths[0])
     level_means = np.array(means[:n] + [t_n])
     level_ses = np.array(ses[:n] + [0.0])
     e_t_ref, e_t_ref_se = means[n], ses[n]
-    d_hat = np.diff(level_means)
-    d_se = np.sqrt(level_ses[1:] ** 2 + level_ses[:-1] ** 2)
+    paired = np.diff(levels, axis=0, append=t_n)  # T_i^r - T_{i-1}^r, T_n^r = T_n
     return TspDiffs(
         t_n=t_n,
-        d_hat=d_hat,
-        d_se=d_se,
+        d_hat=np.diff(level_means),
+        d_se=paired.std(axis=1, ddof=1) / math.sqrt(inner_rep),
         level_means=level_means,
         level_ses=level_ses,
         e_t_ref=e_t_ref,

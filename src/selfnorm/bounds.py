@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 
 __all__ = [
     "BOUND_KINDS",
@@ -134,15 +135,23 @@ _FIELD_RULES = {
 }
 
 
+def is_finite_real(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int; NaN fails the
+    # comparison, and so does an integer too large to convert to a float
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
 def field_violation(name: str, value) -> str | None:
     """The rule that ``value`` breaks as catalogue input ``name``, or None.
 
-    Booleans break every rule: JSON true/false must not pass as 1 and 0.
+    Only finite real numbers can meet a rule: JSON true/false must not pass
+    as 1 and 0, and a bound at an infinite level is NaN or 0.
     """
+    if not is_finite_real(value):
+        return "must be a finite number"
     ok, rule = _FIELD_RULES[name]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
-        return rule
-    return None
+    return None if ok(value) else rule
 
 
 def _bernstein(z, L, a_bnd) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from typing import NoReturn
 
 import click
 
@@ -29,6 +30,11 @@ from .experiments import (
 SEED_ENV = "SELFNORM_SEED"
 
 _INT_PARAMS = {"n", "d"}
+
+
+def _config_error(message) -> NoReturn:
+    click.echo(f"config error: {message}", err=True)
+    sys.exit(2)
 
 
 @click.group()
@@ -53,16 +59,16 @@ def bounds_eval(kind, params, clamp):
     kwargs = {}
     for item in params:
         if "=" not in item:
-            raise click.ClickException(f"parameter {item!r} is not name=value")
+            _config_error(f"parameter {item!r} is not name=value")
         name, raw = item.split("=", 1)
         try:
             kwargs[name] = int(raw) if name in _INT_PARAMS else float(raw)
         except ValueError:
-            raise click.ClickException(f"parameter {name}: bad number {raw!r}")
+            _config_error(f"parameter {name}: bad number {raw!r}")
     try:
         value = evaluate_bound(kind, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+        _config_error(exc)
     if clamp:
         value = clamp_probability(value)
     click.echo(format(value, ".17g"))
@@ -88,23 +94,19 @@ def _check_writable(path) -> None:
         with open(path, "a"):
             pass
     except OSError as exc:
-        click.echo(f"config error: cannot write {path}: {exc.strerror}", err=True)
-        sys.exit(2)
+        _config_error(f"cannot write {path}: {exc.strerror}")
 
 
 def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, force_mode=None):
     if plot_data and out is None:
-        click.echo("config error: --emit-plot-data needs --out", err=True)
-        sys.exit(2)
+        _config_error("--emit-plot-data needs --out")
     try:
         with open(spec_path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+        _config_error(exc)
     except json.JSONDecodeError as exc:
-        click.echo(f"config error: spec parse failed: {exc}", err=True)
-        sys.exit(2)
+        _config_error(f"spec parse failed: {exc}")
     raw = _apply_overrides(raw, seed, reps)
     if force_mode is not None:
         raw["mode"] = force_mode
@@ -188,8 +190,7 @@ def report(in_path, fmt, out, timing):
     try:
         spec_dict, records = load_report(in_path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        click.echo(f"config error: cannot read report: {exc}", err=True)
-        sys.exit(2)
+        _config_error(f"cannot read report: {exc}")
     spec = None
     if spec_dict is not None:
         try:

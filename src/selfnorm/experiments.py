@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import beta_decay_coefficient, evaluate_bound, field_violation
+from .bounds import beta_decay_coefficient, evaluate_bound, field_violation, is_finite_real
 from .montecarlo import (
     MCEstimate,
     TailEvent,
@@ -28,7 +28,7 @@ from .montecarlo import (
     exact_verdict,
     optimize_over_p_from,
 )
-from .processes import BatchStats, build_model, is_finite_real, map_jobs, sample_batch
+from .processes import BatchStats, build_model, map_jobs, sample_batch
 from .applications.regression import exact_oracle_scale, noise_bounds
 from .applications.regression import exact_regression_records, verify_regression
 from .applications.student import self_normalized_threshold

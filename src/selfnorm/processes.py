@@ -9,13 +9,13 @@ under the natural filtration.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .bounds import is_finite_real
 
 __all__ = [
     "UnsupportedStatisticError",
@@ -401,13 +401,6 @@ _FAMILIES = {
     "gaussian": Gaussian,
     "conditionally_symmetric_mixture": SymmetricMixture,
 }
-
-
-def is_finite_real(value) -> bool:
-    # JSON true/false load as bool, which Python counts as int; NaN fails the
-    # comparison, and so does an integer too large to convert to a float
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and abs(value) <= sys.float_info.max
 
 
 def build_model(desc: dict) -> DifferenceModel:

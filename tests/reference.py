@@ -5,8 +5,9 @@ closed form behind the models' `heavy_on_left` flags, single paths and single
 regression runs are drawn one row at a time under the stream contract, and
 the exact means and tails enumerate all 2^n sign paths and sum their +-1
 matrices (`_SignEnumStats`), the reference for the oracle's closed forms of
-the +1 count on its n + 1 sign types, the nested TSP estimates solve one
-batch per level, the reference for the one batch per instance, the
+the +1 count on its n + 1 sign types, the nested TSP estimates build each
+level's point sets and solve one tour per matrix, one level at a time, the
+reference for the coupled solve of all levels on shared DP states, the
 inf-over-p objective sends every term through np.exp, the reference for the
 objective that skips terms known to underflow, and the truncated bracket
 B_n(y) is formed over the whole batch at once, the reference for
@@ -332,27 +333,29 @@ def enumerated_optimized_bound_rademacher(n, x, *, y=None, beta=None, with_indic
 
 
 def nested_level_estimates(points, inner_rep: int, master_seed: int, instance: int = 0):
-    """(t_n, level_means, level_ses, e_t_ref, e_t_ref_se) of the nested TSP
-    estimates, one held_karp_batch call per level on stacked dist_matrix
-    distances and T_n from the dict DP."""
+    """(t_n, level_means, level_ses, d_se, e_t_ref, e_t_ref_se) of the coupled
+    nested TSP estimates.  Level i's point sets (X_0..X_{i-1}, Z^r_i..Z^r_{n-1})
+    are built explicitly from the shared resamples Z^r and solved one level
+    at a time, one tour per stacked dist_matrix; d_se is the standard error
+    of the paired differences T_i^r - T_{i-1}^r, and T_n comes from the dict
+    DP."""
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     check_tsp_size(n, inner_rep)
     t_n = held_karp(dist_matrix(pts)).length
-    level_means = np.empty(n + 1)
-    level_ses = np.zeros(n + 1)
-    level_means[n] = t_n
-
-    def estimate_level(i: int, role: int) -> tuple[float, float]:
-        rng = substream(master_seed, _stream_id(instance, i, role))
-        resampled = rng.random((inner_rep, n - i, d))
-        batch_pts = np.empty((inner_rep, n, d))
-        batch_pts[:, :i, :] = pts[:i]
-        batch_pts[:, i:, :] = resampled
-        lengths = held_karp_batch(dist_matrix(batch_pts))
-        return float(lengths.mean()), float(lengths.std(ddof=1) / math.sqrt(inner_rep))
-
+    shared = substream(master_seed, _stream_id(instance, _ROLE_LEVEL)).random((inner_rep, n, d))
+    lengths = np.full((n + 1, inner_rep), t_n)
     for i in range(n):
-        level_means[i], level_ses[i] = estimate_level(i, _ROLE_LEVEL)
-    e_t_ref, e_t_ref_se = estimate_level(0, _ROLE_REF)
-    return t_n, level_means, level_ses, e_t_ref, e_t_ref_se
+        level_pts = shared.copy()
+        level_pts[:, :i] = pts[:i]
+        lengths[i] = held_karp_batch(dist_matrix(level_pts))
+    ref_pts = substream(master_seed, _stream_id(instance, _ROLE_REF)).random((inner_rep, n, d))
+
+    def mean_se(values) -> tuple[float, float]:
+        return float(values.mean()), float(values.std(ddof=1) / math.sqrt(inner_rep))
+
+    level_means = np.array([mean_se(row)[0] for row in lengths[:n]] + [t_n])
+    level_ses = np.array([mean_se(row)[1] for row in lengths[:n]] + [0.0])
+    d_se = np.array([mean_se(lengths[i + 1] - lengths[i])[1] for i in range(n)])
+    e_t_ref, e_t_ref_se = mean_se(held_karp_batch(dist_matrix(ref_pts)))
+    return t_n, level_means, level_ses, d_se, e_t_ref, e_t_ref_se

@@ -24,6 +24,7 @@ from selfnorm.applications.regression import (
 from selfnorm.applications.tsp import (
     TSP_INSTANCE_BLOCK,
     _ROLE_LEVEL,
+    _ROLE_REF,
     _stream_id,
     _transition_plan,
     dist_matrix,
@@ -265,6 +266,12 @@ def _tour_length(pts):
     return held_karp(dist_matrix(pts)).length
 
 
+def _level_tours(n):
+    # row i: level i's tour over the (X; Z) stack, X ids below i, Z ids from i
+    ids = np.arange(n)
+    return np.where(ids < ids[:, None], ids, ids + n)
+
+
 class TestTours:
     def test_triangle_perimeter(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -306,31 +313,51 @@ class TestTours:
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_transition_plan_fills_each_row_once(self, n):
-        # one step per subset of >= 2 cities; each (mask, j) row is written
-        # once, from exactly the candidates (mask ^ j, k), k in mask \ {j},
-        # all of them written before
-        m = n - 1
-        base, steps, _ = _transition_plan(n)
-        assert len(steps) == 2 ** m - n
-        written = set(base)
-        for dst, src, kj in steps:
-            assert src.shape == kj.shape == (len(dst) - 1, len(dst))
-            mask = int(dst[0]) // m
-            members = [j for j in range(1, n) if mask >> (j - 1) & 1]
-            assert sorted(int(row) - mask * m + 1 for row in dst) == members
-            for col, row in enumerate(dst):
-                j = int(row) - mask * m + 1
-                prev = mask ^ (1 << (j - 1))
-                cands = {divmod(int(r), m) for r in src[:, col]}
-                assert cands == {(prev, k - 1) for k in members if k != j}
-                assert {divmod(int(r), n) for r in kj[:, col]} == {
-                    (k, j) for k in members if k != j
-                }
-                assert all(int(r) in written for r in src[:, col])
-            assert written.isdisjoint(int(row) for row in dst)
-            written.update(int(row) for row in dst)
-        # every (mask, j in mask) row: m * 2^(m-1) of them
-        assert len(written) == m * 2 ** (m - 1)
+        # for one tour and for the n level tours over 2n points: each
+        # (start, set, end) state is written once, in one step per set of >= 2
+        # points, from exactly the candidates (set - j, k), k in set - {j},
+        # each still held in its row when it is read
+        one = (tuple(range(n)),)
+        for tours, size in ((one, n), (tuple(map(tuple, _level_tours(n).tolist())), 2 * n)):
+            n_rows, base, steps, finals, closing = _transition_plan(tours, size)
+            held = {}  # DP row -> the state it holds now
+            for row, kj in enumerate(base):
+                start, j = divmod(int(kj), size)
+                held[row] = (start, frozenset([j]), j)
+            writes = list(held.values())
+            for first, src, kj in steps:
+                s = src.shape[1]
+                assert src.shape == kj.shape == (s - 1, s)
+                filled = {}
+                for col in range(s):
+                    cands = [held[int(r)] for r in src[:, col]]
+                    pairs = [divmod(int(r), size) for r in kj[:, col]]
+                    ((start, prev),) = {c[:2] for c in cands}
+                    (j,) = {p[1] for p in pairs}
+                    assert [c[2] for c in cands] == [p[0] for p in pairs]
+                    assert sorted(c[2] for c in cands) == sorted(prev) and j not in prev
+                    filled[first + col] = (start, prev | {j}, j)
+                assert len({state[:2] for state in filled.values()}) == 1
+                held.update(filled)
+                writes.extend(filled.values())
+            assert max(held) < n_rows
+            for tour, rows, back in zip(tours, finals, closing):
+                start, rest = tour[0], tour[1:]
+                whole = frozenset(rest)
+                assert [held[int(r)] for r in rows] == [(start, whole, j) for j in rest]
+                assert [divmod(int(r), size) for r in back] == [(j, start) for j in rest]
+            states = {
+                (tour[0], frozenset(c), j)
+                for tour in tours
+                for s in range(1, n)
+                for c in itertools.combinations(tour[1:], s)
+                for j in c
+            }
+            assert len(writes) == len(set(writes)) and set(writes) == states
+            if tours == one:
+                # one step per subset of >= 2 cities, one state per (mask, j in mask)
+                assert len(steps) == 2 ** (n - 1) - n
+                assert len(states) == (n - 1) * 2 ** (n - 2)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_batch_matches_single_on_plain_array(self, n):
@@ -340,6 +367,21 @@ class TestTours:
         batch = held_karp_batch(dists, chunk=4)
         singles = np.array([held_karp(dists[i]).length for i in range(10)])
         assert np.array_equal(batch, singles)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10])
+    def test_tours_match_single_on_their_submatrices(self, n):
+        # the n level tours and one permuted tour over a (B, 2n) point stack,
+        # solved together in chunks of 4 matrices (the last one partial) and
+        # in one chunk: each length is the dict DP on the tour's submatrix
+        pts = substream(64, n).random((5, 2 * n, 2))
+        tours = np.vstack([_level_tours(n), substream(65, n).permutation(2 * n)[:n]])
+        dists = dist_matrix_batch(pts)
+        singles = np.array(
+            [[held_karp(dist[np.ix_(tour, tour)]).length for dist in dists] for tour in tours]
+        )
+        for chunk in (4, TSP_INSTANCE_BLOCK):
+            batch = held_karp_batch(dists, tours, chunk=chunk)
+            assert np.array_equal(batch, singles.reshape(-1))
 
     def test_large_instance_rejected(self):
         pts = substream(9, 0).random((14, 2))
@@ -390,42 +432,64 @@ class TestTspMartingale:
         list(itertools.product([2, 3, 7, 8], [2, 3, 9], [1000, 1003])) + [(10, 2, 1000)],
     )
     def test_one_batch_matches_per_level_reference(self, n, d, inner_rep):
-        # every float equals one held_karp_batch call per level; level slots
-        # start at rows 1 + slot * inner_rep, so 1003 leaves them unaligned
-        # and one level always spans the TSP_INSTANCE_BLOCK boundary
-        assert any(
-            1 + slot * inner_rep < TSP_INSTANCE_BLOCK < 1 + (slot + 1) * inner_rep
-            for slot in range(n + 1)
-        )
+        # every float equals the coupled reference, which builds each level's
+        # point sets from the shared resamples and solves one level at a time
         pts = sample_points(n, d, substream(60, n * d))
         diffs = tsp_martingale_diffs(pts, inner_rep, 61, instance=3)
-        t_n, level_means, level_ses, e_t_ref, e_t_ref_se = nested_level_estimates(
+        t_n, level_means, level_ses, d_se, e_t_ref, e_t_ref_se = nested_level_estimates(
             pts, inner_rep, 61, instance=3
         )
         assert diffs.t_n == t_n
         assert np.array_equal(diffs.level_means, level_means)
         assert np.array_equal(diffs.level_ses, level_ses)
+        assert np.array_equal(diffs.d_se, d_se)
         assert diffs.e_t_ref == e_t_ref
         assert diffs.e_t_ref_se == e_t_ref_se
 
+    def test_level_zero_and_reference_keep_their_draws(self):
+        # level 0, the reference level and T_n are the estimates that
+        # independent per-level substreams gave, (instance << 8) | (level << 2)
+        # | role: level 0 draws all n points from the shared stream, which is
+        # level 0's, and the reference keeps its own
+        n, d, inner_rep, seed, inst = 7, 2, 1000, 67, 5
+        pts = sample_points(n, d, substream(seed, (inst << 8) | 2))
+        diffs = tsp_martingale_diffs(pts, inner_rep, seed, instance=inst)
+
+        def independent_level(stream_id):
+            draws = substream(seed, stream_id).random((inner_rep, n, d))
+            lengths = held_karp_batch(dist_matrix_batch(draws))
+            return float(lengths.mean()), float(lengths.std(ddof=1) / math.sqrt(inner_rep))
+
+        assert _stream_id(inst, _ROLE_LEVEL) == inst << 8
+        assert _stream_id(inst, _ROLE_REF) == (inst << 8) | 1
+        assert (diffs.level_means[0], diffs.level_ses[0]) == independent_level(inst << 8)
+        assert (diffs.e_t_ref, diffs.e_t_ref_se) == independent_level((inst << 8) | 1)
+        assert diffs.t_n == held_karp(dist_matrix(pts)).length
+
+    def test_coupled_levels_shrink_increment_errors(self):
+        # adjacent levels share all but one point, so the paired SE of d_hat
+        # falls well below hypot(se_i, se_{i-1}), what independent levels give
+        pts = sample_points(8, 2, substream(68, 2))
+        diffs = tsp_martingale_diffs(pts, 1000, 68)
+        ratio = diffs.d_se / np.hypot(diffs.level_ses[1:], diffs.level_ses[:-1])
+        assert np.median(ratio) <= 0.75
+
     def test_held_karp_kernel_at_the_c9_shape(self):
-        # rows built as tsp_martingale_diffs builds them at n = 10, d = 2 (C9),
-        # from levels 0, 5 and 9, each solved by the batch kernel and by the
-        # dict DP on its own
+        # coupled rows as tsp_martingale_diffs builds them at n = 10, d = 2
+        # (C9): the (X; Z^r) stacks of two replicates, all ten level tours of
+        # each solved by the batch kernel and each level's own point set by
+        # the dict DP
         n, d, inner_rep = 10, 2, 1000
         pts = sample_points(n, d, substream(62, 0))
-        rows = []
-        for i, take in ((0, 6), (5, 5), (9, 5)):
-            rng = substream(63, _stream_id(0, i, _ROLE_LEVEL))
-            level = np.empty((inner_rep, n, d))
-            level[:, :i] = pts[:i]
-            level[:, i:] = rng.random((inner_rep, n - i, d))
-            rows.append(level[:take])
-        dists = dist_matrix_batch(np.concatenate(rows))
-        assert dists.shape == (16, n, n)
-        batch = held_karp_batch(dists)
-        for r in range(16):
-            assert batch[r] == held_karp(dists[r]).length, r
+        shared = substream(63, _stream_id(0, _ROLE_LEVEL)).random((inner_rep, n, d))[:2]
+        stack = np.concatenate([np.broadcast_to(pts, shared.shape), shared], axis=1)
+        dists = dist_matrix_batch(stack)
+        assert dists.shape == (2, 2 * n, 2 * n)
+        batch = held_karp_batch(dists, _level_tours(n)).reshape(n, 2)
+        for i in range(n):
+            for r in range(2):
+                own = np.concatenate([pts[:i], shared[r, i:]])
+                assert batch[i, r] == held_karp(dist_matrix(own)).length, (i, r)
 
     def test_preconditions(self):
         # sample_points applies the same cap, so draw the 13 points directly

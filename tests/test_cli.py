@@ -170,7 +170,7 @@ PINNED_DIGESTS = {
     "thm32_regression-mc": "9501426dad0115b29a50d9eee7f8433a3c021df2b3db3ab9c0517e9a122ca4b2",
     "thm33_regression-exact": "49c5cea0464aeacfccd863bdec17c3caac82753160f907f89406d1e3077979f0",
     "thm33_regression-mc": "0aedbd11cd84deb840edb2040217ac4d1444458492b0040fb79cc4229c0bca79",
-    "thm34_tsp": "420ca572996fdc92af458fab7f3c802faa7769266a0f56e50525ed0a25acc8b6",
+    "thm34_tsp": "eaaf999c23cc8993d03882b43c13567ce92ea0ca966eff9c9671f701614431ac",
 }
 
 
@@ -550,6 +550,22 @@ class TestCli:
         assert result.exit_code != 0
         assert "unknown bound kind" in result.output
 
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_bounds_eval_non_finite_input_exit_two(self, t):
+        args = ["bounds", "eval", "thm34_tsp", f"t={t}", "n=100", "d=2"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == (
+            f"config error: evaluate_bound(thm34_tsp): t={t} must be a finite number\n"
+        )
+
+    def test_bounds_eval_bad_parameter_exit_two(self):
+        runner = CliRunner()
+        for args in (["x=-1", "L=1", "a_bnd=0"], ["x=1", "L", "a_bnd=0"], ["x=one"]):
+            result = runner.invoke(main, ["bounds", "eval", "freedman", *args])
+            assert result.exit_code == 2
+            assert result.output.startswith("config error: ")
+
     def test_verify_writes_report_and_exit_zero(self, tmp_path):
         spec_path = self._write_spec(tmp_path)
         out = tmp_path / "report.csv"
@@ -639,6 +655,26 @@ class TestCli:
         result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
         assert result.exit_code == 2
         assert "config error: grids.x: value True" in result.output
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"x": [math.inf], "b": [2.8], "M": [2.0]},
+            {"x": [0.5], "b": [2.8], "M": [math.inf]},
+            {"x": [math.nan], "b": [2.8], "M": [2.0]},
+        ],
+        ids=["x-inf", "M-inf", "x-nan"],
+    )
+    def test_non_finite_grid_values_exit_two(self, tmp_path, grids):
+        # json.dumps writes Infinity and NaN, which json.load reads back; both
+        # break every catalogue rule, however the rule's comparison comes out
+        spec_path = self._write_spec(tmp_path, grids=grids)
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        (key,) = [k for k, v in grids.items() if not math.isfinite(v[0])]
+        assert f"config error: grids.{key}: value {grids[key][0]!r} must be a finite number" in (
+            result.output
+        )
 
     @pytest.mark.parametrize("name", sorted(_RUN_TIME_RULE_SPECS))
     def test_owned_rules_exit_two_at_validation(self, tmp_path, name):
