@@ -37,6 +37,11 @@ HELD_KARP_CAP = 12
 # held_karp_batch solves side by side.
 TSP_INSTANCE_BLOCK = 2048
 
+# Candidate rows (s - 1 per DP row filled) that one held_karp_batch step
+# gathers at most, unless a single set needs more: about 2**15 values
+# (256 KB) at the ~1,000 columns of a nested TSP call.
+HELD_KARP_STEP_ROWS = 32
+
 
 def check_tsp_size(n: int, inner_rep: int | None = None) -> None:
     """The size rules: exact tours, 2 <= n <= HELD_KARP_CAP, and for nested
@@ -154,13 +159,16 @@ def _transition_plan(tours: tuple, size: int):
     share a start and a set share the state, which is computed once.  The
     states of s-point sets form layer s, and layer s + 1 reads only layer s,
     so odd and even layers take turns in two regions of the table.  Layer 1
-    is filled from distance rows ``base``; then each set of s >= 2 points
-    takes one step, layer by layer.  The step ``(first, src, kj)`` fills the
-    set's s rows ``first .. first + s - 1``, one per end j, from an (s - 1, s)
-    candidate block: column j pairs DP row (set - j, k) in ``src`` with
-    distance row (k, j) in ``kj``, one per other member k.  Row l of
-    ``finals`` and ``closing`` holds tour l's rows over all its points and
-    the distances from each end back to its start.
+    is filled from distance rows ``base``; then each layer of s >= 2 points
+    is filled in steps of G consecutive sets, whose G * s rows are
+    contiguous.  The step ``(first, src, kj)`` fills rows ``first ..
+    first + G * s - 1``, one per (set, end j), from an (s - 1, G * s)
+    candidate block: the column of (set, j) pairs DP row (set - j, k) in
+    ``src`` with distance row (k, j) in ``kj``, one per other member k.  A
+    step holds as many sets as fit in HELD_KARP_STEP_ROWS candidate rows,
+    and at least one.  Row l of ``finals`` and ``closing`` holds tour l's
+    rows over all its points and the distances from each end back to its
+    start.
     """
     layers = [{} for _ in tours[0][1:]]  # layers[s - 1]: (start, set) -> members
     for start, *rest in tours:
@@ -179,12 +187,18 @@ def _transition_plan(tours: tuple, size: int):
     base = np.array([start * size + j for (start, _), (j,) in layers[0].items()])
     steps = []
     for s, layer in enumerate(layers[1:], 2):
-        for (start, mask), members in layer.items():
-            others = [[k for k in members if k != j] for j in members]
-            src = [[rows[start, mask ^ 1 << j, ks[a]] for j, ks in zip(members, others)]
-                   for a in range(s - 1)]
-            kj = [[ks[a] * size + j for j, ks in zip(members, others)] for a in range(s - 1)]
-            steps.append((rows[start, mask, members[0]], np.array(src), np.array(kj)))
+        sets = list(layer.items())
+        per_step = max(1, HELD_KARP_STEP_ROWS // ((s - 1) * s))
+        for g in range(0, len(sets), per_step):
+            src, kj = [], []  # one list of s - 1 candidates per filled row
+            for (start, mask), members in sets[g : g + per_step]:
+                for j in members:
+                    others = [k for k in members if k != j]
+                    src.append([rows[start, mask ^ 1 << j, k] for k in others])
+                    kj.append([k * size + j for k in others])
+            (start, mask), members = sets[g]
+            steps.append((rows[start, mask, members[0]],
+                          np.array(src).T.copy(), np.array(kj).T.copy()))
     full = [(start, sum(1 << j for j in rest), rest) for start, *rest in tours]
     finals = np.array([[rows[start, mask, j] for j in rest] for start, mask, rest in full])
     closing = np.array([[j * size + start for j in rest] for start, _, rest in full])
@@ -203,10 +217,13 @@ def held_karp_batch(dists: np.ndarray, tours=None, chunk: int = TSP_INSTANCE_BLO
     Each chunk of matrices shares one DP table, whose rows are shared by
     every tour that reaches the same (start, set, end) state; the chunk
     shrinks so that the table holds at most 2**23 values (64 MB).  Each
-    set's rows take one step: the gathered DP candidates plus their
-    distances, reduced by min over the previous point.  A row is the exact
-    minimum of the same single additions ``held_karp`` compares on the
-    tour's own submatrix, so every length equals its ``held_karp`` length
+    step fills a group of same-size sets: the gathered DP candidates plus
+    their distances, reduced by min over the previous point.  A step costs
+    about 9 us of Python however few rows it gathers, and gathers much past
+    cache size run slower, so steps group sets up to HELD_KARP_STEP_ROWS
+    candidate rows.  A row is the exact minimum of the same single
+    additions ``held_karp`` compares on the tour's own submatrix, however
+    its step is grouped, so every length equals its ``held_karp`` length
     bit for bit.
     """
     dists = np.asarray(dists, dtype=float)

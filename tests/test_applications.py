@@ -22,6 +22,7 @@ from selfnorm.applications.regression import (
     verify_regression,
 )
 from selfnorm.applications.tsp import (
+    HELD_KARP_STEP_ROWS,
     TSP_INSTANCE_BLOCK,
     _ROLE_LEVEL,
     _ROLE_REF,
@@ -314,9 +315,10 @@ class TestTours:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_transition_plan_fills_each_row_once(self, n):
         # for one tour and for the n level tours over 2n points: each
-        # (start, set, end) state is written once, in one step per set of >= 2
-        # points, from exactly the candidates (set - j, k), k in set - {j},
-        # each still held in its row when it is read
+        # (start, set, end) state is written once, in a step that fills G
+        # whole sets of one size in contiguous rows, from exactly the
+        # candidates (set - j, k), k in set - {j}, each still held in its row
+        # when it is read; a step of G > 1 sets stays within the row cap
         one = (tuple(range(n)),)
         for tours, size in ((one, n), (tuple(map(tuple, _level_tours(n).tolist())), 2 * n)):
             n_rows, base, steps, finals, closing = _transition_plan(tours, size)
@@ -325,11 +327,15 @@ class TestTours:
                 start, j = divmod(int(kj), size)
                 held[row] = (start, frozenset([j]), j)
             writes = list(held.values())
+            n_sets = 0
             for first, src, kj in steps:
-                s = src.shape[1]
-                assert src.shape == kj.shape == (s - 1, s)
+                s = src.shape[0] + 1
+                width = src.shape[1]
+                assert src.shape == kj.shape == (s - 1, width) and width % s == 0
+                if width > s:
+                    assert src.size <= HELD_KARP_STEP_ROWS
                 filled = {}
-                for col in range(s):
+                for col in range(width):
                     cands = [held[int(r)] for r in src[:, col]]
                     pairs = [divmod(int(r), size) for r in kj[:, col]]
                     ((start, prev),) = {c[:2] for c in cands}
@@ -337,7 +343,13 @@ class TestTours:
                     assert [c[2] for c in cands] == [p[0] for p in pairs]
                     assert sorted(c[2] for c in cands) == sorted(prev) and j not in prev
                     filled[first + col] = (start, prev | {j}, j)
-                assert len({state[:2] for state in filled.values()}) == 1
+                # G whole sets of s points, each in s contiguous rows
+                in_rows = list(filled.values())
+                sets = [{st[:2] for st in in_rows[g : g + s]} for g in range(0, width, s)]
+                assert all(len(block) == 1 for block in sets)
+                assert len(set().union(*sets)) == width // s
+                assert all(len(st[1]) == s for st in in_rows)
+                n_sets += width // s
                 held.update(filled)
                 writes.extend(filled.values())
             assert max(held) < n_rows
@@ -355,8 +367,9 @@ class TestTours:
             }
             assert len(writes) == len(set(writes)) and set(writes) == states
             if tours == one:
-                # one step per subset of >= 2 cities, one state per (mask, j in mask)
-                assert len(steps) == 2 ** (n - 1) - n
+                # the steps cover each subset of >= 2 cities once, one state
+                # per (mask, j in mask)
+                assert n_sets == 2 ** (n - 1) - n
                 assert len(states) == (n - 1) * 2 ** (n - 2)
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -368,11 +381,13 @@ class TestTours:
         singles = np.array([held_karp(dists[i]).length for i in range(10)])
         assert np.array_equal(batch, singles)
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 10])
+    @pytest.mark.parametrize("n", [2, 3, 7, 9, 10])
     def test_tours_match_single_on_their_submatrices(self, n):
         # the n level tours and one permuted tour over a (B, 2n) point stack,
         # solved together in chunks of 4 matrices (the last one partial) and
-        # in one chunk: each length is the dict DP on the tour's submatrix
+        # in one chunk: each length is the dict DP on the tour's submatrix.
+        # n = 2 has no DP step; at n = 9 a layer splits across several
+        # steps, and each set of 7 or 8 points is a step alone, over the cap
         pts = substream(64, n).random((5, 2 * n, 2))
         tours = np.vstack([_level_tours(n), substream(65, n).permutation(2 * n)[:n]])
         dists = dist_matrix_batch(pts)
