@@ -7,7 +7,6 @@ from .bounds import (
     evaluate_bound,
     f_rate,
     optimal_lambda,
-    optimal_lambda_beta,
     psi,
 )
 from .processes import (

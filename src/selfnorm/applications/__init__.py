@@ -5,7 +5,6 @@ from .regression import (
     exact_regression_records,
 )
 from .tsp import (
-    TourResult,
     held_karp,
     held_karp_batch,
     tsp_martingale_diffs,
@@ -19,7 +18,6 @@ __all__ = [
     "regression_batch",
     "verify_regression",
     "exact_regression_records",
-    "TourResult",
     "held_karp",
     "held_karp_batch",
     "tsp_martingale_diffs",

@@ -16,7 +16,6 @@ from ..processes import substream
 
 __all__ = [
     "HELD_KARP_CAP",
-    "TourResult",
     "check_tsp_size",
     "held_karp",
     "held_karp_batch",
@@ -98,56 +97,6 @@ def dist_matrix_batch(points: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-@dataclass(frozen=True)
-class TourResult:
-    length: float
-    order: tuple
-
-
-def held_karp(dist: np.ndarray) -> TourResult:
-    """Exact shortest closed tour by dynamic programming over city subsets."""
-    dist = np.asarray(dist, dtype=float)
-    n = dist.shape[0]
-    check_tsp_size(n)
-    if n == 2:
-        return TourResult(length=float(2.0 * dist[0, 1]), order=(0, 1))
-    m = n - 1
-    cost = {}
-    parent = {}
-    for j in range(1, n):
-        cost[(1 << (j - 1), j)] = float(dist[0, j])
-    for mask in range(1, 1 << m):
-        if mask & (mask - 1) == 0:
-            continue  # singletons are base cases
-        for j in range(1, n):
-            bit = 1 << (j - 1)
-            if not mask & bit:
-                continue
-            prev = mask ^ bit
-            best, best_k = math.inf, -1
-            for k in range(1, n):
-                if prev & (1 << (k - 1)):
-                    cand = cost[(prev, k)] + dist[k, j]
-                    if cand < best:
-                        best, best_k = cand, k
-            cost[(mask, j)] = best
-            parent[(mask, j)] = best_k
-    full = (1 << m) - 1
-    best, best_j = math.inf, -1
-    for j in range(1, n):
-        cand = cost[(full, j)] + dist[j, 0]
-        if cand < best:
-            best, best_j = cand, j
-    order = [0]
-    mask, j = full, best_j
-    tail = []
-    while j > 0:
-        tail.append(j)
-        mask, j = mask ^ (1 << (j - 1)), parent.get((mask, j), 0)
-    order.extend(reversed(tail))
-    return TourResult(length=float(best), order=tuple(order))
-
-
 @lru_cache(maxsize=None)
 def _transition_plan(tours: tuple, size: int):
     """Flattened-index DP schedule for tours over shared (size, size)
@@ -205,7 +154,7 @@ def _transition_plan(tours: tuple, size: int):
     return region[1] + max(sizes[1::2], default=0), base, steps, finals, closing
 
 
-def held_karp_batch(dists: np.ndarray, tours=None, chunk: int = TSP_INSTANCE_BLOCK) -> np.ndarray:
+def held_karp_batch(dists: np.ndarray, tours=None) -> np.ndarray:
     """Exact lengths of tours over a batch of distance matrices.
 
     ``dists`` has shape (B, P, P); ``tours`` is an (L, n) array of point ids
@@ -214,17 +163,17 @@ def held_karp_batch(dists: np.ndarray, tours=None, chunk: int = TSP_INSTANCE_BLO
     Tour l of matrix b is the tour of the points ``tours[l]`` in that order,
     so its first point is the start.
 
-    Each chunk of matrices shares one DP table, whose rows are shared by
-    every tour that reaches the same (start, set, end) state; the chunk
-    shrinks so that the table holds at most 2**23 values (64 MB).  Each
-    step fills a group of same-size sets: the gathered DP candidates plus
-    their distances, reduced by min over the previous point.  A step costs
-    about 9 us of Python however few rows it gathers, and gathers much past
-    cache size run slower, so steps group sets up to HELD_KARP_STEP_ROWS
-    candidate rows.  A row is the exact minimum of the same single
-    additions ``held_karp`` compares on the tour's own submatrix, however
-    its step is grouped, so every length equals its ``held_karp`` length
-    bit for bit.
+    Each chunk of at most TSP_INSTANCE_BLOCK matrices shares one DP table,
+    whose rows are shared by every tour that reaches the same (start, set,
+    end) state; the chunk shrinks so that the table holds at most 2**23
+    values (64 MB).  Each step fills a group of same-size sets: the gathered
+    DP candidates plus their distances, reduced by min over the previous
+    point.  A step costs about 9 us of Python however few rows it gathers,
+    and gathers much past cache size run slower, so steps group sets up to
+    HELD_KARP_STEP_ROWS candidate rows.  A row is the exact minimum of the same single
+    additions that the dict DP of ``tests/reference.py`` compares on the
+    tour's own submatrix, however its step is grouped, so every length
+    equals that reference length bit for bit.
     """
     dists = np.asarray(dists, dtype=float)
     batch, size = dists.shape[0], dists.shape[1]
@@ -233,7 +182,7 @@ def held_karp_batch(dists: np.ndarray, tours=None, chunk: int = TSP_INSTANCE_BLO
     n_rows, base, steps, finals, closing = _transition_plan(
         tuple(map(tuple, tours.tolist())), size
     )
-    chunk = min(chunk, 2 ** 23 // n_rows)
+    chunk = min(TSP_INSTANCE_BLOCK, 2 ** 23 // n_rows)
     out = np.empty((len(tours), batch))
     by_pair = dists.transpose(1, 2, 0)  # free for dist_matrix_batch's layout
     for start in range(0, batch, chunk):
@@ -247,6 +196,12 @@ def held_karp_batch(dists: np.ndarray, tours=None, chunk: int = TSP_INSTANCE_BLO
             cand.min(axis=0, out=dp[first : first + cand.shape[1]])
         out[:, start : start + d.shape[1]] = (dp[finals] + d[closing]).min(axis=1)
     return out.reshape(-1)
+
+
+def held_karp(dist: np.ndarray) -> float:
+    """Exact shortest closed tour length over one distance matrix, the
+    one-matrix case of ``held_karp_batch``."""
+    return float(held_karp_batch(np.asarray(dist, dtype=float)[None])[0])
 
 
 def _stream_id(instance: int, role: int) -> int:

@@ -17,7 +17,6 @@ __all__ = [
     "psi",
     "f_rate",
     "optimal_lambda",
-    "optimal_lambda_beta",
     "evaluate_bound",
     "field_violation",
     "peeling_prefactor",
@@ -75,18 +74,6 @@ def optimal_lambda(x: float, y: float) -> float:
     if y == 0.0:
         return x
     return math.log1p(x * y) / y
-
-
-def optimal_lambda_beta(x: float, beta: float) -> float:
-    """Argmax of lambda -> lambda*x - lambda^beta, namely (x/beta)^{1/(beta-1)}.
-
-    The maximum value is (beta - 1) * (x/beta)^{beta/(beta-1)}.
-    """
-    if x <= 0:
-        raise ValueError(f"optimal_lambda_beta: x must be > 0, got {x}")
-    if not 1.0 < beta < 2.0:
-        raise ValueError(f"optimal_lambda_beta: beta must be in (1, 2), got {beta}")
-    return (x / beta) ** (1.0 / (beta - 1.0))
 
 
 def beta_decay_coefficient(x: float, beta: float) -> float:

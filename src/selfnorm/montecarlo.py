@@ -231,8 +231,8 @@ def exact_tail_rademacher(n: int, event: TailEvent) -> float:
 # ---------------------------------------------------------------------------
 
 
-def golden_section_min(f, lo: float, hi: float, iters: int = _GOLDEN_ITERS):
-    """Deterministic golden-section minimization on [lo, hi]."""
+def golden_section_min(f, lo: float, hi: float):
+    """Deterministic golden-section minimization on [lo, hi] in _GOLDEN_ITERS steps."""
     if hi <= lo:
         raise ValueError("need lo < hi")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -240,7 +240,7 @@ def golden_section_min(f, lo: float, hi: float, iters: int = _GOLDEN_ITERS):
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

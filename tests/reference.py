@@ -8,6 +8,8 @@ matrices (`_SignEnumStats`), the reference for the oracle's closed forms of
 the +1 count on its n + 1 sign types, the nested TSP estimates build each
 level's point sets and solve one tour per matrix, one level at a time, the
 reference for the coupled solve of all levels on shared DP states, the
+Held-Karp DP keeps one dict entry per (subset, end) state of one tour, the
+reference that every `held_karp_batch` length equals bit for bit, the
 inf-over-p objective sends every term through np.exp, the reference for the
 objective that skips terms known to underflow, and the truncated bracket
 B_n(y) is formed over the whole batch at once, the reference for
@@ -39,7 +41,6 @@ from selfnorm.applications.tsp import (
     _stream_id,
     check_tsp_size,
     dist_matrix,
-    held_karp,
     held_karp_batch,
 )
 from selfnorm.processes import (
@@ -332,17 +333,63 @@ def enumerated_optimized_bound_rademacher(n, x, *, y=None, beta=None, with_indic
     return optimize_expectation_values(rate, np.concatenate(norms), indicator)
 
 
+def held_karp_reference(dist) -> tuple[float, tuple]:
+    """(length, order) of the exact shortest closed tour over one distance
+    matrix, by dynamic programming over city subsets kept in dicts, one
+    (subset, end) state at a time."""
+    dist = np.asarray(dist, dtype=float)
+    n = dist.shape[0]
+    check_tsp_size(n)
+    if n == 2:
+        return float(2.0 * dist[0, 1]), (0, 1)
+    m = n - 1
+    cost = {}
+    parent = {}
+    for j in range(1, n):
+        cost[(1 << (j - 1), j)] = float(dist[0, j])
+    for mask in range(1, 1 << m):
+        if mask & (mask - 1) == 0:
+            continue  # singletons are base cases
+        for j in range(1, n):
+            bit = 1 << (j - 1)
+            if not mask & bit:
+                continue
+            prev = mask ^ bit
+            best, best_k = math.inf, -1
+            for k in range(1, n):
+                if prev & (1 << (k - 1)):
+                    cand = cost[(prev, k)] + dist[k, j]
+                    if cand < best:
+                        best, best_k = cand, k
+            cost[(mask, j)] = best
+            parent[(mask, j)] = best_k
+    full = (1 << m) - 1
+    best, best_j = math.inf, -1
+    for j in range(1, n):
+        cand = cost[(full, j)] + dist[j, 0]
+        if cand < best:
+            best, best_j = cand, j
+    order = [0]
+    mask, j = full, best_j
+    tail = []
+    while j > 0:
+        tail.append(j)
+        mask, j = mask ^ (1 << (j - 1)), parent.get((mask, j), 0)
+    order.extend(reversed(tail))
+    return float(best), tuple(order)
+
+
 def nested_level_estimates(points, inner_rep: int, master_seed: int, instance: int = 0):
     """(t_n, level_means, level_ses, d_se, e_t_ref, e_t_ref_se) of the coupled
     nested TSP estimates.  Level i's point sets (X_0..X_{i-1}, Z^r_i..Z^r_{n-1})
     are built explicitly from the shared resamples Z^r and solved one level
     at a time, one tour per stacked dist_matrix; d_se is the standard error
-    of the paired differences T_i^r - T_{i-1}^r, and T_n comes from the dict
-    DP."""
+    of the paired differences T_i^r - T_{i-1}^r, and T_n comes from
+    ``held_karp_reference``, the dict DP."""
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     check_tsp_size(n, inner_rep)
-    t_n = held_karp(dist_matrix(pts)).length
+    t_n = held_karp_reference(dist_matrix(pts))[0]
     shared = substream(master_seed, _stream_id(instance, _ROLE_LEVEL)).random((inner_rep, n, d))
     lengths = np.full((n + 1, inner_rep), t_n)
     for i in range(n):

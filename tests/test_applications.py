@@ -21,6 +21,7 @@ from selfnorm.applications.regression import (
     regression_batch,
     verify_regression,
 )
+from selfnorm.applications import tsp
 from selfnorm.applications.tsp import (
     HELD_KARP_STEP_ROWS,
     TSP_INSTANCE_BLOCK,
@@ -39,7 +40,13 @@ from selfnorm.applications.tsp import (
 )
 from selfnorm.processes import BLOCK_VALUES, Gaussian, Rademacher, ScaledTwoPoint, substream
 
-from reference import RegressionRun, ls_estimate, nested_level_estimates, simulate_regression
+from reference import (
+    RegressionRun,
+    held_karp_reference,
+    ls_estimate,
+    nested_level_estimates,
+    simulate_regression,
+)
 
 
 class TestStudentT:
@@ -264,7 +271,11 @@ def _square_points():
 
 
 def _tour_length(pts):
-    return held_karp(dist_matrix(pts)).length
+    return held_karp(dist_matrix(pts))
+
+
+def _reference_length(dist):
+    return held_karp_reference(dist)[0]
 
 
 def _level_tours(n):
@@ -289,17 +300,17 @@ class TestTours:
     def test_tour_order_is_a_permutation(self):
         pts = sample_points(9, 2, substream(5, 0))
         dist = dist_matrix(pts)
-        result = held_karp(dist)
-        order = list(result.order)
+        length, order = held_karp_reference(dist)
+        order = list(order)
         assert sorted(order) == list(range(9))
         closed = sum(dist[a, b] for a, b in zip(order, order[1:] + order[:1]))
-        assert closed == pytest.approx(result.length)
+        assert closed == pytest.approx(length)
 
     def test_batch_matches_single(self):
         pts = substream(3, 0).random((25, 8, 2))
         dists = dist_matrix_batch(pts)
         batch = held_karp_batch(dists)
-        singles = np.array([held_karp(dists[i]).length for i in range(25)])
+        singles = np.array([_reference_length(dists[i]) for i in range(25)])
         assert np.array_equal(batch, singles)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 9])
@@ -373,16 +384,21 @@ class TestTours:
                 assert len(states) == (n - 1) * 2 ** (n - 2)
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_batch_matches_single_on_plain_array(self, n):
+    def test_batch_matches_single_on_plain_array(self, monkeypatch, n):
+        # chunks of 4 matrices, the last one partial; held_karp, the
+        # one-matrix case, too (n = 2 has no DP step)
         pts = substream(8, n).random((10, n, 2))
         dists = np.stack([dist_matrix(p) for p in pts])
         assert dists.flags.c_contiguous
-        batch = held_karp_batch(dists, chunk=4)
-        singles = np.array([held_karp(dists[i]).length for i in range(10)])
+        monkeypatch.setattr(tsp, "TSP_INSTANCE_BLOCK", 4)
+        batch = held_karp_batch(dists)
+        singles = np.array([_reference_length(dists[i]) for i in range(10)])
         assert np.array_equal(batch, singles)
+        for i in range(10):
+            assert held_karp(dists[i]) == singles[i], i
 
     @pytest.mark.parametrize("n", [2, 3, 7, 9, 10])
-    def test_tours_match_single_on_their_submatrices(self, n):
+    def test_tours_match_single_on_their_submatrices(self, monkeypatch, n):
         # the n level tours and one permuted tour over a (B, 2n) point stack,
         # solved together in chunks of 4 matrices (the last one partial) and
         # in one chunk: each length is the dict DP on the tour's submatrix.
@@ -392,10 +408,11 @@ class TestTours:
         tours = np.vstack([_level_tours(n), substream(65, n).permutation(2 * n)[:n]])
         dists = dist_matrix_batch(pts)
         singles = np.array(
-            [[held_karp(dist[np.ix_(tour, tour)]).length for dist in dists] for tour in tours]
+            [[_reference_length(dist[np.ix_(tour, tour)]) for dist in dists] for tour in tours]
         )
-        for chunk in (4, TSP_INSTANCE_BLOCK):
-            batch = held_karp_batch(dists, tours, chunk=chunk)
+        for block in (4, TSP_INSTANCE_BLOCK):
+            monkeypatch.setattr(tsp, "TSP_INSTANCE_BLOCK", block)
+            batch = held_karp_batch(dists, tours)
             assert np.array_equal(batch, singles.reshape(-1))
 
     def test_large_instance_rejected(self):
@@ -412,7 +429,7 @@ class TestTours:
         lengths = instance_tour_lengths(6, 2, block + 2, 9)
         for r in (0, block - 1, block, block + 1):
             pts = sample_points(6, 2, substream(9, (r << 8) | 2))
-            assert lengths[r] == held_karp(dist_matrix(pts)).length
+            assert lengths[r] == _reference_length(dist_matrix(pts))
         # beyond the exact cap there are no tours
         with pytest.raises(ValueError, match="exact tours capped"):
             instance_tour_lengths(13, 2, 3, 9)
@@ -479,7 +496,7 @@ class TestTspMartingale:
         assert _stream_id(inst, _ROLE_REF) == (inst << 8) | 1
         assert (diffs.level_means[0], diffs.level_ses[0]) == independent_level(inst << 8)
         assert (diffs.e_t_ref, diffs.e_t_ref_se) == independent_level((inst << 8) | 1)
-        assert diffs.t_n == held_karp(dist_matrix(pts)).length
+        assert diffs.t_n == _reference_length(dist_matrix(pts))
 
     def test_coupled_levels_shrink_increment_errors(self):
         # adjacent levels share all but one point, so the paired SE of d_hat
@@ -504,7 +521,7 @@ class TestTspMartingale:
         for i in range(n):
             for r in range(2):
                 own = np.concatenate([pts[:i], shared[r, i:]])
-                assert batch[i, r] == held_karp(dist_matrix(own)).length, (i, r)
+                assert batch[i, r] == _reference_length(dist_matrix(own)), (i, r)
 
     def test_preconditions(self):
         # sample_points applies the same cap, so draw the 13 points directly

@@ -14,11 +14,11 @@ from scipy.integrate import quad
 
 from selfnorm.bounds import (
     BOUND_KINDS,
+    beta_decay_coefficient,
     clamp_probability,
     evaluate_bound,
     f_rate,
     optimal_lambda,
-    optimal_lambda_beta,
     peeling_prefactor,
     psi,
 )
@@ -148,24 +148,14 @@ class TestOptimalLambda:
 
 
 class TestOptimalLambdaBeta:
-    def test_hand_values(self):
-        assert optimal_lambda_beta(1.5, 1.5) == pytest.approx(1.0, rel=1e-14)
-        assert optimal_lambda_beta(3.0, 1.5) == pytest.approx(4.0, rel=1e-14)
-        assert optimal_lambda_beta(1.0, 1.5) == pytest.approx((2.0 / 3.0) ** 2, rel=1e-14)
-
-    def test_beta_domain(self):
-        with pytest.raises(ValueError):
-            optimal_lambda_beta(1.0, 2.0)
-        with pytest.raises(ValueError):
-            optimal_lambda_beta(1.0, 1.0)
+    """beta_decay_coefficient is the maximum of lambda -> lambda*x - lambda^beta,
+    reached at lambda* = (x/beta)^{1/(beta-1)}."""
 
     @pytest.mark.parametrize("x,beta", [(0.5, 1.2), (1.0, 1.5), (3.0, 1.9), (2.0, 1.5)])
     def test_is_argmax_with_value_identity(self, x, beta):
-        star = optimal_lambda_beta(x, beta)
+        star = (x / beta) ** (1.0 / (beta - 1.0))
         value = star * x - star ** beta
-        assert value == pytest.approx(
-            (beta - 1.0) * (x / beta) ** (beta / (beta - 1.0)), rel=1e-12
-        )
+        assert value == pytest.approx(beta_decay_coefficient(x, beta), rel=1e-12)
         for factor in (0.5, 0.9, 1.1, 2.0):
             lam = factor * star
             assert value > lam * x - lam ** beta

@@ -835,3 +835,18 @@ class TestBenchmarkHooks:
         recorded = {span[0] for span in tracer.spans}
         assert spans | {"experiments.validate_s", "experiments.run_self_s"} <= recorded
         assert records == run_experiment(spec)
+
+    def test_instrument_patches_and_restores_traced_names(self, monkeypatch):
+        # instrument looks each traced name up with vars(owner)[attr], so a
+        # deleted or renamed one raises on entry
+        from selfnorm import montecarlo
+        from selfnorm.applications import tsp
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        originals = tsp.held_karp, montecarlo.golden_section_min
+        with tracing.instrument(tracing.Tracer()):
+            assert tsp.held_karp is not originals[0]
+            assert montecarlo.golden_section_min is not originals[1]
+        assert tsp.held_karp is originals[0]
+        assert montecarlo.golden_section_min is originals[1]
