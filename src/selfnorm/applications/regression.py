@@ -97,10 +97,12 @@ def regression_batch(
         k = min(rows, n_rep - start)
         phi = _sample_phi(phi_kind, rng, (rows, n))[:k]
         eps = eps_model.sample(rng, (rows, n))[:k]
-        ssq = (phi * phi).sum(axis=1)
+        eps *= phi  # both draws are this block's own, so they are reduced in place
+        phi *= phi
+        ssq = phi.sum(axis=1)
         phi_sq[start:start + k] = ssq
         err[start:start + k] = np.divide(
-            (phi * eps).sum(axis=1), ssq, out=np.full(k, np.nan), where=ssq > 0
+            eps.sum(axis=1), ssq, out=np.full(k, np.nan), where=ssq > 0
         )
 
     map_jobs(fill, stream_blocks(n, n_rep, master_seed), jobs)

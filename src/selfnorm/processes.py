@@ -95,7 +95,8 @@ class DifferenceModel:
     abs_bound: float = math.inf    # essential supremum of |increment|
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """I.i.d. increments of the given size (an int or a shape tuple)."""
+        """I.i.d. increments of the given size (an int or a shape tuple), as a
+        new array that the caller owns and may overwrite."""
         raise NotImplementedError
 
     def var(self) -> float:
@@ -192,7 +193,15 @@ class ScaledTwoPoint(DifferenceModel):
         return self.p_up == 0.5 and self.up == -self.down
 
     def sample(self, rng, size):
-        return np.where(rng.random(size) < self.p_up, self.up, self.down)
+        u = rng.random(size)
+        # float64 bit patterns, also when a spec gives up and down as integers
+        up_bits, down_bits = np.array([self.up, self.down], dtype=np.float64).view(np.int64)
+        # a branch-free select on the bit patterns (down ^ (up ^ down) = up):
+        # np.where on a random mask is mostly branch misses
+        bits = u.view(np.int64)
+        np.multiply(u < self.p_up, up_bits ^ down_bits, out=bits)
+        bits ^= down_bits
+        return u
 
     def var(self):
         return self.p_up * self.up ** 2 + (1.0 - self.p_up) * self.down ** 2
@@ -232,7 +241,10 @@ class BoundedAbove(DifferenceModel):
         return self.y_cap
 
     def sample(self, rng, size):
-        return self.y_cap * (1.0 - rng.standard_exponential(size))
+        x = rng.standard_exponential(size)
+        np.subtract(1.0, x, out=x)
+        x *= self.y_cap
+        return x
 
     def var(self):
         return self.y_cap ** 2
@@ -276,11 +288,18 @@ class CenteredPareto(DifferenceModel):
 
     def sample(self, rng, size):
         u = rng.random(size)
-        v = np.where(u < 0.5, 2.0 * u, 2.0 * (1.0 - u))
+        # v = 2 min(u, 1 - u) and the sign of u - 0.5 (mag >= 0) select without
+        # np.where, whose random mask is mostly branch misses; 1 - u is exact
+        mag = np.subtract(1.0, u)
+        np.minimum(mag, u, out=mag)
+        mag *= 2.0
         # v = 0 exactly when u == 0.0, whose magnitude would be infinite
-        v = np.maximum(v, np.finfo(float).tiny)
-        mag = self.scale * (v ** (-1.0 / self.beta_tail) - 1.0)
-        return np.where(u < 0.5, -mag, mag)
+        np.maximum(mag, np.finfo(float).tiny, out=mag)
+        np.power(mag, -1.0 / self.beta_tail, out=mag)
+        mag -= 1.0
+        mag *= self.scale
+        u -= 0.5
+        return np.copysign(mag, u, out=mag)
 
     def beta_integrable(self, beta):
         return beta < self.beta_tail
@@ -495,14 +514,33 @@ class BatchStats:
         if y < 0:
             raise ValueError(f"y must be >= 0, got {y}")
         below = self.n * self.model.sq_below(y)
-        return self._cached(("b_n", y), lambda x: (x * x * (x > y)).sum(axis=1) + below)
+        return self._cached(("b_n", y), lambda x: _masked_sq_sum(x, x > y) + below)
 
     def h_n(self, a: float) -> np.ndarray:
         if a < 0:
             raise ValueError(f"a must be >= 0, got {a}")
         var = self.n * self.model.var()
-        return self._cached(("h_n", a), lambda x: (x * x * (np.abs(x) > a)).sum(axis=1) + var)
+        return self._cached(("h_n", a), lambda x: _masked_sq_sum(x, np.abs(x) > a) + var)
 
     def g_n(self, beta: float) -> np.ndarray:
         neg = self.n * self.model.neg_beta_moment(beta)  # rejects a beta the model lacks
-        return self._cached(("g_n", beta), lambda x: (np.maximum(x, 0.0) ** beta).sum(axis=1) + neg)
+        return self._cached(("g_n", beta), lambda x: _positive_power_sum(x, beta) + neg)
+
+
+def _masked_sq_sum(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row: the sum of x^2 over the lanes where mask holds."""
+    sq = x * x
+    sq *= mask
+    return sq.sum(axis=1)
+
+
+def _positive_power_sum(x: np.ndarray, beta: float) -> np.ndarray:
+    """Per row: the sum of max(x, 0)^beta, for beta > 0."""
+    pos = np.maximum(x, 0.0)
+    zero = pos == 0.0
+    # np.power runs several times slower on 0.0 lanes, so they are raised as
+    # 1.0 and set back to 0 = 0^beta after the power
+    pos += zero
+    np.power(pos, beta, out=pos)
+    pos -= zero
+    return pos.sum(axis=1)

@@ -11,12 +11,14 @@ reference for the coupled solve of all levels on shared DP states, the
 Held-Karp DP keeps one dict entry per (subset, end) state of one tour, the
 reference that every `held_karp_batch` length equals bit for bit, the
 inf-over-p objective sends every term through np.exp, the reference for the
-objective that skips terms known to underflow, and the truncated bracket
-B_n(y) is formed over the whole batch at once, the reference for
-`BatchStats`, which forms it one row block at a time.  The Monte Carlo
-supermartingale certificate check, a normal-approximation interval on
-E[U_n] or E[V_n], is kept for the certificate tests; no verify target has
-used it.
+objective that skips terms known to underflow, the truncated brackets
+B_n(y), H_n(a) and G_n(beta) are formed over the whole batch at once with
+block-sized temporaries, the reference for `BatchStats`, which forms them one
+row block at a time in place, and the two-point, bounded-above and Pareto
+samplers draw through np.where selects and whole-array temporaries, the
+reference for their branch-free, in-place forms.  The Monte Carlo
+supermartingale certificate check, a normal-approximation interval on E[U_n]
+or E[V_n], is kept for the certificate tests; no verify target has used it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,25 @@ from selfnorm.processes import (
     stream_blocks,
     substream,
 )
+
+
+def sample_reference(model: DifferenceModel, rng, size) -> np.ndarray:
+    """The increments `model.sample(rng, size)` draws, from the same generator
+    calls, by np.where selects and whole-array temporaries; a family whose
+    sampler has no in-place form is its own reference.  The two-point select
+    keeps the dtype of up and down, as the spec gave them."""
+    family = model.family
+    if family == "scaled_two_point":
+        return np.where(rng.random(size) < model.p_up, model.up, model.down)
+    if family == "bounded_above":
+        return model.y_cap * (1.0 - rng.standard_exponential(size))
+    if family == "centered_pareto":
+        u = rng.random(size)
+        v = np.where(u < 0.5, 2.0 * u, 2.0 * (1.0 - u))
+        v = np.maximum(v, np.finfo(float).tiny)
+        mag = model.scale * (v ** (-1.0 / model.beta_tail) - 1.0)
+        return np.where(u < 0.5, -mag, mag)
+    return model.sample(rng, size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +134,18 @@ def sq_var_above(xs: np.ndarray, y: float) -> np.ndarray:
     return ((xs * xs) * (xs > y)).sum(axis=1)
 
 
+def sq_var_abs_above(xs: np.ndarray, a: float) -> np.ndarray:
+    """Per row of xs: the realized squares of the steps with |x| above a, the
+    realized part of H_n(a), formed over the whole batch at once."""
+    return ((xs * xs) * (np.abs(xs) > a)).sum(axis=1)
+
+
+def positive_power_sum(xs: np.ndarray, beta: float) -> np.ndarray:
+    """Per row of xs: the sum of max(x, 0)^beta, the realized part of
+    G_n(beta), formed over the whole batch at once."""
+    return (np.maximum(xs, 0.0) ** beta).sum(axis=1)
+
+
 def cond_var_below(xs: np.ndarray, model: DifferenceModel, y: float) -> np.ndarray:
     """Per row of xs: n E[xi^2 1{xi <= y}], the predictable part of B_n(y)."""
     return np.full(xs.shape[0], xs.shape[1] * model.sq_below(y))
@@ -148,6 +181,23 @@ def simulate_regression(
     phi = _sample_phi(phi_kind, rng, (rows, n))[row].copy()
     eps = eps_model.sample(rng, (rows, n))[row].copy()
     return RegressionRun(theta=theta, phi=phi, eps=eps, x_obs=theta * phi + eps)
+
+
+def regression_rows_reference(phi_kind: str, eps_model: DifferenceModel, n: int,
+                              n_rep: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(err, phi_sq) of `regression_batch`, each block drawn by the reference
+    samplers and reduced from product temporaries rather than in place."""
+    err, phi_sq = np.empty(n_rep), np.empty(n_rep)
+    for start, rows, rng in stream_blocks(n, n_rep, master_seed):
+        k = min(rows, n_rep - start)
+        phi = _sample_phi(phi_kind, rng, (rows, n))[:k]
+        eps = sample_reference(eps_model, rng, (rows, n))[:k]
+        ssq = (phi * phi).sum(axis=1)
+        phi_sq[start:start + k] = ssq
+        err[start:start + k] = np.divide(
+            (phi * eps).sum(axis=1), ssq, out=np.full(k, np.nan), where=ssq > 0
+        )
+    return err, phi_sq
 
 
 def ls_estimate(run: RegressionRun) -> float:

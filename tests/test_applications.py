@@ -38,13 +38,21 @@ from selfnorm.applications.tsp import (
     tsp_martingale_diffs,
     verify_tsp,
 )
-from selfnorm.processes import BLOCK_VALUES, Gaussian, Rademacher, ScaledTwoPoint, substream
+from selfnorm.processes import (
+    BLOCK_VALUES,
+    Gaussian,
+    Rademacher,
+    ScaledTwoPoint,
+    build_model,
+    substream,
+)
 
 from reference import (
     RegressionRun,
     held_karp_reference,
     ls_estimate,
     nested_level_estimates,
+    regression_rows_reference,
     simulate_regression,
 )
 
@@ -136,6 +144,24 @@ class TestLeastSquares:
             run = simulate_regression(0.7, "uniform", noise, n, 55, replicate=r)
             assert batch.err[r] == pytest.approx(ls_estimate(run) - 0.7, rel=1e-12, abs=1e-15)
             assert batch.phi_sq[r] == pytest.approx(float(np.sum(run.phi * run.phi)), rel=1e-14)
+
+    @pytest.mark.parametrize("phi_kind", ["uniform", "ones"])
+    @pytest.mark.parametrize("noise", [
+        Rademacher(),
+        ScaledTwoPoint(p_up=1.0 / 3.0, up=2.0, down=-1.0),
+        ScaledTwoPoint(p_up=0.75, up=1.0, down=-3.0),
+        build_model({"family": "scaled_two_point", "p_up": 0.5, "up": 1, "down": -1}),
+    ], ids=["rademacher", "two_point_third", "two_point_three_quarters", "two_point_int"])
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_rows_match_reference(self, phi_kind, noise, n):
+        # the in-place fill gives the bits of product temporaries, across a
+        # trimmed last block
+        rows = max(1, BLOCK_VALUES // n)
+        n_rep = rows + 13 if n > 1 else rows - 3
+        batch = regression_batch(phi_kind, noise, n, n_rep, 31)
+        err, phi_sq = regression_rows_reference(phi_kind, noise, n, n_rep, 31)
+        assert np.array_equal(batch.err.view(np.int64), err.view(np.int64))
+        assert np.array_equal(batch.phi_sq.view(np.int64), phi_sq.view(np.int64))
 
     @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("n_rep", [3 * (BLOCK_VALUES // 64) + 5, 100])

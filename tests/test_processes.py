@@ -1,5 +1,6 @@
 """Difference-model moments, sampling determinism, and bracket-process identities."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,10 +23,20 @@ from selfnorm.processes import (
     UnsupportedStatisticError,
     build_model,
     sample_batch,
+    stream_blocks,
     substream,
 )
 
-from reference import Path, cond_var_below, sample_path, sq_var_above, truncated_mean
+from reference import (
+    Path,
+    cond_var_below,
+    positive_power_sum,
+    sample_path,
+    sample_reference,
+    sq_var_above,
+    sq_var_abs_above,
+    truncated_mean,
+)
 
 N_MOMENT_DRAWS = 1_000_000
 MOMENT_SEED = 20240817
@@ -37,7 +48,27 @@ ALL_MODELS = [
     CenteredPareto(beta_tail=1.9, scale=1.0),
     Gaussian(sd=0.7),
     SymmetricMixture(weights=(0.6, 0.4), scales=(0.5, 2.0)),
+    ScaledTwoPoint(p_up=0.5, up=1.5, down=-1.5),
+    ScaledTwoPoint(p_up=0.75, up=1.0, down=-3.0),
+    BoundedAbove(0.3),
+    CenteredPareto(beta_tail=1.2, scale=0.5),
+    SymmetricMixture(weights=(0.2, 0.3, 0.5), scales=(0.1, 1.0, 4.0)),
 ]
+# the samplers that draw in place, each against its np.where form in reference.py
+IN_PLACE_SAMPLERS = [m for m in ALL_MODELS
+                     if m.family in ("scaled_two_point", "bounded_above", "centered_pareto")]
+
+
+def _model_id(model):
+    """The family name for the first model of each family, with the parameters after it."""
+    first = next(m for m in ALL_MODELS if m.family == model.family)
+    return model.family if model is first else f"{model.family}{dataclasses.astuple(model)}"
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _draws(model, n=N_MOMENT_DRAWS, seed=MOMENT_SEED):
@@ -67,7 +98,7 @@ class TestSamplingContracts:
         for r in (0, 5, 10):
             assert np.array_equal(batch[r], sample_path(model, 7, 99, replicate=r).xs)
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=_model_id)
     def test_block_boundary_rows_match_paths(self, model):
         n = 64
         rows = BLOCK_VALUES // n
@@ -84,7 +115,7 @@ class TestSamplingContracts:
 
     @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("n_rep", [3 * (BLOCK_VALUES // 64) + 5, 100])
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=_model_id)
     def test_batch_identical_at_any_jobs(self, model, n_rep, jobs):
         # 3 whole blocks and a partial one, or less than one block
         serial = sample_batch(model, 64, n_rep, 31)
@@ -120,7 +151,7 @@ class TestSamplingContracts:
         xs = sample_path(BoundedAbove(0.25), 5000, 3).xs
         assert xs.max() <= 0.25
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=_model_id)
     def test_zero_mean_within_ci(self, model):
         xs = _draws(model, n=200_000)
         if model.family == "centered_pareto":
@@ -130,6 +161,82 @@ class TestSamplingContracts:
         else:
             target = 0.0
         _assert_mean_close(xs, target, f"{model.family} mean")
+
+
+class EdgeGenerator:
+    """Stands in for np.random.Generator: each call returns the given draws,
+    repeated to the requested size, as a new array."""
+
+    def __init__(self, uniforms, exponentials=(0.0, 1.0, 0.5, 40.0)):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self.exponentials = np.asarray(exponentials, dtype=float)
+
+    @staticmethod
+    def _fill(draws, size):
+        return np.resize(draws, int(np.prod(size))).reshape(size)
+
+    def random(self, size):
+        return self._fill(self.uniforms, size)
+
+    def standard_exponential(self, size):
+        return self._fill(self.exponentials, size)
+
+
+class TestInPlaceSamplers:
+    """Each in-place sampler draws the bits of its np.where form."""
+
+    @pytest.mark.parametrize("n", [1, 50, 100])
+    @pytest.mark.parametrize("seed", [0, 7, 4242])
+    @pytest.mark.parametrize("model", IN_PLACE_SAMPLERS, ids=_model_id)
+    def test_block_matches_reference(self, model, seed, n):
+        size = (max(1, BLOCK_VALUES // n), n)
+        assert_same_bits(model.sample(substream(seed, 3), size),
+                         sample_reference(model, substream(seed, 3), size))
+        assert_same_bits(model.sample(substream(seed, 0), 1001),
+                         sample_reference(model, substream(seed, 0), 1001))
+
+    @pytest.mark.parametrize("model", IN_PLACE_SAMPLERS, ids=_model_id)
+    def test_edge_draws_match_reference(self, model):
+        uniforms = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                    np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), 0.25, 0.75]
+        if model.family == "scaled_two_point":
+            uniforms += [model.p_up, np.nextafter(model.p_up, 0.0), np.nextafter(model.p_up, 1.0)]
+        size = (3, 2 * len(uniforms))
+        got = model.sample(EdgeGenerator(uniforms), size)
+        assert_same_bits(got, sample_reference(model, EdgeGenerator(uniforms), size))
+        assert np.all(np.isfinite(got))
+
+    def test_pareto_edges_keep_their_signs(self):
+        # u = 0.5 and the float below it map to magnitudes near 0: the sign
+        # still comes from u < 0.5
+        got = CenteredPareto(beta_tail=1.5).sample(
+            EdgeGenerator([0.5, np.nextafter(0.5, 0.0), 0.0]), 3)
+        assert not np.signbit(got[0])
+        assert np.signbit(got[1]) and np.signbit(got[2])
+
+    @pytest.mark.parametrize("n", [1, 50, 100])
+    @pytest.mark.parametrize("model", IN_PLACE_SAMPLERS, ids=_model_id)
+    def test_batch_with_trimmed_last_block_matches_reference(self, model, n):
+        rows = max(1, BLOCK_VALUES // n)
+        n_rep = rows + 17 if n > 1 else 2 * rows - 5
+        want = np.concatenate([
+            sample_reference(model, rng, (block_rows, n))
+            for _, block_rows, rng in stream_blocks(n, n_rep, 11)
+        ])[:n_rep]
+        assert_same_bits(sample_batch(model, n, n_rep, 11), want)
+
+    @pytest.mark.parametrize("desc", [
+        {"family": "scaled_two_point", "p_up": 0.5, "up": 1, "down": -1},
+        {"family": "scaled_two_point", "p_up": 0.75, "up": 1, "down": -3},
+        {"family": "bounded_above", "y_cap": 2},
+        {"family": "centered_pareto", "beta_tail": 1.5, "scale": 2},
+    ], ids=lambda d: f"{d['family']}-int")
+    def test_integer_spec_parameters(self, desc):
+        # a spec may write parameters as JSON integers; the draws are still
+        # the float values of the np.where form
+        model = build_model(desc)
+        want = sample_reference(model, substream(9, 0), (40, 50)).astype(float)
+        assert_same_bits(model.sample(substream(9, 0), (40, 50)), want)
 
 
 class TestClosedFormMoments:
@@ -287,7 +394,7 @@ class TestPathStats:
     @pytest.mark.parametrize(
         "model",
         [m for m in ALL_MODELS if m.square_integrable],
-        ids=lambda m: m.family,
+        ids=_model_id,
     )
     def test_identities_on_sampled_paths(self, model):
         batch = sample_batch(model, 40, 50, 2718)
@@ -333,30 +440,64 @@ class TestPathStats:
         assert np.array_equal(stats.b_n(0.0), before)
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=_model_id)
     def test_brackets_identical_at_any_jobs(self, model, jobs):
         # 2 whole row blocks and a partial one; each bracket must equal its
         # whole-batch formula bit for bit
         n = 64
         xs = sample_batch(model, n, 2 * (BLOCK_VALUES // n) + 7, 12)
         serial, threaded = BatchStats(xs, model), BatchStats(xs, model, jobs=jobs)
+        beta = 1.5 if model.beta_integrable(1.5) else 1.1
         pairs = [
             (lambda st: st.s(), xs.sum(axis=1)),
             (lambda st: st.sq_var(), (xs * xs).sum(axis=1)),
-            (lambda st: st.g_n(1.5),
-             (np.maximum(xs, 0.0) ** 1.5).sum(axis=1) + n * model.neg_beta_moment(1.5)),
+            (lambda st: st.g_n(beta),
+             positive_power_sum(xs, beta) + n * model.neg_beta_moment(beta)),
         ]
         if model.square_integrable:
-            for y in (0.0, 0.3, 1.0):
+            # the last threshold equals a sampled value (y) or a sampled |x|
+            # (a), so the strict comparisons meet a tie
+            for y, a in ((0.0, 0.0), (0.3, 0.3), (1.0, 1.0),
+                         (float(xs[xs > 0][0]), float(np.abs(xs[-1, -1])))):
                 pairs += [
                     (lambda st, y=y: st.b_n(y),
                      sq_var_above(xs, y) + cond_var_below(xs, model, y)),
-                    (lambda st, y=y: st.h_n(y),
-                     ((xs * xs) * (np.abs(xs) > y)).sum(axis=1) + serial.cond_var()),
+                    (lambda st, a=a: st.h_n(a),
+                     sq_var_abs_above(xs, a) + serial.cond_var()),
                 ]
         for bracket, reference in pairs:
-            assert np.array_equal(bracket(serial), reference)
-            assert np.array_equal(bracket(threaded), reference)
+            assert_same_bits(bracket(serial), reference)
+            assert_same_bits(bracket(threaded), reference)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 1.9, 2.0, 3.0])
+    def test_zero_and_negative_lanes(self, beta):
+        # rows of 0.0, -0.0, negatives and positives; an all-zero row, and
+        # odd integer beta, where (-0.0)^beta = -0.0
+        xs = np.array([
+            [0.0, -0.0, -1.5, 2.0, 0.0, 0.25],
+            [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-3.0, -0.5, -1e-300, -2.0, -0.0, -7.0],
+            [1e-300, 5e-324, 0.0, -5e-324, 3.0, 1.0],
+            [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+        ])
+        model = Gaussian(sd=1.0)
+        stats = BatchStats(xs, model)
+        assert_same_bits(stats.g_n(beta),
+                         positive_power_sum(xs, beta) + 6 * model.neg_beta_moment(beta))
+        for y in (0.0, 0.25, 1.0, 2.0):
+            assert_same_bits(stats.b_n(y), sq_var_above(xs, y) + cond_var_below(xs, model, y))
+            assert_same_bits(stats.h_n(y), sq_var_abs_above(xs, y) + stats.cond_var())
+
+    def test_pareto_block_with_zero_lanes(self):
+        model = CenteredPareto(beta_tail=1.9)
+        xs = sample_batch(model, 100, 500, 8)
+        xs[::3, ::2] = 0.0
+        xs[1::3, ::5] = -0.0
+        stats = BatchStats(xs, model)
+        for beta in (1.1, 1.5, 1.8):
+            assert_same_bits(stats.g_n(beta),
+                             positive_power_sum(xs, beta) + 100 * model.neg_beta_moment(beta))
 
     def test_memoized_brackets_shared_across_threads(self, monkeypatch):
         # grid points run on threads under --jobs; each key must be computed
