@@ -42,11 +42,17 @@ ENUMERATION_CAP = 20
 # inf over p > 1 is searched on ln(p - 1) over this window.
 P_SEARCH_WINDOW = (1e-3, 50.0)
 _GOLDEN_ITERS = 60
-# np.exp(a) is exactly 0.0 below this cut, which lies under ln(min subnormal / 2)
-# ~ -745.13.  np.exp is an order of magnitude slower on a lane that underflows
-# than on a normal result (two, on a subnormal one), so the objective leaves
-# the lanes below the cut at zero.
-_EXP_ZERO_CUT = -746.0
+# The objective passes np.exp no exponent below _EXP_ZERO_CUT.  At and above
+# the cut np.exp returns a normal double on its fast path; below about -707.8
+# it costs about 20x more per lane, and over 100x on a subnormal result.
+# While the largest exponent is at or above _EXP_SHIFT_CUT, the exponents
+# below the cut are raised to it: each such term then moves by less than
+# e^-707 < e^-64 of the largest term, so N of them move the mean by less than
+# N * e^-64 ~ N * 1.6e-28 of it, under one ulp for N up to 10^11.  Below
+# _EXP_SHIFT_CUT the largest term is factored out (it becomes e^0 = 1), and
+# the terms below the cut, left out, total less than N * e^-707 of it.
+_EXP_ZERO_CUT = -707.0
+_EXP_SHIFT_CUT = _EXP_ZERO_CUT + 64.0
 
 
 def clopper_pearson(hits: int, n_rep: int, gamma: float) -> tuple[float, float]:
@@ -274,31 +280,74 @@ def optimize_expectation_values(
     """The minimizing p and value of mean(exp(-(p-1)*rate*norm) * indicator)^(1/p) over
     p > 1, with common random numbers: every p sees one fixed (norm, indicator) set.
 
+    With c = -(p-1)*rate, an evaluation takes exp(c*w) of every term in order
+    while its largest exponent is at or above _EXP_SHIFT_CUT, with the
+    exponents below _EXP_ZERO_CUT raised to the cut; where none is below the
+    cut this is the plain mean, bit for bit, and elsewhere the raised terms
+    move it by less than one ulp.  Below _EXP_SHIFT_CUT the largest exponent s is factored
+    out and the value is m^(1/p) * e^(s/p), m the mean of the terms
+    exp(c*w - s) at or above the cut, which are a prefix of the weights in
+    ascending order (sorted once per call, on the first evaluation with an
+    exponent below the cut) and are summed in that order.  The value is then
+    0 only when it underflows a double.
+
     With lanes, norm holds one value per type, lanes the type of each term in
     order, and n_all the count the mean divides by.  exp is then taken once per
-    type and its results are gathered per term, so the summed array equals the
-    one exp of the expanded values gives, element for element and in order (a
-    lane's product and exp do not depend on where it sits), and NumPy's
-    pairwise sum returns the same float.  The cut's shortcuts then look at
-    every type, read by a lane or not; a type no lane reads can only send an
-    evaluation down the exp path, whose terms are the same."""
+    type and its results are gathered per term (repeated per term, in ascending
+    order of w, once s is factored out), so the summed array equals the one the
+    expanded values give, element for element and in order (a lane's product
+    and exp do not depend on where it sits), and NumPy's pairwise sum returns
+    the same float.  To that end s is the exponent of the smallest weight a
+    lane reads, and it is factored out only when the largest weight a lane
+    reads is below the cut, as with the expanded values; a type no lane reads
+    can only add an exp whose result is not gathered."""
     weights = norm if indicator is None else norm[indicator]
     n_all = len(norm) if lanes is None else n_all
-    w_ends = (float(weights.min()), float(weights.max())) if weights.size else ()
+    no_term = not weights.size or (lanes is not None and not lanes.size)
+    w_hi = float(weights.max()) if weights.size else 0.0
+    ranked = None  # built by rank() on the first evaluation with an exponent below the cut
+
+    def rank():
+        """The weights some term reads, in ascending order, their term counts
+        (None without lanes) and the largest of them."""
+        if lanes is None:
+            return np.sort(weights), None, w_hi
+        order = np.argsort(weights)
+        w_sorted = weights[order]
+        counts = np.bincount(lanes, minlength=len(weights))[order]
+        read = np.flatnonzero(counts)
+        return w_sorted[read[0]:], counts[read[0]:], float(w_sorted[read[-1]])
 
     def objective(log_pm1: float) -> float:
+        nonlocal ranked
+        if no_term:
+            return 0.0
         p = 1.0 + math.exp(log_pm1)
         c = -(p - 1.0) * rate
-        a_ends = [c * w for w in w_ends]  # the extremes of c * weights: rounding is monotone
-        if all(a < _EXP_ZERO_CUT for a in a_ends):
-            return 0.0  # every term is exactly 0.0 (or there is none)
-        z = c * weights
-        if all(a >= _EXP_ZERO_CUT for a in a_ends):
-            np.exp(z, out=z)
+        # c <= 0 and rounding is monotone, so c * w_hi is the smallest exponent
+        # (NaN takes this path and comes out NaN)
+        if not c * w_hi < _EXP_ZERO_CUT:
+            z = c * weights
         else:
-            # zeros stay in place, so the pairwise sum adds the same terms in the
-            # same order; NaN terms are not below the cut and still go through exp
-            z = np.exp(z, out=np.zeros_like(z), where=~(z < _EXP_ZERO_CUT))
+            if ranked is None:
+                ranked = rank()
+            w_sorted, counts, w_top = ranked
+            w_lo = float(w_sorted[0])
+            s = c * w_lo
+            if s < _EXP_SHIFT_CUT and c * w_top < _EXP_ZERO_CUT:
+                kept = int(np.searchsorted(w_sorted, w_lo + _EXP_ZERO_CUT / c, side="right"))
+                z = w_sorted[:kept] - w_lo
+                z *= c
+                # the prefix holds w - w_lo <= cut / c, whose exponent can round below the cut
+                np.maximum(z, _EXP_ZERO_CUT, out=z)
+                np.exp(z, out=z)
+                if counts is not None:
+                    z = np.repeat(z, counts[:kept])
+                m = float(np.sum(z)) / n_all
+                return m ** (1.0 / p) * math.exp(s / p)
+            z = c * weights
+            np.maximum(z, _EXP_ZERO_CUT, out=z)
+        np.exp(z, out=z)
         if lanes is not None:
             z = z[lanes]
         m = float(np.sum(z)) / n_all

@@ -244,6 +244,21 @@ def plain_objective(rate: float, norm: np.ndarray, indicator, log_pm1: float) ->
     return 0.0 if m <= 0.0 else m ** (1.0 / p)
 
 
+def shifted_objective(rate: float, norm: np.ndarray, indicator, log_pm1: float) -> float:
+    """The same objective in log space, every term kept and summed exactly:
+    exp((log m + s) / p), with s the largest exponent -(p-1)*rate*w and m the
+    math.fsum of exp(a - s) over the indicated weights divided by len(norm);
+    0.0 when no weight is indicated."""
+    weights = norm if indicator is None else norm[indicator]
+    if not weights.size:
+        return 0.0
+    p = 1.0 + math.exp(log_pm1)
+    exponents = [-(p - 1.0) * rate * float(w) for w in weights]
+    s = max(exponents)
+    m = math.fsum(math.exp(a - s) for a in exponents) / len(norm)
+    return math.exp((math.log(m) + s) / p)
+
+
 class _SignEnumStats:
     """Bracket statistics of a matrix of +-1 paths, one path per row."""
 

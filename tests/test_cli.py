@@ -26,7 +26,7 @@ from selfnorm.experiments import (
     render_report,
     run_experiment,
 )
-from selfnorm.montecarlo import TailEvent, exact_tail_rademacher
+from selfnorm.montecarlo import P_SEARCH_WINDOW, TailEvent, exact_tail_rademacher
 
 
 def _spec(**overrides):
@@ -721,6 +721,24 @@ class TestCli:
         result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--format", "csv"])
         assert result.exit_code == 1
         assert "violation_evidence" in result.output
+
+    def test_thm32_exact_n200_spec_passes_with_positive_bound(self, tmp_path):
+        # at x = 0.5 the objective underflows a linear-space mean near the top of
+        # the p window; a bound of 0 there was a false violation of the exact
+        # tail 8.39e-13
+        spec_path = Path(__file__).resolve().parents[1] / "specs" / "thm32_regression_exact_n200.json"
+        out = tmp_path / "r.json"
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 0
+        rec = next(r for r in load_report(out)[1] if r.x == 0.5)
+        # phi = 1 makes the design the point mass n = 200 and sigma = y_xi = 1, so
+        # the objective exp(-(1 - 1/p) * rate * n) falls with p: its infimum over
+        # the window is at the window's top
+        rate = 0.5**2 / (2.0 * (1.0 + 0.5 / 3.0))
+        p_top = 1.0 + P_SEARCH_WINDOW[1]
+        assert rec.bound > 0.0
+        assert rec.bound == pytest.approx(2.0 * math.exp(-(1.0 - 1.0 / p_top) * rate * 200), rel=1e-12)
+        assert 0.0 < rec.exact < rec.bound
 
     def test_seed_precedence_env_fallback(self, tmp_path):
         raw = _spec()

@@ -14,6 +14,7 @@ from selfnorm.applications.regression import regression_batch
 from selfnorm.bounds import f_rate
 from selfnorm.montecarlo import (
     P_SEARCH_WINDOW,
+    _EXP_SHIFT_CUT,
     _EXP_ZERO_CUT,
     MCEstimate,
     TailEvent,
@@ -40,6 +41,7 @@ from reference import (
     exact_supermartingale_mean_rademacher,
     expectation_bound_from,
     plain_objective,
+    shifted_objective,
     supermartingale_check,
 )
 
@@ -353,25 +355,42 @@ def _exponent_range(rate, weights, t):
 def _straddle_weights():
     rng = np.random.default_rng(7)
     # exponents c * w from about -1500 to -5 at the top of the window, and
-    # lanes at the cut and in the subnormal band (-745.13, -708.4) at p = 2
-    edges = [746.0, np.nextafter(746.0, 0.0), np.nextafter(746.0, 1e3), 745.5, 745.0, 720.0, 708.0]
+    # lanes at the old cut -746, in the subnormal band (-745.13, -708.4) and
+    # at the cut at p = 2
+    edges = [746.0, np.nextafter(746.0, 0.0), np.nextafter(746.0, 1e3), 745.5, 745.0, 720.0, 708.0,
+             707.0, np.nextafter(707.0, 0.0), np.nextafter(707.0, 1e3)]
     return np.concatenate([rng.uniform(0.1, 30.0, 4000), edges])
 
 
-class TestObjectiveUnderflowPaths:
-    """The objective skips exp on terms below the cut, and every value must
-    equal the plain objective's bit for bit."""
+def _c8_design_rate(x):
+    """C8's design masses (uniform phi, n = 50, 5000 rows) and the thm32 rate
+    at x, with sigma = y_xi = 0.1."""
+    noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
+    phi_sq = regression_batch("uniform", noise, 50, 5000, 808).phi_sq
+    return phi_sq, x * x / (2.0 * (0.01 + x * 0.1 / 3.0))
 
-    def test_exp_is_exactly_zero_below_the_cut(self):
-        assert _EXP_ZERO_CUT < math.log(np.finfo(float).smallest_subnormal) - math.log(2.0)
-        a = np.linspace(-1e4, _EXP_ZERO_CUT, 2_000_001)
-        assert a[-1] == _EXP_ZERO_CUT
-        assert not np.any(np.exp(a))
+
+class TestObjectiveUnderflowPaths:
+    """The objective passes exp no exponent below the cut.  It must equal the
+    plain objective bit for bit wherever every exponent is at or above the cut
+    and wherever its largest exponent stays at or above the shift cut, and
+    stay within 1e-12 of the exact log-space value everywhere."""
+
+    def test_kept_terms_are_normal_and_left_out_ones_below_one_ulp(self):
+        a = np.linspace(_EXP_ZERO_CUT, 0.0, 2_000_001)
+        assert a[0] == _EXP_ZERO_CUT
+        assert np.all(np.exp(a) >= np.finfo(float).tiny)
         for k in range(1, 17):  # short arrays take the non-vector tail loop
-            assert not np.any(np.exp(a[-k:]))
+            assert np.all(np.exp(a[:k]) >= np.finfo(float).tiny)
+        # relative to the largest term, 10^11 terms below the cut move the
+        # mean by less than half an ulp: by less than e^(cut - shift cut) each
+        # when raised to the cut while s = 0, by less than e^cut each when
+        # left out once the largest term is factored out
+        assert 1e11 * math.exp(_EXP_ZERO_CUT - _EXP_SHIFT_CUT) < 2.0**-53
+        assert 2.0**53 * math.exp(_EXP_ZERO_CUT) < 2.0**-53
 
     @pytest.mark.parametrize(
-        "case", ["never", "straddle", "straddle_indicator", "subnormal", "always", "empty"]
+        "case", ["never", "straddle", "straddle_indicator", "subnormal", "shift_band", "always", "empty"]
     )
     def test_objective_matches_plain(self, monkeypatch, case):
         rng = np.random.default_rng(3)
@@ -383,28 +402,43 @@ class TestObjectiveUnderflowPaths:
             norm = _straddle_weights()
             if case == "straddle_indicator":
                 indicator = rng.random(len(norm)) < 0.5
-                indicator[-7:] = True
+                indicator[-10:] = True
             lo_at_two, hi_at_two = _exponent_range(rate, norm, 0.0)
             assert lo_at_two < _EXP_ZERO_CUT <= hi_at_two
             assert np.any((-norm > -745.13) & (-norm < -708.4))
         elif case == "subnormal":
-            # at p = 2 every term is subnormal, some of them the smallest one
+            # at p = 2 every plain term is subnormal, some of them the smallest one
             norm = rng.uniform(709.0, 745.12, 5000)
             assert 0.0 < plain_objective(rate, norm, None, 0.0) < 1e-153
+        elif case == "shift_band":
+            # at p = 2 the largest exponent sits just above the shift cut, and
+            # terms from -700 to -800 straddle the cut
+            norm = np.concatenate([rng.uniform(635.0, 643.0, 100), rng.uniform(700.0, 800.0, 4900)])
+            lo_at_two, hi_at_two = _exponent_range(rate, norm, 0.0)
+            assert lo_at_two < _EXP_ZERO_CUT and _EXP_SHIFT_CUT <= hi_at_two < _EXP_SHIFT_CUT + 8.0
         elif case == "always":
             norm = rng.uniform(1e6, 2e6, 5000)
             assert _exponent_range(rate, norm, _T_LO)[1] < _EXP_ZERO_CUT
         else:
             norm = rng.uniform(0.0, 1.0, 50)
             indicator = np.zeros(len(norm), dtype=bool)
+        weights = norm if indicator is None else norm[indicator]
         objective = _objective(monkeypatch, rate, norm, indicator)
         for t in _T_GRID:
-            got, want = objective(t), plain_objective(rate, norm, indicator, t)
+            got, exact = objective(t), shifted_objective(rate, norm, indicator, t)
+            if exact >= np.finfo(float).tiny:
+                assert got > 0.0 and abs(got - exact) <= 1e-12 * exact, (case, t)
+            else:
+                assert got < np.finfo(float).tiny, (case, t)
+            lo, hi = _exponent_range(rate, weights, t) if weights.size else (0.0, 0.0)
+            if lo < _EXP_ZERO_CUT and hi < _EXP_SHIFT_CUT:
+                continue  # the largest term is factored out, and the plain terms lose bits
+            want = plain_objective(rate, norm, indicator, t)
             assert got == want, (case, t)  # False for NaN
             if case in ("always", "empty"):
                 assert got == 0.0
 
-    @pytest.mark.parametrize("case", ["straddle", "subnormal", "always", "empty"])
+    @pytest.mark.parametrize("case", ["straddle", "subnormal", "always", "empty", "unread_extremes"])
     def test_per_type_exp_matches_expanded_terms(self, monkeypatch, case):
         # made-up per-type values: term i has type types[i] and norm
         # values[types[i]]; the indicated terms are gathered in order, and the
@@ -415,12 +449,17 @@ class TestObjectiveUnderflowPaths:
             "subnormal": np.linspace(709.0, 745.12, 2000),
             "always": np.linspace(1e6, 2e6, 2000),
             "empty": np.arange(1.0, 2001.0),
+            "unread_extremes": np.linspace(600.0, 800.0, 2000),
         }[case]
         n_all = 8192
         types = rng.integers(0, len(values), n_all)
         indicator = rng.random(n_all) < 0.6
         if case == "empty":
             indicator[:] = False
+        elif case == "unread_extremes":
+            # at p = 2 every read exponent lies in [-700, -650], below the
+            # shift cut yet above the cut, while unread types reach -600 and -800
+            indicator &= (values[types] >= 650.0) & (values[types] <= 700.0)
         lanes = types[indicator].astype(np.intp)
         expanded = values[types]
         got = optimize_expectation_values(1.0, values, None, lanes, n_all)
@@ -433,15 +472,44 @@ class TestObjectiveUnderflowPaths:
         if case in ("always", "empty"):
             assert got.value == 0.0
 
-    @pytest.mark.parametrize("x", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("x", [0.2])
     def test_golden_section_unchanged_on_regression_masses(self, monkeypatch, x):
-        # C8's design: uniform phi, n = 50, sigma = y_xi = 0.1
-        noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
-        phi_sq = regression_batch("uniform", noise, 50, 5000, 808).phi_sq
-        rate = x * x / (2.0 * (0.01 + x * 0.1 / 3.0))
+        # the largest exponent stays above the shift cut over the whole window
+        phi_sq, rate = _c8_design_rate(x)
+        assert _exponent_range(rate, phi_sq, _T_HI)[1] >= _EXP_SHIFT_CUT
         objective = _objective(monkeypatch, rate, phi_sq, None)
         plain = partial(plain_objective, rate, phi_sq, None)
         assert golden_section_min(objective, _T_LO, _T_HI) == golden_section_min(plain, _T_LO, _T_HI)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0])
+    def test_golden_section_on_underflowing_regression_masses(self, x):
+        # the plain objective is 0 near the top of the window
+        phi_sq, rate = _c8_design_rate(x)
+        assert plain_objective(rate, phi_sq, None, _T_HI) == 0.0
+        out = optimize_expectation_values(rate, phi_sq, None)
+        want = shifted_objective(rate, phi_sq, None, math.log(out.p_star - 1.0))
+        assert out.value > 0.0
+        assert abs(out.value - want) <= 1e-12 * want
+        # no point of a grid over the window beats it by more than rounding
+        best = min(shifted_objective(rate, phi_sq, None, t) for t in np.linspace(_T_LO, _T_HI, 25))
+        assert out.value <= best * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("x", [0.2, 0.5, 1.0])
+    def test_exp_sees_no_exponent_below_the_cut(self, monkeypatch, x):
+        phi_sq, rate = _c8_design_rate(x)
+        # the plain terms reach the slow exp paths inside the window
+        assert _exponent_range(rate, phi_sq, _T_HI)[0] < _EXP_ZERO_CUT - 1.0
+        lowest, exp = [], np.exp
+
+        def spy(z, *args, **kwargs):
+            lowest.append(float(np.min(z)))
+            return exp(z, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        optimize_expectation_values(rate, phi_sq, None)
+        monkeypatch.undo()
+        assert len(lowest) == 2 + 60 + 3  # one call per evaluation
+        assert min(lowest) >= _EXP_ZERO_CUT
 
 
 class TestDominationCheck:
