@@ -146,7 +146,7 @@ _verify_options = [
     click.option("--emit-plot-data", "plot_data", is_flag=True,
                  help="Also write <out>.plot.csv with (x, p_hat, ci_hi, bound) rows."),
     click.option("--jobs", type=click.IntRange(min=1), default=1,
-                 help="Threads for the grid points, sample and bracket statistics of diff "
+                 help="Threads for the grid points and draw-and-reduce blocks of diff "
                       "targets and the stream blocks of regression runs (thm34_tsp and "
                       "azuma_tsp runs ignore it); output is identical at any value."),
     click.option("--timing", is_flag=True,

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -142,6 +142,9 @@ class _Target:
     model_req: str | None = None  # a key of _MODEL_REQUIREMENTS
     uses_model: bool = True    # without a model there are no paths for an exact oracle
     check: object = None       # theorem rules, on valid fields only: (fields, model) -> errors
+    # diff targets: the one bracket their plans read besides S_n, as (method,
+    # parameter), the parameter a grid key or a constant; None for S_n alone
+    reads: tuple | None = None
 
 
 # What a diff target needs of its model: (predicate, what the model is not).
@@ -588,13 +591,28 @@ def _diff_record(spec, stats, plan: _PointPlan, gp: dict, t0: float) -> ResultRe
                    bound_estimated=plan.expectation is not None)
 
 
+def _declared_keys(spec: ExperimentSpec) -> list[tuple]:
+    """("s", None) and the key of the target's bracket at each of its parameter values."""
+    keys = [("s", None)]
+    reads = VERIFY_TARGETS[spec.theorem].reads
+    if reads is not None:
+        method, param = reads
+        values = spec.grids[param] if isinstance(param, str) else [param]
+        keys += [(method, value) for value in values]
+    return list(dict.fromkeys(keys))
+
+
 def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
     model = build_model(spec.model)
     plan_point = VERIFY_TARGETS[spec.theorem].plan
     stats = None
+    sample_ms = 0.0
     if spec.mode in ("mc", "both"):
-        xs = sample_batch(model, spec.n, spec.n_rep, spec.master_seed, jobs)
-        stats = BatchStats(xs, model, jobs)
+        t0 = time.perf_counter()
+        keys = _declared_keys(spec)
+        table = sample_batch(model, spec.n, spec.n_rep, spec.master_seed, keys, jobs)
+        stats = BatchStats(table, keys, model, spec.n)
+        sample_ms = (time.perf_counter() - t0) * 1e3
 
     def window_values(stat):
         return stat(stats)
@@ -605,10 +623,12 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
             plans = plan_point(spec, gp, model, window_values)
             return [_diff_record(spec, stats, plan, gp, t0) for plan in plans]
         except Exception as exc:
-            raise RuntimeError(f"grid point {gp}: {exc}") from exc
+            raise RuntimeError(f"{spec.theorem} at grid point {gp}: {exc}") from exc
 
-    nested = map_jobs(run_point, _grid_points(spec), jobs)
-    return [rec for group in nested for rec in group]
+    records = [rec for group in map_jobs(run_point, _grid_points(spec), jobs) for rec in group]
+    # every record shares the one draw-and-reduce step equally
+    share = sample_ms / len(records)
+    return [replace(rec, wall_ms=rec.wall_ms + share) for rec in records]
 
 
 def _run_regression_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
@@ -687,27 +707,33 @@ def _run_azuma_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
     return out
 
 
-def _diff(grid_keys, plan, model_req, check=None):
-    return _Target(grid_keys, _run_diff_target, plan, model_req=model_req, check=check)
+def _diff(grid_keys, plan, model_req, reads, check=None):
+    return _Target(grid_keys, _run_diff_target, plan, model_req=model_req, check=check,
+                   reads=reads)
 
 
 VERIFY_TARGETS = {
-    "bernstein": _diff(("z",), _plan_bernstein, "bounded_abs"),
-    "freedman": _diff(("x", "L"), _plan_freedman, "bounded_abs"),
-    "dvz": _diff(("x", "L", "a"), _plan_dvz, "sq"),
-    "dlp_point": _diff(("x", "y"), _plan_dlp_point, "sym"),
-    "cor21_point": _diff(("x", "y"), _plan_cor21_point, "sq"),
-    "cor21_expectation": _diff(("x",), _plan_b_n_expectation, "sq", _check_enumeration),
-    "thm21_point": _diff(("x", "y", "z"), _plan_thm21_point, "sq"),
-    "thm21_expectation": _diff(("x", "y"), _plan_b_n_expectation, "sq", _check_enumeration),
-    "bercu_touati": _diff(("x", "y", "a", "b"), _plan_bercu_touati, "heavy"),
-    "thm22_peeling": _diff(("x", "y", "b", "M"), _plan_b_n_peeling, "sq"),
-    "cor22_peeling": _diff(("x", "b", "M"), _plan_b_n_peeling, "sq"),
-    "thm25_peeling": _diff(("x", "b", "M"), _plan_thm25_peeling, "heavy"),
-    "delyon": _diff(("x", "y"), _plan_delyon, "sq", _check_delyon),
-    "thm23_expectation": _diff(("x", "beta"), _plan_thm23_expectation, None, _check_thm23),
-    "thm24_peeling": _diff(("x", "beta", "b", "M"), _plan_thm24_peeling, None, _check_beta_moments),
-    "thm31_tstat": _diff(("x", "b", "M"), _plan_thm31_tstat, "heavy", _check_tstat_domain),
+    "bernstein": _diff(("z",), _plan_bernstein, "bounded_abs", None),
+    "freedman": _diff(("x", "L"), _plan_freedman, "bounded_abs", None),
+    "dvz": _diff(("x", "L", "a"), _plan_dvz, "sq", ("h_n", "a")),
+    "dlp_point": _diff(("x", "y"), _plan_dlp_point, "sym", ("sq_var", None)),
+    "cor21_point": _diff(("x", "y"), _plan_cor21_point, "sq", ("b_n", 0.0)),
+    "cor21_expectation": _diff(("x",), _plan_b_n_expectation, "sq", ("b_n", 0.0),
+                               _check_enumeration),
+    "thm21_point": _diff(("x", "y", "z"), _plan_thm21_point, "sq", ("b_n", "y")),
+    "thm21_expectation": _diff(("x", "y"), _plan_b_n_expectation, "sq", ("b_n", "y"),
+                               _check_enumeration),
+    "bercu_touati": _diff(("x", "y", "a", "b"), _plan_bercu_touati, "heavy", ("sq_var", None)),
+    "thm22_peeling": _diff(("x", "y", "b", "M"), _plan_b_n_peeling, "sq", ("b_n", "y")),
+    "cor22_peeling": _diff(("x", "b", "M"), _plan_b_n_peeling, "sq", ("b_n", 0.0)),
+    "thm25_peeling": _diff(("x", "b", "M"), _plan_thm25_peeling, "heavy", ("sq_var", None)),
+    "delyon": _diff(("x", "y"), _plan_delyon, "sq", ("b_n", 0.0), _check_delyon),
+    "thm23_expectation": _diff(("x", "beta"), _plan_thm23_expectation, None, ("g_n", "beta"),
+                               _check_thm23),
+    "thm24_peeling": _diff(("x", "beta", "b", "M"), _plan_thm24_peeling, None, ("g_n", "beta"),
+                           _check_beta_moments),
+    "thm31_tstat": _diff(("x", "b", "M"), _plan_thm31_tstat, "heavy", ("sq_var", None),
+                         _check_tstat_domain),
     "thm32_regression": _Target(("x",), _run_regression_target, check=_check_regression),
     "thm33_regression": _Target(
         ("x",), _run_regression_target, optional_keys=("b", "M"), check=_check_regression

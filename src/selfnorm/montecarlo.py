@@ -168,8 +168,8 @@ def evaluate_event(stats, event: TailEvent) -> np.ndarray:
 
 
 def estimate_tail_from(stats, event: TailEvent, gamma: float) -> MCEstimate:
-    hits = int(np.count_nonzero(evaluate_event(stats, event)))
-    return MCEstimate.from_hits(hits, stats.xs.shape[0], gamma)
+    inside = evaluate_event(stats, event)
+    return MCEstimate.from_hits(int(np.count_nonzero(inside)), inside.size, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ under the natural filtration.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ __all__ = [
     "stream_blocks",
     "map_jobs",
     "sample_batch",
+    "UndeclaredStatisticError",
     "BatchStats",
 ]
 
@@ -443,104 +443,156 @@ def build_model(desc: dict) -> DifferenceModel:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from exc
 
 
-def sample_batch(model: DifferenceModel, n: int, n_rep: int, master_seed: int,
+def sample_batch(model: DifferenceModel, n: int, n_rep: int, master_seed: int, keys,
                  jobs: int = 1) -> np.ndarray:
-    """(n_rep, n) matrix of replicates under the stream contract of `stream_blocks`.
+    """(n_rep, len(keys)) read-only table of the statistics `keys` of n_rep
+    replicates under the stream contract of `stream_blocks`, one column per key.
 
-    Filled one block at a time, on `jobs` threads when jobs > 1, so rows
-    [0, k) are the same for every n_rep >= k and every jobs.
+    A key is (method, parameter) of a `BatchStats` method: ("s", None),
+    ("sq_var", None), ("b_n", y), ("h_n", a) or ("g_n", beta).  Each block is
+    drawn and at once reduced to every key while it is in cache, so the
+    (n_rep, n) path matrix is never formed.  With jobs > 1, thread i of `jobs`
+    takes every jobs-th block from block i; a row depends only on its block,
+    so row r is the same for every n_rep > r and every jobs.  Each thread
+    reuses one block-sized float and one bool scratch for every key and block,
+    and holds a block's draw until the next one is drawn: freed first, it lets
+    the allocator trim the heap and fault it back on every block.  The columns
+    are contiguous (Fortran order).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n_rep < 1:
         raise ValueError(f"n_rep must be >= 1, got {n_rep}")
-    out = np.empty((n_rep, n), dtype=float)
+    kernels = [_block_kernel(model, n, key) for key in keys]
+    table = np.empty((n_rep, len(kernels)), order="F")
+    blocks = list(stream_blocks(n, n_rep, master_seed))
+    shape = (_block_rows(n), n)
 
-    def fill(block) -> None:
-        start, rows, rng = block
-        out[start:start + rows] = model.sample(rng, (rows, n))[: n_rep - start]
+    def fill(group) -> None:
+        tmp, mask = np.empty(shape), np.empty(shape, dtype=bool)
+        for start, rows, rng in group:
+            x = model.sample(rng, (rows, n))[: n_rep - start]
+            k = len(x)
+            for (kernel, param, predictable), column in zip(kernels, table.T):
+                out = column[start:start + k]
+                kernel(x, param, tmp[:k], mask[:k], out)
+                if predictable is not None:
+                    out += predictable
 
-    map_jobs(fill, stream_blocks(n, n_rep, master_seed), jobs)
-    return out
+    jobs = min(jobs, len(blocks))
+    map_jobs(fill, [blocks[i::jobs] for i in range(jobs)], jobs)
+    table.flags.writeable = False
+    return table
+
+
+def _block_kernel(model: DifferenceModel, n: int, key: tuple):
+    """(kernel, parameter, predictable part or None) of one statistic key;
+    raises where the model lacks the moment the predictable part needs."""
+    method, param = key
+    if method == "s":
+        return _row_sum, None, None
+    if method == "sq_var":
+        return _sq_sum, None, None
+    if method == "b_n":
+        if param < 0:
+            raise ValueError(f"y must be >= 0, got {param}")
+        return _sq_above, param, n * model.sq_below(param)
+    if method == "h_n":
+        if param < 0:
+            raise ValueError(f"a must be >= 0, got {param}")
+        return _sq_abs_above, param, n * model.var()
+    if method == "g_n":
+        # neg_beta_moment rejects a beta the model lacks
+        return _positive_power_sum, param, n * model.neg_beta_moment(param)
+    raise ValueError(f"unknown statistic {method!r}")
+
+
+# Block kernels: each writes one value per row of the block x into out, with
+# tmp and mask as scratch of x's shape.
+
+
+def _row_sum(x, param, tmp, mask, out) -> None:
+    x.sum(axis=1, out=out)
+
+
+def _sq_sum(x, param, tmp, mask, out) -> None:
+    np.multiply(x, x, out=tmp)
+    tmp.sum(axis=1, out=out)
+
+
+def _masked_sq_sum(x, tmp, mask, out) -> None:
+    """Per row: the sum of x^2 over the lanes where mask holds."""
+    np.multiply(x, x, out=tmp)
+    tmp *= mask
+    tmp.sum(axis=1, out=out)
+
+
+def _sq_above(x, y, tmp, mask, out) -> None:
+    np.greater(x, y, out=mask)
+    _masked_sq_sum(x, tmp, mask, out)
+
+
+def _sq_abs_above(x, a, tmp, mask, out) -> None:
+    np.abs(x, out=tmp)
+    np.greater(tmp, a, out=mask)
+    _masked_sq_sum(x, tmp, mask, out)
+
+
+def _positive_power_sum(x, beta, tmp, mask, out) -> None:
+    """Per row: the sum of max(x, 0)^beta, for beta > 0."""
+    np.maximum(x, 0.0, out=tmp)
+    np.equal(tmp, 0.0, out=mask)
+    # np.power runs several times slower on 0.0 lanes, so they are raised as
+    # 1.0 and set back to 0 = 0^beta after the power
+    tmp += mask
+    np.power(tmp, beta, out=tmp)
+    tmp -= mask
+    tmp.sum(axis=1, out=out)
+
+
+class UndeclaredStatisticError(LookupError):
+    """A statistic was read from a batch that was not reduced to it."""
 
 
 class BatchStats:
-    """Vectorized bracket processes of a batch of paths (one row per path).
+    """Vectorized bracket processes of a batch of paths (one row per path): a
+    read-only named view of a `sample_batch` table reduced to `keys`.
 
-    Realized sums use the sampled increments; predictable terms use the
+    Realized sums come from the sampled increments; predictable terms are the
     model's closed-form conditional moments.  `s`, `sq_var`, `b_n`, `h_n` and
-    `g_n` are memoized per (method, parameter) and returned read-only, since
-    one batch serves every grid point of a run.  A lock makes the first caller
-    of a key compute it, by row blocks of the stream contract's size on `jobs`
-    threads, and grid points on other threads wait for that one array.
+    `g_n` return the table's column of their key, the same read-only array on
+    every call, and raise UndeclaredStatisticError for a key the table does not
+    hold.  `cond_var` is the closed form n E[xi^2] of every path.
     """
 
-    def __init__(self, xs: np.ndarray, model: DifferenceModel, jobs: int = 1):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        self.xs = xs
+    def __init__(self, table: np.ndarray, keys, model: DifferenceModel, n: int):
         self.model = model
-        self.n = xs.shape[1]
-        self.jobs = jobs
-        self._cache = {}
-        self._lock = threading.Lock()
+        self.n = n
+        self.n_rep = table.shape[0]
+        self._columns = dict(zip(keys, table.T))
 
-    def _cached(self, key: tuple, row_sums) -> np.ndarray:
-        value = self._cache.get(key)
-        if value is None:
-            with self._lock:
-                value = self._cache.get(key)
-                if value is None:
-                    value = np.empty(self.xs.shape[0])
-                    rows = _block_rows(self.n)
-
-                    def fill(start: int) -> None:
-                        value[start:start + rows] = row_sums(self.xs[start:start + rows])
-
-                    map_jobs(fill, range(0, len(value), rows), self.jobs)
-                    value.flags.writeable = False
-                    self._cache[key] = value
-        return value
+    def _column(self, key: tuple) -> np.ndarray:
+        try:
+            return self._columns[key]
+        except KeyError:
+            raise UndeclaredStatisticError(
+                f"statistic {key} was not declared (the batch holds {list(self._columns)})"
+            ) from None
 
     def s(self) -> np.ndarray:
-        return self._cached(("s", None), lambda x: x.sum(axis=1))
+        return self._column(("s", None))
 
     def sq_var(self) -> np.ndarray:
-        return self._cached(("sq_var", None), lambda x: (x * x).sum(axis=1))
+        return self._column(("sq_var", None))
 
     def cond_var(self) -> np.ndarray:
-        return np.full(self.xs.shape[0], self.n * self.model.var())
+        return np.full(self.n_rep, self.n * self.model.var())
 
     def b_n(self, y: float) -> np.ndarray:
-        if y < 0:
-            raise ValueError(f"y must be >= 0, got {y}")
-        below = self.n * self.model.sq_below(y)
-        return self._cached(("b_n", y), lambda x: _masked_sq_sum(x, x > y) + below)
+        return self._column(("b_n", y))
 
     def h_n(self, a: float) -> np.ndarray:
-        if a < 0:
-            raise ValueError(f"a must be >= 0, got {a}")
-        var = self.n * self.model.var()
-        return self._cached(("h_n", a), lambda x: _masked_sq_sum(x, np.abs(x) > a) + var)
+        return self._column(("h_n", a))
 
     def g_n(self, beta: float) -> np.ndarray:
-        neg = self.n * self.model.neg_beta_moment(beta)  # rejects a beta the model lacks
-        return self._cached(("g_n", beta), lambda x: _positive_power_sum(x, beta) + neg)
-
-
-def _masked_sq_sum(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row: the sum of x^2 over the lanes where mask holds."""
-    sq = x * x
-    sq *= mask
-    return sq.sum(axis=1)
-
-
-def _positive_power_sum(x: np.ndarray, beta: float) -> np.ndarray:
-    """Per row: the sum of max(x, 0)^beta, for beta > 0."""
-    pos = np.maximum(x, 0.0)
-    zero = pos == 0.0
-    # np.power runs several times slower on 0.0 lanes, so they are raised as
-    # 1.0 and set back to 0 = 0^beta after the power
-    pos += zero
-    np.power(pos, beta, out=pos)
-    pos -= zero
-    return pos.sum(axis=1)
+        return self._column(("g_n", beta))

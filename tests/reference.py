@@ -13,10 +13,13 @@ reference that every `held_karp_batch` length equals bit for bit, the
 inf-over-p objective sends every term through np.exp, the reference for the
 objective that skips terms known to underflow, the truncated brackets
 B_n(y), H_n(a) and G_n(beta) are formed over the whole batch at once with
-block-sized temporaries, the reference for `BatchStats`, which forms them one
-row block at a time in place, and the two-point, bounded-above and Pareto
-samplers draw through np.where selects and whole-array temporaries, the
-reference for their branch-free, in-place forms.  The Monte Carlo
+block-sized temporaries, the reference for `sample_batch`, which forms them
+one block at a time in reused scratch, the whole (n_rep, n) path matrix is
+filled block by block, the stream-contract reference for the rows that
+`sample_batch` reduces without storing them, and the two-point,
+bounded-above and Pareto samplers draw through np.where selects and
+whole-array temporaries, the reference for their branch-free, in-place
+forms.  The Monte Carlo
 supermartingale certificate check, a normal-approximation interval on E[U_n]
 or E[V_n], is kept for the certificate tests; no verify target has used it.
 """
@@ -50,6 +53,7 @@ from selfnorm.processes import (
     BoundedAbove,
     DifferenceModel,
     ScaledTwoPoint,
+    map_jobs,
     sample_batch,
     stream_blocks,
     substream,
@@ -124,6 +128,77 @@ def sample_path(model: DifferenceModel, n: int, master_seed: int, replicate: int
     row, rows, rng = _replicate_block(n, master_seed, replicate)
     xs = model.sample(rng, (rows, n))[row].copy()
     return Path(xs=xs, model=model, master_seed=master_seed, replicate=replicate)
+
+
+def path_matrix(model: DifferenceModel, n: int, n_rep: int, master_seed: int,
+                jobs: int = 1) -> np.ndarray:
+    """(n_rep, n) matrix of replicates under the stream contract of `stream_blocks`.
+
+    Filled one block at a time, on `jobs` threads when jobs > 1, so rows
+    [0, k) are the same for every n_rep >= k and every jobs.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n_rep < 1:
+        raise ValueError(f"n_rep must be >= 1, got {n_rep}")
+    out = np.empty((n_rep, n), dtype=float)
+
+    def fill(block) -> None:
+        start, rows, rng = block
+        out[start:start + rows] = model.sample(rng, (rows, n))[: n_rep - start]
+
+    map_jobs(fill, stream_blocks(n, n_rep, master_seed), jobs)
+    return out
+
+
+def stream_stats(model: DifferenceModel, n: int, n_rep: int, master_seed: int, *keys,
+                 jobs: int = 1) -> BatchStats:
+    """The `BatchStats` of `sample_batch` reduced to S_n and the given
+    (method, parameter) keys."""
+    keys = [("s", None), *keys]
+    return BatchStats(sample_batch(model, n, n_rep, master_seed, keys, jobs), keys, model, n)
+
+
+@dataclass(frozen=True, eq=False)
+class GivenPaths(DifferenceModel):
+    """Draws given paths in place of random increments, with the moments of
+    `model`: block k's draw holds rows [k*rows, (k+1)*rows) of `paths`, k read
+    from its generator's Philox key, and zeros past the last path.  It sends
+    hand-made paths through `sample_batch`'s block kernels."""
+
+    paths: np.ndarray
+    model: DifferenceModel
+
+    @property
+    def family(self):
+        return self.model.family
+
+    def sample(self, rng, size):
+        rows = size[0]
+        start = int(rng.bit_generator.state["state"]["key"][1]) * rows
+        out = np.zeros(size)
+        block = self.paths[start:start + rows]
+        out[:len(block)] = block
+        return out
+
+    def var(self):
+        return self.model.var()
+
+    def sq_below(self, y):
+        return self.model.sq_below(y)
+
+    def neg_beta_moment(self, beta):
+        return self.model.neg_beta_moment(beta)
+
+
+def given_stats(paths, model: DifferenceModel, *keys, jobs: int = 1) -> BatchStats:
+    """The `BatchStats` of the given (n_rep, n) paths, reduced by `sample_batch`'s
+    block kernels to S_n and the given (method, parameter) keys."""
+    paths = np.atleast_2d(np.asarray(paths, dtype=float))
+    n_rep, n = paths.shape
+    keys = [("s", None), *keys]
+    table = sample_batch(GivenPaths(paths, model), n, n_rep, 0, keys, jobs)
+    return BatchStats(table, keys, model, n)
 
 
 def sq_var_above(xs: np.ndarray, y: float) -> np.ndarray:
@@ -367,7 +442,10 @@ def supermartingale_check(
     Passes iff mean - 3*SE <= 1.  The certificate is positive and can be
     heavy-tailed; the sample maximum is carried in the estimate for honesty.
     """
-    stats = BatchStats(sample_batch(model, n, n_rep, master_seed), model)
+    method, param = {"U": ("b_n", y), "V": ("g_n", beta)}.get(kind, (None, None))
+    # _certificate_values rejects a bad kind or a missing parameter
+    keys = [] if param is None else [(method, param)]
+    stats = stream_stats(model, n, n_rep, master_seed, *keys)
     values = _certificate_values(stats, kind, lam, y, beta)
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n_rep)) if n_rep > 1 else 0.0

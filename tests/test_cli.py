@@ -7,6 +7,9 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,7 @@ from selfnorm.experiments import (
     run_experiment,
 )
 from selfnorm.montecarlo import P_SEARCH_WINDOW, TailEvent, exact_tail_rademacher
+from selfnorm.processes import BatchStats, sample_batch
 
 
 def _spec(**overrides):
@@ -126,6 +130,12 @@ PINNED_SPECS = {
         "grids": {"t": [0.2, 0.5]}, "n_rep": 400, "master_seed": 7, "c_const": 1.0,
     },
 }
+
+# the pinned specs of diff targets in mode mc
+_MC_DIFF_SPECS = [
+    name for name, raw in PINNED_SPECS.items()
+    if experiments.VERIFY_TARGETS[raw["theorem"]].plan and raw.get("mode", "mc") == "mc"
+]
 
 # sha256 of each pinned spec's JSON report; a change that moves any byte of
 # a report fails here
@@ -450,6 +460,69 @@ class TestRunExperiment:
         records = run_experiment(spec)
         assert records[0].b == pytest.approx(math.sqrt(10.0), rel=1e-12)
 
+    def test_pinned_grids_cover_every_diff_target(self):
+        diff = {name for name, target in experiments.VERIFY_TARGETS.items() if target.plan}
+        assert diff == set(_PINNED_DIFF_GRIDS)
+
+    @pytest.mark.parametrize("name", _MC_DIFF_SPECS)
+    def test_diff_target_reads_exactly_its_declared_statistics(self, monkeypatch, name):
+        # the batch is reduced to the declared keys only; a plan that read
+        # another key would raise, and a declared key no plan reads is waste
+        declared, read = [], set()
+
+        def spy(model, n, n_rep, master_seed, keys, jobs=1):
+            declared.extend(keys)
+            return sample_batch(model, n, n_rep, master_seed, keys, jobs)
+
+        class Recording(BatchStats):
+            def _column(self, key):
+                read.add(key)
+                return super()._column(key)
+
+        monkeypatch.setattr(experiments, "sample_batch", spy)
+        monkeypatch.setattr(experiments, "BatchStats", Recording)
+        spec = load_spec(PINNED_SPECS[name])
+        run_experiment(spec, jobs=2)
+        assert len(declared) == len(set(declared))
+        assert read == set(declared)
+
+    def test_streamed_run_never_holds_the_path_matrix(self):
+        # each block is reduced as it is drawn: the run holds the (n_rep, 3)
+        # table and a few block-sized arrays, about 4 MiB, where the
+        # (n_rep, n) path matrix alone would be 30.5 MiB
+        n, n_rep = 100, 40_000
+        raw = {"id": "memory", "theorem": "thm22_peeling", "n": n,
+               "model": {"family": "bounded_above", "y_cap": 1.0},
+               "grids": {"x": [0.5, 1.0], "y": [0.0, 1.0], "b": ["p10"], "M": [2.0]},
+               "n_rep": n_rep, "master_seed": 3}
+        spec = load_spec(raw)
+        run_experiment(load_spec({**raw, "n_rep": 100}))  # imports outside the traced run
+        tracemalloc.start()
+        try:
+            records = run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4
+        assert peak < n * n_rep * 8 / 4, peak
+
+    def test_timing_shares_the_draw_among_records(self, monkeypatch):
+        delay_ms = 200.0
+
+        def slow(*args, **kwargs):
+            time.sleep(delay_ms / 1e3)
+            return sample_batch(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_batch", slow)
+        grids = {"x": [0.5, 1.0], "y": [0.0], "z": [7.0]}
+        spec = load_spec(_spec(theorem="thm21_point", grids=grids))
+        records = run_experiment(spec, jobs=2)
+        assert len(records) == 4
+        assert all(rec.wall_ms >= delay_ms / 4 for rec in records)
+        # the exact oracle draws nothing, so nothing is shared
+        exact = run_experiment(load_spec({**_spec(), "mode": "exact_oracle"}))
+        assert all(rec.wall_ms < delay_ms / 4 for rec in exact)
+
 
 class TestReports:
     def _records(self):
@@ -708,6 +781,20 @@ class TestCli:
         assert result.exit_code == 2
         assert f"internal error: experiment {raw['id']}: " in result.output
         assert "injected fault" in result.output
+        assert "config error" not in result.output
+
+    def test_undeclared_statistic_is_an_internal_fault(self, tmp_path, monkeypatch):
+        # dvz's plans read H_n(a); a declaration without it fails during the
+        # run, naming the target and the key, and not as a config error
+        target = experiments.VERIFY_TARGETS["dvz"]
+        monkeypatch.setitem(experiments.VERIFY_TARGETS, "dvz", replace(target, reads=None))
+        raw = PINNED_SPECS["dvz-mc"]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert f"internal error: experiment {raw['id']}: dvz at grid point" in result.output
+        assert "statistic ('h_n', 0.5) was not declared" in result.output
         assert "config error" not in result.output
 
     def test_violation_exit_one(self, tmp_path):

@@ -30,7 +30,7 @@ from selfnorm.montecarlo import (
     optimize_expectation_values,
     optimize_over_p_from,
 )
-from selfnorm.processes import BatchStats, CenteredPareto, Rademacher, ScaledTwoPoint, sample_batch
+from selfnorm.processes import CenteredPareto, Rademacher, ScaledTwoPoint
 
 from reference import (
     MeanEstimate,
@@ -40,8 +40,10 @@ from reference import (
     exact_mean_rademacher,
     exact_supermartingale_mean_rademacher,
     expectation_bound_from,
+    given_stats,
     plain_objective,
     shifted_objective,
+    stream_stats,
     supermartingale_check,
 )
 
@@ -116,7 +118,7 @@ class TestExactOracle:
 
     def test_degenerate_normalizer_is_false(self):
         batch = np.zeros((4, 3))
-        stats = BatchStats(batch, Rademacher())
+        stats = given_stats(batch, Rademacher(), ("sq_var", None))
         event = TailEvent(x=0.0, normalizer=lambda st: np.sqrt(st.sq_var()))
         assert not evaluate_event(stats, event).any()
 
@@ -139,7 +141,8 @@ def _cross_check_events(n, y):
     sqrt(2) boundary atom; window edges sit on realized values of the statistic."""
     events = [TailEvent(x=x) for x in (0.0, 1.0, math.sqrt(n))]
     events.append(TailEvent(x=math.sqrt(2.0), normalizer=lambda st: np.sqrt(st.sq_var())))
-    paths = BatchStats(next(enumerate_sign_chunks(n)), Rademacher())
+    paths = given_stats(next(enumerate_sign_chunks(n)), Rademacher(), ("b_n", y),
+                        ("sq_var", None), ("h_n", y), ("g_n", 1.5))
     for stat in _every_statistic(y):
         events += [TailEvent(x=x, normalizer=stat) for x in (0.0, 0.3, 1.0)]
         values = np.sort(stat(paths))
@@ -199,7 +202,7 @@ class TestTypeOracleMatchesEnumeration:
 
 
 def _stats(model, n, n_rep, master_seed):
-    return BatchStats(sample_batch(model, n, n_rep, master_seed), model)
+    return stream_stats(model, n, n_rep, master_seed, ("sq_var", None), ("b_n", 0.0))
 
 
 class TestEstimateTail:
@@ -219,7 +222,7 @@ class TestEstimateTail:
             TailEvent(x=0.3, normalizer=lambda st: st.b_n(0.0)),
             TailEvent(x=1.0, window=(lambda st: st.b_n(0.0), 0.0, n)),
         ]
-        stats = BatchStats(sample_batch(Rademacher(), n, 40_000, 1357), Rademacher())
+        stats = _stats(Rademacher(), n, 40_000, 1357)
         for event in events:
             exact = exact_tail_rademacher(n, event)
             est = estimate_tail_from(stats, event, 0.99)
@@ -263,7 +266,7 @@ class TestExpectationBounds:
         assert abs(value - exact) <= 3.0 * se + 1e-9
 
     def test_indicator_only_removes_mass(self):
-        stats = BatchStats(sample_batch(Rademacher(), 10, 5000, 11), Rademacher())
+        stats = _stats(Rademacher(), 10, 5000, 11)
         with_ind, _ = expectation_bound_from(stats, 0.3, y=0.0, p=2.0, with_indicator=True)
         without, _ = expectation_bound_from(stats, 0.3, y=0.0, p=2.0, with_indicator=False)
         assert with_ind <= without + 1e-12
@@ -273,7 +276,7 @@ class TestExpectationBounds:
             expectation_bound_from(_stats(Rademacher(), 5, 500, 1), 1.0, y=0.0, p=1.0)
 
     def test_exactly_one_normalizer_flavor(self):
-        stats = BatchStats(sample_batch(Rademacher(), 5, 500, 1), Rademacher())
+        stats = _stats(Rademacher(), 5, 500, 1)
         with pytest.raises(ValueError):
             expectation_bound_from(stats, 1.0, p=2.0)
         with pytest.raises(ValueError):
@@ -287,12 +290,12 @@ class TestOptimizeOverP:
         assert f_star == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_deviation_returns_one(self):
-        stats = BatchStats(sample_batch(Rademacher(), 10, 500, 3), Rademacher())
+        stats = _stats(Rademacher(), 10, 500, 3)
         out = optimize_over_p_from(stats, 0.0, y=0.0, with_indicator=False)
         assert out.value == pytest.approx(1.0, abs=1e-12)
 
     def test_argmin_on_evaluated_set(self):
-        stats = BatchStats(sample_batch(Rademacher(), 10, 20_000, 5), Rademacher())
+        stats = _stats(Rademacher(), 10, 20_000, 5)
         out = optimize_over_p_from(stats, 0.3, y=0.0)
         at_star, _ = expectation_bound_from(stats, 0.3, y=0.0, p=out.p_star)
         assert out.value == pytest.approx(at_star, rel=1e-12)
@@ -323,7 +326,7 @@ class TestOptimizeOverP:
         assert exact <= opt.value + 1e-12
 
     def test_never_worse_than_p_two(self):
-        stats = BatchStats(sample_batch(Rademacher(), 10, 10_000, 23), Rademacher())
+        stats = _stats(Rademacher(), 10, 10_000, 23)
         for x in (0.1, 0.3, 0.5):
             out = optimize_over_p_from(stats, x, y=0.0)
             at_two, _ = expectation_bound_from(stats, x, y=0.0, p=2.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +21,7 @@ from selfnorm.processes import (
     Rademacher,
     ScaledTwoPoint,
     SymmetricMixture,
+    UndeclaredStatisticError,
     UnsupportedStatisticError,
     build_model,
     sample_batch,
@@ -30,11 +32,14 @@ from selfnorm.processes import (
 from reference import (
     Path,
     cond_var_below,
+    given_stats,
+    path_matrix,
     positive_power_sum,
     sample_path,
     sample_reference,
     sq_var_above,
     sq_var_abs_above,
+    stream_stats,
     truncated_mean,
 )
 
@@ -94,7 +99,7 @@ class TestSamplingContracts:
 
     def test_batch_rows_match_replicate_paths(self):
         model = BoundedAbove(1.0)
-        batch = sample_batch(model, 7, 11, 99)
+        batch = path_matrix(model, 7, 11, 99)
         for r in (0, 5, 10):
             assert np.array_equal(batch[r], sample_path(model, 7, 99, replicate=r).xs)
 
@@ -102,24 +107,30 @@ class TestSamplingContracts:
     def test_block_boundary_rows_match_paths(self, model):
         n = 64
         rows = BLOCK_VALUES // n
-        batch = sample_batch(model, n, rows + 3, 99)
+        batch = path_matrix(model, n, rows + 3, 99)
         # last row of block 0, first row of block 1, and a row of the trimmed block
         for r in (rows - 1, rows, rows + 2):
             assert np.array_equal(batch[r], sample_path(model, n, 99, replicate=r).xs)
 
     def test_rows_do_not_depend_on_n_rep(self):
         model, n = Gaussian(sd=0.7), 64
-        full = sample_batch(model, n, 5000, 31)
+        full = path_matrix(model, n, 5000, 31)
+        keys = [("s", None), ("b_n", 0.5)]
+        full_table = sample_batch(model, n, 5000, 31, keys)
         for n_rep in (11, BLOCK_VALUES // n + 1):
-            assert np.array_equal(sample_batch(model, n, n_rep, 31), full[:n_rep])
+            assert np.array_equal(path_matrix(model, n, n_rep, 31), full[:n_rep])
+            assert_same_bits(sample_batch(model, n, n_rep, 31, keys), full_table[:n_rep])
 
     @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("n_rep", [3 * (BLOCK_VALUES // 64) + 5, 100])
     @pytest.mark.parametrize("model", ALL_MODELS, ids=_model_id)
     def test_batch_identical_at_any_jobs(self, model, n_rep, jobs):
         # 3 whole blocks and a partial one, or less than one block
-        serial = sample_batch(model, 64, n_rep, 31)
-        assert np.array_equal(sample_batch(model, 64, n_rep, 31, jobs=jobs), serial)
+        serial = path_matrix(model, 64, n_rep, 31)
+        assert np.array_equal(path_matrix(model, 64, n_rep, 31, jobs=jobs), serial)
+        keys = [("s", None), ("sq_var", None)]
+        assert_same_bits(sample_batch(model, 64, n_rep, 31, keys, jobs=jobs),
+                         sample_batch(model, 64, n_rep, 31, keys))
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_block_error_surfaces(self, jobs, monkeypatch):
@@ -129,7 +140,9 @@ class TestSamplingContracts:
         monkeypatch.setattr(Gaussian, "sample", failing)
         n_rep = 3 * (BLOCK_VALUES // 64) + 5
         with pytest.raises(RuntimeError, match="increment draw failed"):
-            sample_batch(Gaussian(), 64, n_rep, 55, jobs=jobs)
+            path_matrix(Gaussian(), 64, n_rep, 55, jobs=jobs)
+        with pytest.raises(RuntimeError, match="increment draw failed"):
+            sample_batch(Gaussian(), 64, n_rep, 55, [("s", None)], jobs=jobs)
         spec = load_spec({"id": "failing", "theorem": "cor22_peeling", "n": 64,
                           "model": {"family": "gaussian"},
                           "grids": {"x": [0.5, 1.0], "b": [2.0], "M": [2.0]},
@@ -139,7 +152,10 @@ class TestSamplingContracts:
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            sample_batch(Rademacher(), 0, 1, 1)
+            path_matrix(Rademacher(), 0, 1, 1)
+        for n, n_rep in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                sample_batch(Rademacher(), n, n_rep, 1, [("s", None)])
 
     def test_rademacher_mean_clt_width(self):
         xs = sample_path(Rademacher(), 10_000, 7).xs
@@ -223,7 +239,10 @@ class TestInPlaceSamplers:
             sample_reference(model, rng, (block_rows, n))
             for _, block_rows, rng in stream_blocks(n, n_rep, 11)
         ])[:n_rep]
-        assert_same_bits(sample_batch(model, n, n_rep, 11), want)
+        assert_same_bits(path_matrix(model, n, n_rep, 11), want)
+        stats = stream_stats(model, n, n_rep, 11, ("sq_var", None))
+        assert_same_bits(stats.s(), want.sum(axis=1))
+        assert_same_bits(stats.sq_var(), (want * want).sum(axis=1))
 
     @pytest.mark.parametrize("desc", [
         {"family": "scaled_two_point", "p_up": 0.5, "up": 1, "down": -1},
@@ -364,30 +383,38 @@ def _path(model, xs):
     return Path(xs=np.asarray(xs, dtype=float), model=model, master_seed=0, replicate=0)
 
 
-def _path_stats(model, xs):
-    """Bracket statistics of one path, as the single row of a BatchStats."""
-    return BatchStats(_path(model, xs).xs, model)
+def _path_stats(model, xs, *keys):
+    """Bracket statistics of one path, as the single row of a BatchStats
+    reduced to S_n and the given keys."""
+    return given_stats(_path(model, xs).xs, model, *keys)
+
+
+# every bracket kind at thresholds of the tests below
+_BRACKET_KEYS = (("sq_var", None), ("b_n", 0.0), ("b_n", 0.5), ("b_n", 1.0), ("h_n", 0.5),
+                 ("h_n", 1.0), ("g_n", 1.5))
 
 
 class TestPathStats:
     def test_hand_example(self):
-        st = _path_stats(Rademacher(), [1.0, -1.0, 1.0])
+        xs = np.array([[1.0, -1.0, 1.0]])
+        st = _path_stats(Rademacher(), xs, *_BRACKET_KEYS)
         assert st.s()[0] == 1.0
         assert st.sq_var()[0] == 3.0
         assert st.b_n(0.0)[0] == pytest.approx(3.5)
         # B_n(0): realized squares of the 2 positive steps plus n E[(xi^-)^2] = 3 * 0.5
-        pos_sq = ((st.xs > 0) * st.xs ** 2).sum(axis=1)
+        pos_sq = ((xs > 0) * xs ** 2).sum(axis=1)
         assert pos_sq[0] == 2.0
         assert st.b_n(0.0)[0] == pytest.approx(pos_sq[0] + 3 * Rademacher().sq_below(0.0))
         assert st.g_n(1.5)[0] == pytest.approx(2.0 + 1.5)
 
     def test_y_above_support_kills_realized_part(self):
-        st = _path_stats(Rademacher(), [1.0, -1.0, 1.0, 1.0])
-        assert sq_var_above(st.xs, 1.0)[0] == 0.0
+        xs = np.array([[1.0, -1.0, 1.0, 1.0]])
+        st = _path_stats(Rademacher(), xs, *_BRACKET_KEYS)
+        assert sq_var_above(xs, 1.0)[0] == 0.0
         assert st.b_n(1.0)[0] == pytest.approx(st.cond_var()[0])
 
     def test_all_below_threshold_makes_h_predictable(self):
-        st = _path_stats(Rademacher(), [1.0, -1.0])
+        st = _path_stats(Rademacher(), [1.0, -1.0], *_BRACKET_KEYS)
         assert st.h_n(1.0)[0] == pytest.approx(st.cond_var()[0])
         assert st.h_n(0.5)[0] == pytest.approx(2.0 + st.cond_var()[0])
 
@@ -397,16 +424,18 @@ class TestPathStats:
         ids=_model_id,
     )
     def test_identities_on_sampled_paths(self, model):
-        batch = sample_batch(model, 40, 50, 2718)
-        stats = BatchStats(batch, model)
+        batch = path_matrix(model, 40, 50, 2718)
+        ys = (0.0, 0.3, 1.0)
+        stats = stream_stats(model, 40, 50, 2718, ("sq_var", None),
+                             *(("b_n", y) for y in ys), *(("h_n", y) for y in ys))
         b0 = stats.b_n(0.0)
         pos_sq = ((batch > 0) * batch ** 2).sum(axis=1)
         assert np.allclose(b0, pos_sq + batch.shape[1] * model.sq_below(0.0), rtol=1e-12)
-        for y in (0.0, 0.3, 1.0):
+        for y in ys:
             # B differs from H by the realized mass below -y and the
             # predictable mass above y, both nonnegative
             gap = stats.h_n(y) - stats.b_n(y)
-            expected_gap = ((batch ** 2) * (batch < -y)).sum(axis=1) + stats.xs.shape[1] * (
+            expected_gap = ((batch ** 2) * (batch < -y)).sum(axis=1) + batch.shape[1] * (
                 model.var() - model.sq_below(y)
             )
             assert np.allclose(gap, expected_gap, rtol=1e-9, atol=1e-12)
@@ -417,7 +446,9 @@ class TestPathStats:
 
     def test_brackets_are_memoized_per_parameter(self):
         model = BoundedAbove(1.0)
-        stats = BatchStats(sample_batch(model, 20, 30, 8), model)
+        xs = path_matrix(model, 20, 30, 8)
+        stats = stream_stats(model, 20, 30, 8, ("sq_var", None), ("b_n", 0.0), ("b_n", 0.5),
+                             ("h_n", 0.5), ("g_n", 1.2), ("g_n", 1.5))
         assert stats.s() is stats.s()
         assert stats.sq_var() is stats.sq_var()
         assert stats.b_n(0.5) is stats.b_n(0.5)
@@ -427,32 +458,33 @@ class TestPathStats:
         assert not np.array_equal(stats.b_n(0.0), stats.b_n(0.5))
         assert not np.array_equal(stats.g_n(1.2), stats.g_n(1.5))
         assert np.array_equal(
-            stats.b_n(0.5), sq_var_above(stats.xs, 0.5) + cond_var_below(stats.xs, model, 0.5)
+            stats.b_n(0.5), sq_var_above(xs, 0.5) + cond_var_below(xs, model, 0.5)
         )
 
     def test_memoized_brackets_are_read_only(self):
         model = Rademacher()
-        stats = BatchStats(sample_batch(model, 10, 5, 8), model)
+        stats = stream_stats(model, 10, 5, 8, ("sq_var", None), ("b_n", 0.0), ("h_n", 0.5),
+                             ("g_n", 1.5))
         before = stats.b_n(0.0).copy()
         for arr in (stats.s(), stats.sq_var(), stats.b_n(0.0), stats.h_n(0.5), stats.g_n(1.5)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 99.0
         assert np.array_equal(stats.b_n(0.0), before)
 
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("model", ALL_MODELS, ids=_model_id)
     def test_brackets_identical_at_any_jobs(self, model, jobs):
-        # 2 whole row blocks and a partial one; each bracket must equal its
-        # whole-batch formula bit for bit
+        # 2 whole row blocks and a partial one; every bracket kind, streamed
+        # and reduced block by block, must equal its whole-batch formula on
+        # the path matrix bit for bit
         n = 64
-        xs = sample_batch(model, n, 2 * (BLOCK_VALUES // n) + 7, 12)
-        serial, threaded = BatchStats(xs, model), BatchStats(xs, model, jobs=jobs)
+        n_rep = 2 * (BLOCK_VALUES // n) + 7
+        xs = path_matrix(model, n, n_rep, 12)
         beta = 1.5 if model.beta_integrable(1.5) else 1.1
         pairs = [
-            (lambda st: st.s(), xs.sum(axis=1)),
-            (lambda st: st.sq_var(), (xs * xs).sum(axis=1)),
-            (lambda st: st.g_n(beta),
-             positive_power_sum(xs, beta) + n * model.neg_beta_moment(beta)),
+            (("s", None), xs.sum(axis=1)),
+            (("sq_var", None), (xs * xs).sum(axis=1)),
+            (("g_n", beta), positive_power_sum(xs, beta) + n * model.neg_beta_moment(beta)),
         ]
         if model.square_integrable:
             # the last threshold equals a sampled value (y) or a sampled |x|
@@ -460,14 +492,16 @@ class TestPathStats:
             for y, a in ((0.0, 0.0), (0.3, 0.3), (1.0, 1.0),
                          (float(xs[xs > 0][0]), float(np.abs(xs[-1, -1])))):
                 pairs += [
-                    (lambda st, y=y: st.b_n(y),
-                     sq_var_above(xs, y) + cond_var_below(xs, model, y)),
-                    (lambda st, a=a: st.h_n(a),
-                     sq_var_abs_above(xs, a) + serial.cond_var()),
+                    (("b_n", y), sq_var_above(xs, y) + cond_var_below(xs, model, y)),
+                    (("h_n", a), sq_var_abs_above(xs, a) + n * model.var()),
                 ]
-        for bracket, reference in pairs:
-            assert_same_bits(bracket(serial), reference)
-            assert_same_bits(bracket(threaded), reference)
+        keys = list(dict.fromkeys(key for key, _ in pairs))
+        table = sample_batch(model, n, n_rep, 12, keys, jobs=jobs)
+        assert table.shape == (n_rep, len(keys))
+        stats = BatchStats(table, keys, model, n)
+        for (method, param), reference in pairs:
+            bracket = getattr(stats, method)
+            assert_same_bits(bracket() if param is None else bracket(param), reference)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 1.9, 2.0, 3.0])
     def test_zero_and_negative_lanes(self, beta):
@@ -482,28 +516,40 @@ class TestPathStats:
             [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
         ])
         model = Gaussian(sd=1.0)
-        stats = BatchStats(xs, model)
+        thresholds = (0.0, 0.25, 1.0, 2.0)
+        stats = given_stats(xs, model, ("g_n", beta), *(("b_n", y) for y in thresholds),
+                            *(("h_n", y) for y in thresholds))
         assert_same_bits(stats.g_n(beta),
                          positive_power_sum(xs, beta) + 6 * model.neg_beta_moment(beta))
-        for y in (0.0, 0.25, 1.0, 2.0):
+        for y in thresholds:
             assert_same_bits(stats.b_n(y), sq_var_above(xs, y) + cond_var_below(xs, model, y))
             assert_same_bits(stats.h_n(y), sq_var_abs_above(xs, y) + stats.cond_var())
 
     def test_pareto_block_with_zero_lanes(self):
         model = CenteredPareto(beta_tail=1.9)
-        xs = sample_batch(model, 100, 500, 8)
+        xs = path_matrix(model, 100, 500, 8)
         xs[::3, ::2] = 0.0
         xs[1::3, ::5] = -0.0
-        stats = BatchStats(xs, model)
-        for beta in (1.1, 1.5, 1.8):
+        betas = (1.1, 1.5, 1.8)
+        stats = given_stats(xs, model, *(("g_n", beta) for beta in betas))
+        for beta in betas:
             assert_same_bits(stats.g_n(beta),
                              positive_power_sum(xs, beta) + 100 * model.neg_beta_moment(beta))
 
+    def test_given_paths_span_blocks(self):
+        # the hand-made path helper splits paths over blocks as the stream does
+        model = Gaussian(sd=1.0)
+        xs = path_matrix(model, 64, 3 * (BLOCK_VALUES // 64) + 5, 6)
+        stats = given_stats(xs, model, ("b_n", 0.5), jobs=2)
+        assert_same_bits(stats.s(), xs.sum(axis=1))
+        assert_same_bits(stats.b_n(0.5), sq_var_above(xs, 0.5) + cond_var_below(xs, model, 0.5))
+
     def test_memoized_brackets_shared_across_threads(self, monkeypatch):
-        # grid points run on threads under --jobs; each key must be computed
-        # once, and every caller of it must get the one stored array
+        # grid points run on threads under --jobs; the batch is drawn and
+        # reduced to every key by one call, and every reader of a key gets
+        # the one stored array without computing anything
         model = BoundedAbove(1.0)
-        stats = BatchStats(sample_batch(model, 50, 6000, 4), model, jobs=2)
+        ys = [0.1 * k for k in range(8)]
         computed = []
         map_jobs = processes.map_jobs
 
@@ -512,7 +558,8 @@ class TestPathStats:
             return map_jobs(fill, blocks, jobs)
 
         monkeypatch.setattr(processes, "map_jobs", counted)
-        ys = [0.1 * k for k in range(8)]
+        stats = stream_stats(model, 50, 6000, 4, *(("b_n", y) for y in ys), jobs=2)
+        assert computed == [2]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -521,18 +568,35 @@ class TestPathStats:
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(old)
-        assert computed == [2] * len(ys)
+        assert computed == [2]
+        xs = path_matrix(model, 50, 6000, 4)
         for y, arr in zip(ys * 6, results):
             assert arr is stats.b_n(y)
-            assert np.array_equal(arr, sq_var_above(stats.xs, y) + cond_var_below(stats.xs, model, y))
+            assert np.array_equal(arr, sq_var_above(xs, y) + cond_var_below(xs, model, y))
 
     def test_unsupported_statistic_propagates(self):
-        stats = BatchStats(sample_batch(CenteredPareto(beta_tail=1.9), 10, 5, 1), CenteredPareto(beta_tail=1.9))
+        model = CenteredPareto(beta_tail=1.9)
         with pytest.raises(UnsupportedStatisticError):
-            stats.b_n(1.0)
+            stream_stats(model, 10, 5, 1, ("b_n", 1.0))
         with pytest.raises(UnsupportedStatisticError):
-            stats.g_n(1.95)
-        assert np.all(stats.g_n(1.5) > 0)
+            stream_stats(model, 10, 5, 1, ("g_n", 1.95))
+        assert np.all(stream_stats(model, 10, 5, 1, ("g_n", 1.5)).g_n(1.5) > 0)
+
+    def test_undeclared_statistic_raises(self):
+        stats = stream_stats(Rademacher(), 10, 5, 1, ("b_n", 0.5))
+        assert stats.b_n(0.5).shape == (5,)
+        for read, key in ((lambda: stats.b_n(0.0), "('b_n', 0.0)"),
+                          (stats.sq_var, "('sq_var', None)"),
+                          (lambda: stats.g_n(1.5), "('g_n', 1.5)")):
+            with pytest.raises(UndeclaredStatisticError, match=re.escape(key)):
+                read()
+        # cond_var is a closed form, never a column
+        assert np.array_equal(stats.cond_var(), np.full(5, 10.0))
+
+    @pytest.mark.parametrize("key", [("b_n", -0.5), ("h_n", -1.0), ("t_n", 1.0)])
+    def test_bad_keys_rejected(self, key):
+        with pytest.raises(ValueError):
+            sample_batch(Rademacher(), 10, 5, 1, [key])
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
