@@ -10,7 +10,7 @@ import numpy as np
 
 from ..bounds import evaluate_bound
 from ..montecarlo import MCEstimate, SignTypes, closed_ge, optimize_expectation_values
-from ..processes import DifferenceModel, map_jobs, stream_blocks
+from ..processes import DifferenceModel, ScaledTwoPoint, map_jobs, stream_blocks
 
 __all__ = [
     "noise_bounds",
@@ -58,10 +58,8 @@ def exact_oracle_scale(n: int, eps_model: DifferenceModel, phi_kind: str = "ones
     n >= 2, phi = 1 and symmetric two-point noise."""
     if n < 2:
         raise ValueError(f"n must be >= 2 for the exact oracle, got {n}")
-    symmetric_two_point = eps_model.family == "rademacher" or (
-        eps_model.family == "scaled_two_point" and eps_model.conditionally_symmetric
-    )
-    if phi_kind != "ones" or not symmetric_two_point:
+    two_point = isinstance(eps_model, ScaledTwoPoint)
+    if phi_kind != "ones" or not (two_point and eps_model.conditionally_symmetric):
         raise ValueError("regression exact oracle needs phi='ones' and symmetric two-point noise")
     return eps_model.upper_bound
 

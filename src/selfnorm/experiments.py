@@ -8,6 +8,7 @@ records at any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -137,13 +138,14 @@ class _Target:
 
     grid_keys: tuple
     run: object                # (spec, jobs) -> records
-    plan: object = None        # diff targets: (spec, grid point, model, window_values) -> plans
+    plan: object = None        # diff targets: (spec, grid point, model, key, window_base) -> plans
     optional_keys: tuple = ()  # each a list of exactly one value when given
     model_req: str | None = None  # a key of _MODEL_REQUIREMENTS
     uses_model: bool = True    # without a model there are no paths for an exact oracle
     check: object = None       # theorem rules, on valid fields only: (fields, model) -> errors
-    # diff targets: the one bracket their plans read besides S_n, as (method,
-    # parameter), the parameter a grid key or a constant; None for S_n alone
+    # diff targets: the one bracket they read besides S_n, as (method, parameter),
+    # the parameter a grid key or a constant; None for S_n alone.  The only place
+    # a target names it: a plan gets its grid point's key (method, value)
     reads: tuple | None = None
 
 
@@ -187,7 +189,8 @@ def _check_grids(target: _Target, theorem: str, grids: dict, mode) -> list:
             errors.append(f"grids.{key}: required nonempty list")
             continue
         for v in values:
-            if key == "b" and target.plan is not None and _is_percentile(v):
+            # a percentile anchors the b of a [b, b*M] window only
+            if key == "b" and "M" in target.grid_keys and _is_percentile(v):
                 if mode != "mc":
                     errors.append(
                         f"grids.b: percentile entry {v!r} needs mode=mc "
@@ -433,64 +436,60 @@ class _PointPlan:
     suffix: str = ""
 
 
-def _resolve_b(raw_b, stat, window_values) -> float:
-    """A numeric b as given; a percentile "pNN" of the window statistic over
-    the Monte Carlo batch (validation allows percentiles only in mode mc)."""
-    if _is_percentile(raw_b):
-        return float(np.percentile(window_values(stat), float(raw_b[1:])))
-    return float(raw_b)
+def _bracket(key: tuple, root: bool = False):
+    """The statistic st -> the bracket `key` = (method, value) of a batch or of
+    the sign types; with `root`, the scale of a peeling window: its square
+    root, or G_n(beta)^{1/beta} for ("g_n", beta)."""
+    method, value = key
+    args = () if value is None else (value,)
+
+    def stat(st):
+        bracket = getattr(st, method)(*args)
+        if not root:
+            return bracket
+        return bracket ** (1.0 / value) if method == "g_n" else np.sqrt(bracket)
+
+    return stat
 
 
-def _peeling_window(gp: dict, stat, window_values) -> tuple[float, tuple]:
-    """Resolve the grid point's b and return it with the window (stat, b, b*M)."""
-    b = _resolve_b(gp["b"], stat, window_values)
-    return b, (stat, b, b * gp["M"])
-
-
-def _plan_bernstein(spec, gp, model, window_values):
+def _plan_bernstein(spec, gp, model, key, window_base):
     z = gp["z"]
     bound = evaluate_bound("bernstein", z=z, L=spec.n * model.var(), a_bnd=model.abs_bound)
     return [_PointPlan({"z": z}, TailEvent(x=z), bound)]
 
 
-def _plan_freedman(spec, gp, model, window_values):
+def _plan_freedman(spec, gp, model, key, window_base):
     x, L = gp["x"], gp["L"]
-    event = TailEvent(x=x, window=(lambda st: st.cond_var(), 0.0, L))
+    event = TailEvent(x=x, window=(_bracket(key), 0.0, L))
     bound = evaluate_bound("freedman", x=x, L=L, a_bnd=model.abs_bound)
     return [_PointPlan({"x": x, "z": L}, event, bound)]
 
 
-def _plan_dvz(spec, gp, model, window_values):
+def _plan_dvz(spec, gp, model, key, window_base):
     x, L, a = gp["x"], gp["L"], gp["a"]
-    event = TailEvent(x=x, window=(lambda st: st.h_n(a), 0.0, L))
+    event = TailEvent(x=x, window=(_bracket(key), 0.0, L))
     return [_PointPlan({"x": x, "y": a, "z": L}, event, evaluate_bound("dvz", x=x, L=L, a_bnd=a))]
 
 
-def _plan_dlp_point(spec, gp, model, window_values):
+def _plan_point(spec, gp, model, key, window_base):
+    """dlp_point (the sum of squares) and cor21_point (B_n(0))."""
     x, y = gp["x"], gp["y"]
-    sq_var = lambda st: st.sq_var()
-    event = TailEvent(x=x, normalizer=sq_var, window=(sq_var, y, math.inf))
+    stat = _bracket(key)
+    event = TailEvent(x=x, normalizer=stat, window=(stat, y, math.inf))
     return [_PointPlan({"x": x, "y": y}, event, evaluate_bound("dlp_point", x=x, y=y))]
 
 
-def _plan_cor21_point(spec, gp, model, window_values):
-    x, y = gp["x"], gp["y"]
-    norm = lambda st: st.b_n(0.0)
-    event = TailEvent(x=x, normalizer=norm, window=(norm, y, math.inf))
-    return [_PointPlan({"x": x, "y": y}, event, evaluate_bound("dlp_point", x=x, y=y))]
-
-
-def _plan_b_n_expectation(spec, gp, model, window_values):
+def _plan_b_n_expectation(spec, gp, model, key, window_base):
     """cor21_expectation (y = 0) and thm21_expectation."""
-    x, y = gp["x"], gp.get("y", 0.0)
-    event = TailEvent(x=x, normalizer=lambda st: st.b_n(y))
+    x, y = gp["x"], key[1]
+    event = TailEvent(x=x, normalizer=_bracket(key))
     return [_PointPlan({"x": x, "y": y}, event, None, (x, y, None))]
 
 
-def _plan_thm21_point(spec, gp, model, window_values):
+def _plan_thm21_point(spec, gp, model, key, window_base):
     x, y, z = gp["x"], gp["y"], gp["z"]
     bound = evaluate_bound("thm21_point", x=x, y=y, z=z)
-    norm = lambda st: st.b_n(y)
+    norm = _bracket(key)
     ge = TailEvent(x=x, normalizer=norm, window=(norm, z, math.inf))
     le = TailEvent(x=x, normalizer=norm, window=(norm, 0.0, z))
     echo = {"x": x, "y": y, "z": z}
@@ -501,72 +500,56 @@ def _plan_thm21_point(spec, gp, model, window_values):
     ]
 
 
-def _plan_bercu_touati(spec, gp, model, window_values):
+def _plan_bercu_touati(spec, gp, model, key, window_base):
+    # b is the normalizer's coefficient, not a window base
     x, y, a, b = gp["x"], gp["y"], gp["a"], gp["b"]
-    event = TailEvent(
-        x=x,
-        normalizer=lambda st: a + b * st.sq_var(),
-        window=(lambda st: st.sq_var(), y, math.inf),
-    )
+    stat = _bracket(key)
+    event = TailEvent(x=x, normalizer=lambda st: a + b * stat(st), window=(stat, y, math.inf))
     bound = evaluate_bound("bercu_touati", x=x, y=y, b=b, a_bnd=a)
     return [_PointPlan({"x": x, "y": y, "b": b}, event, bound, note=f"a={a!r}")]
 
 
-def _plan_b_n_peeling(spec, gp, model, window_values):
-    """thm22_peeling and cor22_peeling (y = 0)."""
-    x, y, M = gp["x"], gp.get("y", 0.0), gp["M"]
-    stat = lambda st: np.sqrt(st.b_n(y))
-    b, window = _peeling_window(gp, stat, window_values)
-    if spec.theorem == "thm22_peeling":
-        bound = evaluate_bound("thm22_peeling", x=x, y=y, b=b, M=M)
-    else:
-        bound = evaluate_bound("cor22_peeling", x=x, M=M)
-    event = TailEvent(x=x, normalizer=stat, window=window)
-    return [_PointPlan({"x": x, "y": y, "b": b, "M": M}, event, bound)]
+def _plan_peeling(spec, gp, model, key, window_base):
+    """thm22_peeling (B_n(y)), cor22_peeling (B_n(0)) and thm25_peeling (the
+    sum of squares): the root bracket normalizes, on the window [b, b*M]."""
+    x, y, M = gp["x"], key[1], gp["M"]
+    b = window_base(gp["b"], key)
+    stat = _bracket(key, root=True)
+    echo = {"x": x, "y": y, "b": b, "M": M}
+    bound = evaluate_bound(spec.theorem, **{k: v for k, v in echo.items() if v is not None})
+    event = TailEvent(x=x, normalizer=stat, window=(stat, b, b * M))
+    return [_PointPlan(echo, event, bound)]
 
 
-def _plan_thm25_peeling(spec, gp, model, window_values):
-    x, M = gp["x"], gp["M"]
-    stat = lambda st: np.sqrt(st.sq_var())
-    b, window = _peeling_window(gp, stat, window_values)
-    event = TailEvent(x=x, normalizer=stat, window=window)
-    bound = evaluate_bound("thm25_peeling", x=x, M=M)
-    return [_PointPlan({"x": x, "b": b, "M": M}, event, bound)]
-
-
-def _plan_delyon(spec, gp, model, window_values):
+def _plan_delyon(spec, gp, model, key, window_base):
     x, y = gp["x"], gp["y"]
-    event = TailEvent(x=x, window=(lambda st: st.b_n(0.0), 0.0, y))
+    event = TailEvent(x=x, window=(_bracket(key), 0.0, y))
     return [_PointPlan({"x": x, "y": y}, event, evaluate_bound("delyon", x=x, y=y))]
 
 
-def _plan_thm23_expectation(spec, gp, model, window_values):
+def _plan_thm23_expectation(spec, gp, model, key, window_base):
     x, beta = gp["x"], gp["beta"]
-    event = TailEvent(x=x, normalizer=lambda st: st.g_n(beta))
+    event = TailEvent(x=x, normalizer=_bracket(key))
     return [_PointPlan({"x": x, "beta": beta}, event, None, (x, None, beta))]
 
 
-def _plan_thm24_peeling(spec, gp, model, window_values):
+def _plan_thm24_peeling(spec, gp, model, key, window_base):
     x, beta, M = gp["x"], gp["beta"], gp["M"]
-    stat = lambda st: st.g_n(beta) ** (1.0 / beta)
-    # the window edge is b^{1/(beta-1)}, so a percentile anchor on the
-    # root-bracket scale maps back through the inverse power
-    b = _resolve_b(gp["b"], stat, window_values)
-    if _is_percentile(gp["b"]):
-        b **= beta - 1.0
+    b = window_base(gp["b"], key)
+    stat = _bracket(key, root=True)
     bound = evaluate_bound("thm24_peeling", x=x, beta=beta, M=M)
     expo = 1.0 / (beta - 1.0)
     event = TailEvent(x=x, normalizer=stat, window=(stat, b ** expo, (b * M) ** expo))
     return [_PointPlan({"x": x, "beta": beta, "b": b, "M": M}, event, bound)]
 
 
-def _plan_thm31_tstat(spec, gp, model, window_values):
+def _plan_thm31_tstat(spec, gp, model, key, window_base):
     x, M = gp["x"], gp["M"]
-    stat = lambda st: np.sqrt(st.sq_var())
-    b, window = _peeling_window(gp, stat, window_values)
+    b = window_base(gp["b"], key)
+    stat = _bracket(key, root=True)
     threshold = self_normalized_threshold(x, spec.n)
     bound = evaluate_bound("thm31_tstat", x=x, n=spec.n, M=M)
-    event = TailEvent(x=threshold, normalizer=stat, window=window)
+    event = TailEvent(x=threshold, normalizer=stat, window=(stat, b, b * M))
     return [_PointPlan({"x": x, "b": b, "M": M}, event, bound,
                        note="event via the equivalent self-normalized form")]
 
@@ -591,41 +574,44 @@ def _diff_record(spec, stats, plan: _PointPlan, gp: dict, t0: float) -> ResultRe
                    bound_estimated=plan.expectation is not None)
 
 
-def _declared_keys(spec: ExperimentSpec) -> list[tuple]:
-    """("s", None) and the key of the target's bracket at each of its parameter values."""
-    keys = [("s", None)]
-    reads = VERIFY_TARGETS[spec.theorem].reads
-    if reads is not None:
-        method, param = reads
-        values = spec.grids[param] if isinstance(param, str) else [param]
-        keys += [(method, value) for value in values]
-    return list(dict.fromkeys(keys))
-
-
 def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
     model = build_model(spec.model)
-    plan_point = VERIFY_TARGETS[spec.theorem].plan
+    target = VERIFY_TARGETS[spec.theorem]
+    method, param = target.reads or (None, None)
+    # each grid point with its bracket key: `reads` at the point's value of a
+    # grid-key parameter, or at a constant one; None where S_n is read alone
+    points = [(gp, method and (method, gp.get(param, param))) for gp in _grid_points(spec)]
     stats = None
     sample_ms = 0.0
     if spec.mode in ("mc", "both"):
         t0 = time.perf_counter()
-        keys = _declared_keys(spec)
+        # S_n and the bracket at every grid point; cond_var is a closed form
+        read = [key for _, key in points if method not in (None, "cond_var")]
+        keys = list(dict.fromkeys([("s", None), *read]))
         table = sample_batch(model, spec.n, spec.n_rep, spec.master_seed, keys, jobs)
         stats = BatchStats(table, keys, model, spec.n)
         sample_ms = (time.perf_counter() - t0) * 1e3
 
-    def window_values(stat):
-        return stat(stats)
+    @functools.cache
+    def window_base(raw_b, key: tuple) -> float:
+        """A numeric b as given; a percentile "pNN" of the root bracket over the
+        batch (mode mc only), once per run.  G_n(beta)'s window edge is
+        b^{1/(beta-1)}, so its anchor maps back through the inverse power."""
+        if not _is_percentile(raw_b):
+            return float(raw_b)
+        b = float(np.percentile(_bracket(key, root=True)(stats), float(raw_b[1:])))
+        return b ** (key[1] - 1.0) if key[0] == "g_n" else b
 
-    def run_point(gp: dict) -> list[ResultRecord]:
+    def run_point(point: tuple) -> list[ResultRecord]:
+        gp, key = point
         t0 = time.perf_counter()
         try:
-            plans = plan_point(spec, gp, model, window_values)
+            plans = target.plan(spec, gp, model, key, window_base)
             return [_diff_record(spec, stats, plan, gp, t0) for plan in plans]
         except Exception as exc:
             raise RuntimeError(f"{spec.theorem} at grid point {gp}: {exc}") from exc
 
-    records = [rec for group in map_jobs(run_point, _grid_points(spec), jobs) for rec in group]
+    records = [rec for group in map_jobs(run_point, points, jobs) for rec in group]
     # every record shares the one draw-and-reduce step equally
     share = sample_ms / len(records)
     return [replace(rec, wall_ms=rec.wall_ms + share) for rec in records]
@@ -714,19 +700,19 @@ def _diff(grid_keys, plan, model_req, reads, check=None):
 
 VERIFY_TARGETS = {
     "bernstein": _diff(("z",), _plan_bernstein, "bounded_abs", None),
-    "freedman": _diff(("x", "L"), _plan_freedman, "bounded_abs", None),
+    "freedman": _diff(("x", "L"), _plan_freedman, "bounded_abs", ("cond_var", None)),
     "dvz": _diff(("x", "L", "a"), _plan_dvz, "sq", ("h_n", "a")),
-    "dlp_point": _diff(("x", "y"), _plan_dlp_point, "sym", ("sq_var", None)),
-    "cor21_point": _diff(("x", "y"), _plan_cor21_point, "sq", ("b_n", 0.0)),
+    "dlp_point": _diff(("x", "y"), _plan_point, "sym", ("sq_var", None)),
+    "cor21_point": _diff(("x", "y"), _plan_point, "sq", ("b_n", 0.0)),
     "cor21_expectation": _diff(("x",), _plan_b_n_expectation, "sq", ("b_n", 0.0),
                                _check_enumeration),
     "thm21_point": _diff(("x", "y", "z"), _plan_thm21_point, "sq", ("b_n", "y")),
     "thm21_expectation": _diff(("x", "y"), _plan_b_n_expectation, "sq", ("b_n", "y"),
                                _check_enumeration),
     "bercu_touati": _diff(("x", "y", "a", "b"), _plan_bercu_touati, "heavy", ("sq_var", None)),
-    "thm22_peeling": _diff(("x", "y", "b", "M"), _plan_b_n_peeling, "sq", ("b_n", "y")),
-    "cor22_peeling": _diff(("x", "b", "M"), _plan_b_n_peeling, "sq", ("b_n", 0.0)),
-    "thm25_peeling": _diff(("x", "b", "M"), _plan_thm25_peeling, "heavy", ("sq_var", None)),
+    "thm22_peeling": _diff(("x", "y", "b", "M"), _plan_peeling, "sq", ("b_n", "y")),
+    "cor22_peeling": _diff(("x", "b", "M"), _plan_peeling, "sq", ("b_n", 0.0)),
+    "thm25_peeling": _diff(("x", "b", "M"), _plan_peeling, "heavy", ("sq_var", None)),
     "delyon": _diff(("x", "y"), _plan_delyon, "sq", ("b_n", 0.0), _check_delyon),
     "thm23_expectation": _diff(("x", "beta"), _plan_thm23_expectation, None, ("g_n", "beta"),
                                _check_thm23),

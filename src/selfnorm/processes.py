@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,33 +126,6 @@ class DifferenceModel:
 
 
 @dataclass(frozen=True)
-class Rademacher(DifferenceModel):
-    """Fair +-1 increments."""
-
-    family = "rademacher"
-    square_integrable = True
-    conditionally_symmetric = True
-    heavy_on_left = True
-    upper_bound = 1.0
-    abs_bound = 1.0
-
-    def sample(self, rng, size):
-        return np.where(rng.random(size) < 0.5, -1.0, 1.0)
-
-    def var(self):
-        return 1.0
-
-    def sq_below(self, y):
-        if y < 0:
-            raise ValueError(f"y must be >= 0, got {y}")
-        return 1.0 if y >= 1.0 else 0.5
-
-    def neg_beta_moment(self, beta):
-        self._check_beta(beta)
-        return 0.5
-
-
-@dataclass(frozen=True)
 class ScaledTwoPoint(DifferenceModel):
     """Two-point increment: `up` with probability `p_up`, else `down` (< 0).
 
@@ -217,6 +190,20 @@ class ScaledTwoPoint(DifferenceModel):
     def neg_beta_moment(self, beta):
         self._check_beta(beta)
         return (1.0 - self.p_up) * (-self.down) ** beta
+
+
+@dataclass(frozen=True)
+class Rademacher(ScaledTwoPoint):
+    """Fair +-1 increments: the conditionally symmetric case of ScaledTwoPoint."""
+
+    p_up: float = field(default=0.5, init=False)
+    up: float = field(default=1.0, init=False)
+    down: float = field(default=-1.0, init=False)
+
+    family = "rademacher"
+
+    def sample(self, rng, size):
+        return np.where(rng.random(size) < 0.5, -1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -321,6 +322,10 @@ class TestLoadSpec:
         with pytest.raises(SpecValidationError, match="heavy on left"):
             load_spec(raw)
 
+    def test_rademacher_parameters_are_fixed(self):
+        with pytest.raises(SpecValidationError, match="model: bad parameters for family"):
+            load_spec(_spec(model={"family": "rademacher", "p_up": 0.3}))
+
     def test_percentile_b_requires_mc(self):
         raw = _spec(mode="exact_oracle", grids={"x": [0.5], "b": ["p10"], "M": [2.0]})
         with pytest.raises(SpecValidationError, match="percentile"):
@@ -459,6 +464,23 @@ class TestRunExperiment:
         spec = load_spec(_spec(grids={"x": [1.0], "b": ["p10"], "M": [2.0]}))
         records = run_experiment(spec)
         assert records[0].b == pytest.approx(math.sqrt(10.0), rel=1e-12)
+
+    def test_percentile_anchor_resolved_once_per_run(self, monkeypatch):
+        # the mc_diff workload's thm22 spec has 12 grid points and its thm24
+        # spec 2, each with one (bracket, "p10") pair
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        calls = []
+        percentile = np.percentile
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return percentile(*args, **kwargs)
+
+        monkeypatch.setattr(np, "percentile", spy)
+        for raw in workloads.build_specs("mc_diff", workloads.DEFAULT_SEED):
+            run_experiment(load_spec(raw), jobs=1)
+        assert calls == [10.0, 10.0]
 
     def test_pinned_grids_cover_every_diff_target(self):
         diff = {name for name, target in experiments.VERIFY_TARGETS.items() if target.plan}
@@ -784,18 +806,33 @@ class TestCli:
         assert "config error" not in result.output
 
     def test_undeclared_statistic_is_an_internal_fault(self, tmp_path, monkeypatch):
-        # dvz's plans read H_n(a); a declaration without it fails during the
-        # run, naming the target and the key, and not as a config error
+        # dvz declares H_n(a); a plan that reads another bracket fails during
+        # the run, naming the target and the key, and not as a config error
         target = experiments.VERIFY_TARGETS["dvz"]
-        monkeypatch.setitem(experiments.VERIFY_TARGETS, "dvz", replace(target, reads=None))
+
+        def reads_undeclared(spec, gp, model, key, window_base):
+            return target.plan(spec, gp, model, ("b_n", gp["a"]), window_base)
+
+        monkeypatch.setitem(experiments.VERIFY_TARGETS, "dvz",
+                            replace(target, plan=reads_undeclared))
         raw = PINNED_SPECS["dvz-mc"]
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(raw))
         result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
         assert result.exit_code == 2
         assert f"internal error: experiment {raw['id']}: dvz at grid point" in result.output
-        assert "statistic ('h_n', 0.5) was not declared" in result.output
+        assert "statistic ('b_n', 0.5) was not declared" in result.output
         assert "config error" not in result.output
+
+    def test_percentile_b_only_anchors_a_window(self, tmp_path):
+        # bercu_touati's b is the normalizer's coefficient, not a window base
+        raw = _pinned("bercu_touati", {"x": [0.5], "y": [5.0], "a": [1.0], "b": ["p10"]})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert "config error: grids.b: value 'p10' must be a finite number" in result.output
+        assert "internal error" not in result.output
 
     def test_violation_exit_one(self, tmp_path):
         # an absurdly small caller-supplied constant falsifies the bound

@@ -616,6 +616,14 @@ class TestModelConstruction:
         m = build_model({"family": "conditionally_symmetric_mixture", "weights": [0.5, 0.5], "scales": [1.0, 2.0]})
         assert isinstance(m, SymmetricMixture)
 
+    def test_rademacher_is_the_fair_two_point_law(self):
+        m = build_model({"family": "rademacher"})
+        assert isinstance(m, ScaledTwoPoint) and m.conditionally_symmetric
+        assert (m.p_up, m.up, m.down, m.family) == (0.5, 1.0, -1.0, "rademacher")
+        # its own np.where sampler: the draws are those of the fair-sign form
+        want = np.where(substream(3, 0).random((20, 30)) < 0.5, -1.0, 1.0)
+        assert_same_bits(m.sample(substream(3, 0), (20, 30)), want)
+
     def test_build_model_errors(self):
         with pytest.raises(ValueError, match="family"):
             build_model({"p_up": 0.5})
