@@ -1,4 +1,4 @@
-from .student import t_statistic, t_event_equivalence, self_normalized_threshold
+from .student import self_normalized_threshold
 from .regression import (
     regression_batch,
     verify_regression,
@@ -12,8 +12,6 @@ from .tsp import (
 )
 
 __all__ = [
-    "t_statistic",
-    "t_event_equivalence",
     "self_normalized_threshold",
     "regression_batch",
     "verify_regression",

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..bounds import evaluate_bound
 from ..montecarlo import MCEstimate, SignTypes, closed_ge, optimize_expectation_values
-from ..processes import DifferenceModel, ScaledTwoPoint, map_jobs, stream_blocks
+from ..processes import DifferenceModel, ScaledTwoPoint, sample_batch
 
 __all__ = [
     "noise_bounds",
@@ -74,36 +74,36 @@ class RegressionBatch:
     y_xi: float          # almost-sure upper bound on xi = phi*eps
 
 
-def regression_batch(
-    phi_kind: str,
-    eps_model: DifferenceModel,
-    n: int,
-    n_rep: int,
-    master_seed: int,
-    jobs: int = 1,
-) -> RegressionBatch:
-    """Each block of the stream contract is drawn (phi first, then eps) and
-    reduced into its own rows of err and phi_sq, on `jobs` threads when
-    jobs > 1; a block depends only on its substream, so the rows do not
-    depend on jobs."""
+@dataclass(frozen=True)
+class _RegressionSampler:
+    """`sample_batch`'s block sampler of the regression rows: phi, then eps,
+    from each block's generator.  Key "phi_eps" reduces a block to sum(phi*eps),
+    then "phi_sq" to sum(phi^2), each in place in the block's own draws."""
+
+    phi_kind: str
+    eps_model: DifferenceModel
+
+    def draw(self, rng, shape) -> tuple:
+        return _sample_phi(self.phi_kind, rng, shape), self.eps_model.sample(rng, shape)
+
+    def block_kernel(self, n, key) -> tuple:
+        return _product_sum, key == "phi_sq", None
+
+
+def _product_sum(phi, eps, square, scratch, out) -> None:
+    x = phi if square else eps
+    x *= phi
+    x.sum(axis=1, out=out)
+
+
+def regression_batch(phi_kind: str, eps_model: DifferenceModel, n: int, n_rep: int,
+                     master_seed: int, jobs: int = 1) -> RegressionBatch:
+    """The replicates of `sample_batch` over the regression design, on `jobs`
+    threads when jobs > 1; a row depends only on its block, not on jobs."""
     sigma, y_xi = noise_bounds(eps_model, phi_kind)
-    err = np.empty(n_rep)
-    phi_sq = np.empty(n_rep)
-
-    def fill(block) -> None:
-        start, rows, rng = block
-        k = min(rows, n_rep - start)
-        phi = _sample_phi(phi_kind, rng, (rows, n))[:k]
-        eps = eps_model.sample(rng, (rows, n))[:k]
-        eps *= phi  # both draws are this block's own, so they are reduced in place
-        phi *= phi
-        ssq = phi.sum(axis=1)
-        phi_sq[start:start + k] = ssq
-        err[start:start + k] = np.divide(
-            eps.sum(axis=1), ssq, out=np.full(k, np.nan), where=ssq > 0
-        )
-
-    map_jobs(fill, stream_blocks(n, n_rep, master_seed), jobs)
+    sampler = _RegressionSampler(phi_kind, eps_model)
+    cross, phi_sq = sample_batch(sampler, n, n_rep, master_seed, ("phi_eps", "phi_sq"), jobs).T
+    err = np.divide(cross, phi_sq, out=np.full(n_rep, np.nan), where=phi_sq > 0)
     if np.any(~np.isfinite(err)):
         raise DegenerateDesignError("a replicate produced an all-zero design")
     return RegressionBatch(err=err, phi_sq=phi_sq, sigma=sigma, y_xi=y_xi)

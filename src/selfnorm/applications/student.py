@@ -1,29 +1,10 @@
-"""Student's t-statistic and its self-normalized rewriting."""
+"""Student's t-statistic through its self-normalized rewriting."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-__all__ = ["t_statistic", "self_normalized_threshold", "t_event_equivalence"]
-
-
-class DegenerateSampleError(ValueError):
-    """The sample variance vanishes, so the t-statistic is undefined."""
-
-
-def t_statistic(sample) -> float:
-    """sqrt(n) * mean / sqrt(sum((xi - mean)^2) / (n - 1))."""
-    xs = np.asarray(sample, dtype=float)
-    n = xs.size
-    if n < 2:
-        raise ValueError(f"need at least 2 observations, got {n}")
-    mean = float(xs.mean())
-    ssd = float(np.sum((xs - mean) ** 2))
-    if ssd <= 0.0:
-        raise DegenerateSampleError("zero sample variance")
-    return math.sqrt(n) * mean / math.sqrt(ssd / (n - 1))
+__all__ = ["self_normalized_threshold"]
 
 
 def self_normalized_threshold(x: float, n: int) -> float:
@@ -37,19 +18,3 @@ def self_normalized_threshold(x: float, n: int) -> float:
     if not 0.0 < x < math.sqrt(n):
         raise ValueError(f"x must be in (0, sqrt(n)) = (0, {math.sqrt(n):.6g}), got {x}")
     return x * math.sqrt(n / (n + x * x - 1.0))
-
-
-def t_event_equivalence(sample, x: float) -> tuple[bool, bool]:
-    """Indicators of {T_n >= x} and of its self-normalized rewriting.
-
-    The contract is that the two are always equal on the stated domain.
-    """
-    xs = np.asarray(sample, dtype=float)
-    n = xs.size
-    threshold = self_normalized_threshold(x, n)
-    sq = float(np.sum(xs * xs))
-    if sq <= 0.0:
-        raise DegenerateSampleError("[S]_n = 0")
-    lhs = t_statistic(xs) >= x
-    rhs = float(xs.sum()) / math.sqrt(sq) >= threshold
-    return lhs, rhs

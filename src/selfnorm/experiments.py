@@ -400,11 +400,11 @@ _ECHO_FIELDS = ("x", "y", "z", "b", "M", "beta")
 _ESTIMATE_FIELDS = ("p_hat", "ci_lo", "ci_hi", "hits", "n_rep")
 
 
-def _record(spec, t0, echo, grid, bound, estimate=None, exact=None, note="", suffix="",
+def _record(spec, echo, grid, bound, estimate=None, exact=None, note="", suffix="",
             bound_estimated=False):
-    """Build a record; the exact tail decides its verdict when there is one,
-    unless the bound is itself a Monte Carlo estimate, which only the Monte
-    Carlo interval is compared against."""
+    """Build a record, untimed; the exact tail decides its verdict when there
+    is one, unless the bound is itself a Monte Carlo estimate, which only the
+    Monte Carlo interval is compared against."""
     if estimate is None or (exact is not None and not bound_estimated):
         verdict = exact_verdict(exact, bound)
     else:
@@ -422,8 +422,14 @@ def _record(spec, t0, echo, grid, bound, estimate=None, exact=None, note="", suf
         seed=spec.master_seed,
         grid=tuple(sorted(grid.items())),
         note=note,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def _timed(records: list, t0: float) -> list:
+    """The records, each given an equal share of the time since t0, so their
+    wall_ms sum to the time they took together."""
+    share = (time.perf_counter() - t0) * 1e3 / len(records)
+    return [replace(rec, wall_ms=share) for rec in records]
 
 
 @dataclass
@@ -554,7 +560,7 @@ def _plan_thm31_tstat(spec, gp, model, key, window_base):
                        note="event via the equivalent self-normalized form")]
 
 
-def _diff_record(spec, stats, plan: _PointPlan, gp: dict, t0: float) -> ResultRecord:
+def _diff_record(spec, stats, plan: _PointPlan, gp: dict) -> ResultRecord:
     note, bound, estimate, exact = plan.note, plan.bound, None, None
     if plan.expectation is not None:
         x, y, beta = plan.expectation
@@ -570,7 +576,7 @@ def _diff_record(spec, stats, plan: _PointPlan, gp: dict, t0: float) -> ResultRe
             note = _append_note(note, "untested_depth")
     if spec.mode != "mc":
         exact = exact_tail_rademacher(spec.n, plan.event)
-    return _record(spec, t0, plan.echo, gp, bound, estimate, exact, note, plan.suffix,
+    return _record(spec, plan.echo, gp, bound, estimate, exact, note, plan.suffix,
                    bound_estimated=plan.expectation is not None)
 
 
@@ -607,7 +613,7 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
         t0 = time.perf_counter()
         try:
             plans = target.plan(spec, gp, model, key, window_base)
-            return [_diff_record(spec, stats, plan, gp, t0) for plan in plans]
+            return _timed([_diff_record(spec, stats, plan, gp) for plan in plans], t0)
         except Exception as exc:
             raise RuntimeError(f"{spec.theorem} at grid point {gp}: {exc}") from exc
 
@@ -645,11 +651,11 @@ def _run_regression_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord
         )
     echo = dict(zip(("b", "M"), window))
     note = f"theta={spec.theta!r}; phi={spec.phi}"
-    return [
-        _record(spec, t0, {"x": float(x), **echo}, {"x": float(x)}, bound, mc, exact, note,
+    return _timed([
+        _record(spec, {"x": float(x), **echo}, {"x": float(x)}, bound, mc, exact, note,
                 bound_estimated=spec.theorem == "thm32_regression")
         for x, bound, mc, exact in zip(x_grid, bounds, mc_tails, exact_tails)
-    ]
+    ], t0)
 
 
 def _run_thm34_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
@@ -671,10 +677,10 @@ def _run_thm34_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
     )
     if not result.window_hits:
         note = _append_note(note, "vacuous-window")
-    return [
-        _record(spec, t0, {"x": float(t)}, {"t": float(t)}, bound, estimate, note=note)
+    return _timed([
+        _record(spec, {"x": float(t)}, {"t": float(t)}, bound, estimate, note=note)
         for t, bound, estimate in zip(spec.grids["t"], result.bounds, result.estimates)
-    ]
+    ], t0)
 
 
 def _run_azuma_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
@@ -689,8 +695,8 @@ def _run_azuma_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
         hits = int(np.count_nonzero(np.abs(lengths - center) >= t))
         estimate = MCEstimate.from_hits(hits, spec.n_rep, spec.gamma)
         bound = evaluate_bound("azuma_tsp", t=t, n=spec.n, d=spec.d, c_const=spec.c_const)
-        out.append(_record(spec, t0, {"x": t}, {"t": t}, bound, estimate, note=note))
-    return out
+        out.append(_record(spec, {"x": t}, {"t": t}, bound, estimate, note=note))
+    return _timed(out, t0)
 
 
 def _diff(grid_keys, plan, model_req, reads, check=None):

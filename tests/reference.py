@@ -19,7 +19,9 @@ filled block by block, the stream-contract reference for the rows that
 `sample_batch` reduces without storing them, and the two-point,
 bounded-above and Pareto samplers draw through np.where selects and
 whole-array temporaries, the reference for their branch-free, in-place
-forms.  The Monte Carlo
+forms.  Student's t-statistic and the check that {T_n >= x} equals its
+self-normalized rewriting are the reference for the threshold that the
+t-statistic target evaluates the rewritten event at.  The Monte Carlo
 supermartingale certificate check, a normal-approximation interval on E[U_n]
 or E[V_n], is kept for the certificate tests; no verify target has used it.
 """
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from selfnorm.applications.regression import DegenerateDesignError, _sample_phi
+from selfnorm.applications.student import self_normalized_threshold
 from selfnorm.montecarlo import (
     DominationVerdict,
     _rate_and_normalizer,
@@ -281,6 +284,39 @@ def ls_estimate(run: RegressionRun) -> float:
     if denom <= 0.0:
         raise DegenerateDesignError("sum of squared regressors is zero")
     return float(np.sum(run.phi * run.x_obs)) / denom
+
+
+class DegenerateSampleError(ValueError):
+    """The sample variance vanishes, so the t-statistic is undefined."""
+
+
+def t_statistic(sample) -> float:
+    """sqrt(n) * mean / sqrt(sum((xi - mean)^2) / (n - 1))."""
+    xs = np.asarray(sample, dtype=float)
+    n = xs.size
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
+    mean = float(xs.mean())
+    ssd = float(np.sum((xs - mean) ** 2))
+    if ssd <= 0.0:
+        raise DegenerateSampleError("zero sample variance")
+    return math.sqrt(n) * mean / math.sqrt(ssd / (n - 1))
+
+
+def t_event_equivalence(sample, x: float) -> tuple[bool, bool]:
+    """Indicators of {T_n >= x} and of its self-normalized rewriting.
+
+    The contract is that the two are always equal on the stated domain.
+    """
+    xs = np.asarray(sample, dtype=float)
+    n = xs.size
+    threshold = self_normalized_threshold(x, n)
+    sq = float(np.sum(xs * xs))
+    if sq <= 0.0:
+        raise DegenerateSampleError("[S]_n = 0")
+    lhs = t_statistic(xs) >= x
+    rhs = float(xs.sum()) / math.sqrt(sq) >= threshold
+    return lhs, rhs
 
 
 def expectation_bound_from(

@@ -9,19 +9,14 @@ import pytest
 
 from selfnorm.bounds import evaluate_bound
 from selfnorm.montecarlo import domination_check, exact_verdict
-from selfnorm.applications.student import (
-    DegenerateSampleError,
-    self_normalized_threshold,
-    t_event_equivalence,
-    t_statistic,
-)
+from selfnorm.applications.student import self_normalized_threshold
 from selfnorm.applications.regression import (
     DegenerateDesignError,
     exact_regression_records,
     regression_batch,
     verify_regression,
 )
-from selfnorm.applications import tsp
+from selfnorm.applications import regression, tsp
 from selfnorm.applications.tsp import (
     HELD_KARP_STEP_ROWS,
     TSP_INSTANCE_BLOCK,
@@ -48,12 +43,15 @@ from selfnorm.processes import (
 )
 
 from reference import (
+    DegenerateSampleError,
     RegressionRun,
     held_karp_reference,
     ls_estimate,
     nested_level_estimates,
     regression_rows_reference,
     simulate_regression,
+    t_event_equivalence,
+    t_statistic,
 )
 
 
@@ -172,6 +170,27 @@ class TestLeastSquares:
         threaded = regression_batch("uniform", noise, 64, n_rep, 55, jobs=jobs)
         assert np.array_equal(threaded.err, serial.err)
         assert np.array_equal(threaded.phi_sq, serial.phi_sq)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_degenerate_design_raises(self, monkeypatch, jobs):
+        # one all-zero design row, the last kept row of the trimmed last
+        # block, raises rather than leaving a NaN row
+        noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
+        rows = BLOCK_VALUES // 64
+        sample_phi, zeroed = regression._sample_phi, []
+
+        def zero_row(kind, rng, shape):
+            phi = sample_phi(kind, rng, shape)
+            if rng.bit_generator.state["state"]["key"][1] == 3:
+                phi[4] = 0.0
+                zeroed.append(shape)
+            return phi
+
+        monkeypatch.setattr(regression, "_sample_phi", zero_row)
+        with pytest.raises(DegenerateDesignError, match="all-zero design"):
+            regression_batch("uniform", noise, 64, 3 * rows + 5, 55, jobs=jobs)
+        assert zeroed == [(rows, 64)]
+        assert np.all(np.isfinite(regression_batch("uniform", noise, 64, 3 * rows + 4, 55).err))
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_block_error_surfaces(self, jobs):

@@ -545,6 +545,19 @@ class TestRunExperiment:
         exact = run_experiment(load_spec({**_spec(), "mode": "exact_oracle"}))
         assert all(rec.wall_ms < delay_ms / 4 for rec in exact)
 
+    @pytest.mark.parametrize("name", ["thm32_regression-mc", "thm33_regression-exact",
+                                      "thm34_tsp", "azuma_tsp", "thm21_point-mc"])
+    def test_record_times_sum_to_at_most_the_run(self, name):
+        # each record holds its share of the run, not the run's whole time;
+        # thm21_point builds two records per grid point
+        spec = load_spec(PINNED_SPECS[name])
+        t0 = time.perf_counter()
+        records = run_experiment(spec)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        assert len(records) > 1
+        assert all(rec.wall_ms > 0 for rec in records)
+        assert sum(rec.wall_ms for rec in records) <= elapsed_ms
+
 
 class TestReports:
     def _records(self):
