@@ -20,7 +20,6 @@ __all__ = [
     "held_karp",
     "held_karp_batch",
     "sample_points",
-    "instance_tour_lengths",
     "dist_matrix",
     "dist_matrix_batch",
     "TspDiffs",
@@ -31,9 +30,8 @@ __all__ = [
 
 HELD_KARP_CAP = 12
 
-# Instances drawn and solved per held_karp_batch call in
-# instance_tour_lengths, and the most distance matrices (DP table columns)
-# held_karp_batch solves side by side.
+# The most distance matrices (DP table columns) held_karp_batch solves side
+# by side.
 TSP_INSTANCE_BLOCK = 2048
 
 # Candidate rows (s - 1 per DP row filled) that one held_karp_batch step
@@ -217,22 +215,6 @@ _ROLE_POINTS = 2   # the instance's own points
 
 def _instance_points(n: int, d: int, master_seed: int, instance: int) -> np.ndarray:
     return sample_points(n, d, substream(master_seed, _stream_id(instance, _ROLE_POINTS)))
-
-
-def instance_tour_lengths(n: int, d: int, n_instances: int, master_seed: int) -> np.ndarray:
-    """Exact tour lengths of instances 0..n_instances-1 of the point streams.
-
-    Points are drawn and solved TSP_INSTANCE_BLOCK instances at a time, so
-    the point and distance arrays stay small at n_instances = 1e5.  Each
-    tour is a column of its own in the DP, so its length does not depend on
-    the instances solved beside it.
-    """
-    lengths = np.empty(n_instances)
-    for start in range(0, n_instances, TSP_INSTANCE_BLOCK):
-        stop = min(start + TSP_INSTANCE_BLOCK, n_instances)
-        points = np.stack([_instance_points(n, d, master_seed, r) for r in range(start, stop)])
-        lengths[start:stop] = held_karp_batch(dist_matrix_batch(points))
-    return lengths
 
 
 @dataclass(frozen=True, eq=False)

@@ -117,8 +117,6 @@ _FIELD_RULES = {
     "d": (lambda v: isinstance(v, int) and v >= 2, "must be an integer >= 2"),  # spatial dimension
     "a_bnd": (lambda v: v >= 0, "must be >= 0"),  # increment bound / affine offset
     "L": (lambda v: v > 0, "must be > 0"),  # variance cap
-    "q": (lambda v: v >= 1, "must be >= 1"),  # Holder exponent
-    "c_const": (lambda v: v > 0, "must be > 0"),  # caller-supplied absolute constant
 }
 
 
@@ -157,13 +155,6 @@ def _dlp_point(x, y) -> float:
     return math.exp(-0.5 * x * x * y)
 
 
-def _dlp_pang(x, q) -> float:
-    if x <= 0:
-        raise ValueError("evaluate_bound(dlp_pang): x must be > 0")
-    e = q / (2.0 * q - 1.0)
-    return e ** e * x ** (-e) * math.exp(-0.5 * x * x)
-
-
 def _bercu_touati(x, y, b, a_bnd) -> float:
     return math.exp(-x * x * (a_bnd * b + 0.5 * b * b * y))
 
@@ -192,18 +183,9 @@ def _delyon(x, y) -> float:
     return math.exp(-0.5 * x * x / y)
 
 
-def _thm24_rate(x, beta) -> float:
-    return (x / beta) ** (beta / (beta - 1.0)) * (1.0 - 1.0 / beta)
-
-
 def _thm24_peeling(x, beta, M) -> float:
-    return (1.0 + 2.0 * (1.0 + x) * math.log(M)) * math.exp(-_thm24_rate(x, beta))
-
-
-def _thm24_peeling_conservative(x, beta, M) -> float:
-    a = 1.0 + (beta - 1.0) / (1.0 + x)
-    slices = 1.0 + math.ceil(math.log(M) / math.log(a))
-    return slices * math.exp(-_thm24_rate(x, beta))
+    rate = (x / beta) ** (beta / (beta - 1.0)) * (1.0 - 1.0 / beta)
+    return (1.0 + 2.0 * (1.0 + x) * math.log(M)) * math.exp(-rate)
 
 
 def _thm31_tstat(x, n, M) -> float:
@@ -222,20 +204,11 @@ def _thm34_tsp(t, n, d) -> float:
     return SQRT_E * (1.0 + (2.0 / d) * (1.0 + t) * math.log(n)) * math.exp(-0.5 * t * t)
 
 
-def _azuma_tsp(t, n, d, c_const) -> float:
-    if d == 2:
-        scale = c_const * math.log(n)
-    else:
-        scale = c_const * n ** ((d - 2.0) / d)
-    return math.exp(-t * t / scale)
-
-
 _CALCULATORS = {
     "bernstein": _bernstein,
     "freedman": _freedman,
     "dvz": _dvz,
     "dlp_point": _dlp_point,
-    "dlp_pang": _dlp_pang,
     "bercu_touati": _bercu_touati,
     "thm21_point": _thm21_point,
     "thm22_peeling": _thm22_peeling,
@@ -244,11 +217,9 @@ _CALCULATORS = {
     "delyon": _delyon,
     "thm23_exponent": beta_decay_coefficient,
     "thm24_peeling": _thm24_peeling,
-    "thm24_peeling_conservative": _thm24_peeling_conservative,
     "thm31_tstat": _thm31_tstat,
     "thm33_regression": _thm33_regression,
     "thm34_tsp": _thm34_tsp,
-    "azuma_tsp": _azuma_tsp,
 }
 
 BOUND_KINDS = tuple(sorted(_CALCULATORS))

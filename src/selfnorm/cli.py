@@ -19,7 +19,6 @@ from .bounds import clamp_probability, evaluate_bound
 from .experiments import (
     SpecValidationError,
     any_violation,
-    emit_plot_data,
     emit_report,
     load_report,
     load_spec,
@@ -75,6 +74,8 @@ def bounds_eval(kind, params, clamp):
 
 
 def _apply_overrides(raw: dict, seed, reps) -> dict:
+    if not isinstance(raw, dict):
+        _config_error("spec must be a JSON object")
     raw = dict(raw)
     if seed is not None:
         raw["master_seed"] = seed
@@ -82,7 +83,7 @@ def _apply_overrides(raw: dict, seed, reps) -> dict:
         try:
             raw["master_seed"] = int(os.environ[SEED_ENV])
         except ValueError:
-            raise click.ClickException(f"{SEED_ENV} must be an integer")
+            _config_error(f"{SEED_ENV} must be an integer, got {os.environ[SEED_ENV]!r}")
     if reps is not None:
         raw["n_rep"] = reps
     return raw
@@ -97,9 +98,7 @@ def _check_writable(path) -> None:
         _config_error(f"cannot write {path}: {exc.strerror}")
 
 
-def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, force_mode=None):
-    if plot_data and out is None:
-        _config_error("--emit-plot-data needs --out")
+def _run_and_emit(spec_path, seed, reps, fmt, out, jobs, timing, force_mode=None):
     try:
         with open(spec_path) as fh:
             raw = json.load(fh)
@@ -118,8 +117,6 @@ def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, forc
         sys.exit(2)
     if out is not None:
         _check_writable(out)
-    if plot_data:
-        _check_writable(str(out) + ".plot.csv")
     try:
         records = run_experiment(spec, jobs=jobs)
     except Exception as exc:
@@ -131,8 +128,6 @@ def _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing, forc
         click.echo(render_report(records, fmt, spec=spec, include_timing=timing), nl=False)
     else:
         emit_report(records, fmt, out, spec=spec, include_timing=timing)
-    if plot_data:
-        emit_plot_data(records, str(out) + ".plot.csv")
     sys.exit(1 if any_violation(records) else 0)
 
 
@@ -143,12 +138,10 @@ _verify_options = [
     click.option("--reps", type=click.IntRange(min=100), default=None, help="Override n_rep."),
     click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),
     click.option("--out", type=click.Path(), default=None, help="Report path (stdout if absent)."),
-    click.option("--emit-plot-data", "plot_data", is_flag=True,
-                 help="Also write <out>.plot.csv with (x, p_hat, ci_hi, bound) rows."),
     click.option("--jobs", type=click.IntRange(min=1), default=1,
                  help="Threads for the grid points and draw-and-reduce blocks of diff "
-                      "targets and the stream blocks of regression runs (thm34_tsp and "
-                      "azuma_tsp runs ignore it); output is identical at any value."),
+                      "targets and the stream blocks of regression runs (thm34_tsp runs "
+                      "ignore it); output is identical at any value."),
     click.option("--timing", is_flag=True,
                  help="Include wall_ms in the report (breaks byte-identical re-runs)."),
 ]
@@ -165,18 +158,16 @@ def _with_options(options):
 
 @main.command()
 @_with_options(_verify_options)
-def verify(spec_path, seed, reps, fmt, out, plot_data, jobs, timing):
+def verify(spec_path, seed, reps, fmt, out, jobs, timing):
     """Run a verification spec and emit a report."""
-    _run_and_emit(spec_path, seed, reps, fmt, out, plot_data, jobs, timing)
+    _run_and_emit(spec_path, seed, reps, fmt, out, jobs, timing)
 
 
 @main.command()
 @_with_options(_verify_options)
-def oracle(spec_path, seed, reps, fmt, out, plot_data, jobs, timing):
+def oracle(spec_path, seed, reps, fmt, out, jobs, timing):
     """Run a spec through the exact sign-type oracle only."""
-    _run_and_emit(
-        spec_path, seed, reps, fmt, out, plot_data, jobs, timing, force_mode="exact_oracle"
-    )
+    _run_and_emit(spec_path, seed, reps, fmt, out, jobs, timing, force_mode="exact_oracle")
 
 
 @main.command()

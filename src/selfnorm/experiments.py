@@ -19,7 +19,6 @@ import numpy as np
 
 from .bounds import beta_decay_coefficient, evaluate_bound, field_violation, is_finite_real
 from .montecarlo import (
-    MCEstimate,
     TailEvent,
     check_enumeration_size,
     domination_check,
@@ -33,7 +32,7 @@ from .processes import BatchStats, build_model, map_jobs, sample_batch
 from .applications.regression import exact_oracle_scale, noise_bounds
 from .applications.regression import exact_regression_records, verify_regression
 from .applications.student import self_normalized_threshold
-from .applications.tsp import check_tsp_size, instance_tour_lengths, verify_tsp
+from .applications.tsp import check_tsp_size, verify_tsp
 
 __all__ = [
     "ExperimentSpec",
@@ -44,7 +43,6 @@ __all__ = [
     "run_experiment",
     "emit_report",
     "load_report",
-    "emit_plot_data",
     "CSV_COLUMNS",
 ]
 
@@ -103,7 +101,7 @@ class ExperimentSpec:
     phi: str = "uniform"
     d: int = 2
     c1: float | None = None
-    c_const: float | None = None
+    c_const: None = None  # always None: validation rejects it; reports echo it as null
 
 
 @dataclass(frozen=True)
@@ -255,10 +253,11 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
     d_rule = field_violation("d", fields["d"])
     if d_rule is not None:
         errors.append(f"d: {d_rule}")
-    for opt in ("c1", "c_const"):
-        v = fields[opt]
-        if v is not None and not (is_finite_real(v) and v > 0):
-            errors.append(f"{opt}: must be a positive number when given")
+    c1 = fields["c1"]
+    if c1 is not None and not (is_finite_real(c1) and c1 > 0):
+        errors.append("c1: must be a positive number when given")
+    if fields["c_const"] is not None:
+        errors.append("c_const: no verification target reads it; leave it out")
 
     grids = fields["grids"]
     if not isinstance(grids, dict):
@@ -373,12 +372,6 @@ def _check_regression(fields: dict, model) -> list:
 
 def _check_thm34(fields: dict, model) -> list:
     return _rule_errors("thm34_tsp", check_tsp_size, fields["n"], fields["inner_rep"])
-
-
-def _check_azuma(fields: dict, model) -> list:
-    if fields["c_const"] is None:
-        return ["c_const: required for azuma_tsp"]
-    return _rule_errors("azuma_tsp", check_tsp_size, fields["n"])
 
 
 # ---------------------------------------------------------------------------
@@ -683,22 +676,6 @@ def _run_thm34_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
     ], t0)
 
 
-def _run_azuma_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
-    """Plain deviation of the tour length, no nested estimates."""
-    t0 = time.perf_counter()
-    lengths = instance_tour_lengths(spec.n, spec.d, spec.n_rep, spec.master_seed)
-    center = float(lengths.mean())
-    note = f"E[T] pooled={center:.6g}; C={spec.c_const!r}"
-    out = []
-    for t in spec.grids["t"]:
-        t = float(t)
-        hits = int(np.count_nonzero(np.abs(lengths - center) >= t))
-        estimate = MCEstimate.from_hits(hits, spec.n_rep, spec.gamma)
-        bound = evaluate_bound("azuma_tsp", t=t, n=spec.n, d=spec.d, c_const=spec.c_const)
-        out.append(_record(spec, {"x": t}, {"t": t}, bound, estimate, note=note))
-    return _timed(out, t0)
-
-
 def _diff(grid_keys, plan, model_req, reads, check=None):
     return _Target(grid_keys, _run_diff_target, plan, model_req=model_req, check=check,
                    reads=reads)
@@ -731,7 +708,6 @@ VERIFY_TARGETS = {
         ("x",), _run_regression_target, optional_keys=("b", "M"), check=_check_regression
     ),
     "thm34_tsp": _Target(("t",), _run_thm34_target, uses_model=False, check=_check_thm34),
-    "azuma_tsp": _Target(("t",), _run_azuma_target, uses_model=False, check=_check_azuma),
 }
 
 
@@ -828,18 +804,3 @@ def load_report(path) -> tuple[dict | None, list[ResultRecord]]:
         records.append(ResultRecord(**data))
     return payload.get("spec"), records
 
-
-def emit_plot_data(records, path) -> None:
-    """(x, p_hat, ci_hi, bound) tuples per theorem for external plotting."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to report")
-    lines = ["theorem,x,p_hat,ci_hi,bound"]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [rec.theorem, _fmt(rec.x), _fmt(rec.p_hat), _fmt(rec.ci_hi), _fmt(rec.bound)]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -28,7 +28,6 @@ from selfnorm.applications.tsp import (
     dist_matrix_batch,
     held_karp,
     held_karp_batch,
-    instance_tour_lengths,
     sample_points,
     tsp_martingale_diffs,
     verify_tsp,
@@ -466,18 +465,6 @@ class TestTours:
             held_karp(dist_matrix(pts))
         with pytest.raises(ValueError, match="exact tours capped at n = 12"):
             held_karp_batch(dist_matrix_batch(pts[None]))
-
-    def test_instance_tour_lengths_follow_point_streams(self):
-        # exact tours in batches of TSP_INSTANCE_BLOCK: rows on both sides of
-        # a block boundary equal the single-instance solve of their stream
-        block = TSP_INSTANCE_BLOCK
-        lengths = instance_tour_lengths(6, 2, block + 2, 9)
-        for r in (0, block - 1, block, block + 1):
-            pts = sample_points(6, 2, substream(9, (r << 8) | 2))
-            assert lengths[r] == _reference_length(dist_matrix(pts))
-        # beyond the exact cap there are no tours
-        with pytest.raises(ValueError, match="exact tours capped"):
-            instance_tour_lengths(13, 2, 3, 9)
 
     def test_small_input_rejected(self):
         with pytest.raises(ValueError):

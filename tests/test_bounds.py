@@ -212,32 +212,12 @@ class TestEvaluateBound:
             "thm21_point", x=1.0, y=0.5, z=6.0
         ) == pytest.approx(math.exp(-6.0 / (2.0 * (1.0 + 1.0 / 6.0))), rel=1e-14)
 
-    def test_dlp_pang_value(self):
-        q = 2.0
-        e = q / (2.0 * q - 1.0)
-        assert evaluate_bound("dlp_pang", x=1.5, q=q) == pytest.approx(
-            e ** e * 1.5 ** (-e) * math.exp(-0.5 * 2.25), rel=1e-14
-        )
-
     def test_beta_kinds(self):
         coef = evaluate_bound("thm23_exponent", x=3.0, beta=1.5)
         assert coef == pytest.approx(0.5 * (2.0) ** 3, rel=1e-14)  # (beta-1)(x/beta)^{beta/(beta-1)}
         printed = evaluate_bound("thm24_peeling", x=3.0, beta=1.5, M=4.0)
         expected = (1.0 + 2.0 * 4.0 * math.log(4.0)) * math.exp(-(2.0 ** 3) * (1.0 / 3.0))
         assert printed == pytest.approx(expected, rel=1e-14)
-
-    def test_thm24_conservative_variant(self):
-        x, beta, M = 3.0, 1.5, 4.0
-        a = 1.0 + (beta - 1.0) / (1.0 + x)
-        slices = 1 + math.ceil(math.log(M) / math.log(a))
-        printed = evaluate_bound("thm24_peeling", x=x, beta=beta, M=M)
-        conservative = evaluate_bound("thm24_peeling_conservative", x=x, beta=beta, M=M)
-        assert conservative == pytest.approx(
-            printed / (1.0 + 2.0 * (1.0 + x) * math.log(M)) * slices, rel=1e-12
-        )
-        # no peeling range, single slice
-        single = evaluate_bound("thm24_peeling_conservative", x=x, beta=beta, M=1.0)
-        assert single == pytest.approx(math.exp(-8.0 / 3.0), rel=1e-12)
 
     def test_regression_and_tstat_kinds(self):
         value = evaluate_bound("thm33_regression", x=0.5, sigma=0.1, y=0.1, b=3.0, M=2.0)
@@ -257,17 +237,22 @@ class TestEvaluateBound:
         )
         assert tstat == pytest.approx(expected, rel=1e-12)
 
-    def test_azuma_dimension_split(self):
-        flat = evaluate_bound("azuma_tsp", t=1.0, n=100, d=2, c_const=2.0)
-        assert flat == pytest.approx(math.exp(-1.0 / (2.0 * math.log(100.0))), rel=1e-14)
-        cube = evaluate_bound("azuma_tsp", t=1.0, n=100, d=3, c_const=2.0)
-        assert cube == pytest.approx(math.exp(-1.0 / (2.0 * 100.0 ** (1.0 / 3.0))), rel=1e-14)
+    @pytest.mark.parametrize("kind", ["azuma_tsp", "dlp_pang", "thm24_peeling_conservative"])
+    def test_unchecked_kinds_are_gone(self, kind):
+        # no verification target checked these kinds against data
+        assert kind not in BOUND_KINDS
+        with pytest.raises(ValueError, match=f"unknown bound kind '{kind}'"):
+            evaluate_bound(kind, x=1.5, t=1.5, n=50, d=2, beta=1.5, M=2.0)
+
+    @pytest.mark.parametrize("name", ["q", "c_const"])
+    def test_unread_inputs_are_not_catalogued(self, name):
+        # only the deleted kinds read these inputs
+        with pytest.raises(TypeError, match=f"unknown parameter '{name}'"):
+            evaluate_bound("thm34_tsp", t=1.5, n=50, d=2, **{name: 2.0})
 
     def test_missing_parameter_names_field(self):
         with pytest.raises(ValueError, match="missing parameter.*L"):
             evaluate_bound("freedman", x=1.0, a_bnd=0.0)
-        with pytest.raises(ValueError, match="c_const"):
-            evaluate_bound("azuma_tsp", t=1.0, n=10, d=2)
         # b is read only when y > 0
         with pytest.raises(ValueError, match="missing parameter.*b"):
             evaluate_bound("thm22_peeling", x=1.0, y=0.5, M=2.0)
@@ -303,7 +288,7 @@ class TestEvaluateBound:
     def test_all_kinds_positive(self):
         params = dict(
             x=1.5, y=0.5, z=2.0, b=1.0, M=2.0, beta=1.5, n=50, sigma=0.5,
-            t=1.5, d=2, a_bnd=0.5, L=2.0, q=2.0, c_const=1.0,
+            t=1.5, d=2, a_bnd=0.5, L=2.0,
         )
         for kind in BOUND_KINDS:
             assert evaluate_bound(kind, **params) > 0.0
@@ -314,7 +299,6 @@ class TestEvaluateBound:
             ("freedman", dict(L=1.0, a_bnd=1.0), (0.5, 1, 2, 4, 8)),
             ("dvz", dict(L=1.0, a_bnd=1.0), (0.5, 1, 2, 4, 8)),
             ("dlp_point", dict(y=2.0), (0.5, 1, 2, 4)),
-            ("dlp_pang", dict(q=2.0), (1, 1.5, 2, 4, 8)),
             ("bercu_touati", dict(y=2.0, b=0.5, a_bnd=0.5), (0.5, 1, 2, 4)),
             ("thm21_point", dict(y=0.5, z=2.0), (0.5, 1, 2, 4)),
             ("thm22_peeling", dict(y=0.5, b=1.0, M=4.0), (1, 1.5, 2, 3, 5)),
@@ -331,10 +315,8 @@ class TestEvaluateBound:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_tsp_kinds_monotone_in_t(self):
-        ts = (0.5, 1.0, 2.0, 4.0)
-        for kind, extra in (("thm34_tsp", {}), ("azuma_tsp", {"c_const": 1.0})):
-            values = [evaluate_bound(kind, t=t, n=50, d=2, **extra) for t in ts]
-            assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        values = [evaluate_bound("thm34_tsp", t=t, n=50, d=2) for t in (0.5, 1.0, 2.0, 4.0)]
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_clamp_probability(self):
         assert clamp_probability(0.4) == 0.4

@@ -17,13 +17,13 @@ import pytest
 from click.testing import CliRunner
 
 from selfnorm import cli, experiments
+from selfnorm.applications import regression, tsp
 from selfnorm.bounds import BOUND_KINDS, evaluate_bound
 from selfnorm.cli import main
 from selfnorm.experiments import (
     CSV_COLUMNS,
     UNTESTED_DEPTH_FACTOR,
     SpecValidationError,
-    emit_plot_data,
     emit_report,
     load_report,
     load_spec,
@@ -126,10 +126,6 @@ PINNED_SPECS = {
         "id": "pin-thm34", "theorem": "thm34_tsp", "n": 5, "d": 2,
         "grids": {"t": [1.0, 2.0]}, "n_rep": 100, "inner_rep": 1000, "master_seed": 3,
     },
-    "azuma_tsp": {
-        "id": "pin-azuma", "theorem": "azuma_tsp", "n": 7, "d": 2,
-        "grids": {"t": [0.2, 0.5]}, "n_rep": 400, "master_seed": 7, "c_const": 1.0,
-    },
 }
 
 # the pinned specs of diff targets in mode mc
@@ -141,7 +137,6 @@ _MC_DIFF_SPECS = [
 # sha256 of each pinned spec's JSON report; a change that moves any byte of
 # a report fails here
 PINNED_DIGESTS = {
-    "azuma_tsp": "aaf90dccdad627446aa1e69e0ada40b821eb6e8294ad6cd7d02a71d741065671",
     "bercu_touati-exact": "945fbc8234cc2a5d42838a47f1a2cee0c969a791e8dd15a84d9df106181778a6",
     "bercu_touati-mc": "634f44e52d39d17675e7b63ea670e1247e031b9696d3713be10fb9c88c414633",
     "bernstein-exact": "742d4500a9201221f67b498bfde8c99631061450f5714694309105e2a157c1a3",
@@ -196,8 +191,6 @@ _RUN_TIME_RULE_SPECS = {
         model={"family": "scaled_two_point", "p_up": 0.5, "up": 1e-4, "down": -1e-4},
     ),
     "thm34-n1": {**PINNED_SPECS["thm34_tsp"], "n": 1},
-    "azuma-n1": {**PINNED_SPECS["azuma_tsp"], "n": 1},
-    "azuma-n13": {**PINNED_SPECS["azuma_tsp"], "n": 13},
     "tstat-n1": _pinned("thm31_tstat", {"x": [0.5], "b": [1.0], "M": [2.0]}, n=1),
     "delyon-y0": _pinned("delyon", {"x": [1.0], "y": [0.0]}),
     "thm23-x0": _pinned("thm23_expectation", {"x": [0.0], "beta": [1.5]}),
@@ -246,7 +239,6 @@ class TestLoadSpec:
         base = {
             "theta": _regression_spec(),
             "c1": PINNED_SPECS["thm34_tsp"],
-            "c_const": PINNED_SPECS["azuma_tsp"],
         }.get(field, _spec())
         with pytest.raises(SpecValidationError) as err:
             load_spec({**base, field: True})
@@ -278,7 +270,7 @@ class TestLoadSpec:
             ("theta", math.inf, "regression"),
             ("theta", 10 ** 400, "regression"),
             ("c1", math.inf, "thm34_tsp"),
-            ("c_const", math.inf, "azuma_tsp"),
+            ("c_const", math.inf, "thm34_tsp"),
         ],
         ids=["theta-nan", "theta-inf", "theta-overflow", "c1-inf", "c_const-inf"],
     )
@@ -395,15 +387,42 @@ class TestLoadSpec:
         }
         with pytest.raises(SpecValidationError, match="exact tours"):
             load_spec(raw)
+
+    @pytest.mark.parametrize("value", [1.0, math.nan])
+    def test_c_const_rejected(self, tmp_path, value):
+        # no target reads c_const, so setting it is a config error; reports
+        # echo it as null, and that echo still loads
+        raw = {**PINNED_SPECS["thm34_tsp"], "c_const": value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("config error: c_const:")
+        assert load_spec({**raw, "c_const": None}).c_const is None
+
+    def test_removed_target_rejected(self):
         raw = {"id": "a", "theorem": "azuma_tsp", "n": 8, "grids": {"t": [2.0]}, "n_rep": 100}
-        with pytest.raises(SpecValidationError, match="c_const"):
+        with pytest.raises(SpecValidationError, match="'azuma_tsp' is not a verification target"):
             load_spec(raw)
-        # JSON NaN loads as a float that fails every comparison
-        with pytest.raises(SpecValidationError, match="c_const: must be a positive number"):
-            load_spec({**raw, "c_const": math.nan})
 
 
 class TestRunExperiment:
+    def test_every_bound_kind_is_checked_by_a_target(self, monkeypatch):
+        # one pinned spec per target evaluates every closed-form kind; the
+        # thm23_exponent coefficient enters the thm23 objective directly
+        seen = set()
+
+        def spy(kind, /, **inputs):
+            seen.add(kind)
+            return evaluate_bound(kind, **inputs)
+
+        for module in (experiments, regression, tsp):
+            monkeypatch.setattr(module, "evaluate_bound", spy)
+        for theorem in experiments.VERIFY_TARGETS:
+            raw = next(raw for raw in PINNED_SPECS.values() if raw["theorem"] == theorem)
+            run_experiment(load_spec(raw))
+        assert seen == set(BOUND_KINDS) - {"thm23_exponent"}
+
     def test_both_mode_carries_exact_and_mc(self):
         spec = load_spec(_spec(mode="both"))
         records = run_experiment(spec)
@@ -546,7 +565,7 @@ class TestRunExperiment:
         assert all(rec.wall_ms < delay_ms / 4 for rec in exact)
 
     @pytest.mark.parametrize("name", ["thm32_regression-mc", "thm33_regression-exact",
-                                      "thm34_tsp", "azuma_tsp", "thm21_point-mc"])
+                                      "thm34_tsp", "thm21_point-mc"])
     def test_record_times_sum_to_at_most_the_run(self, name):
         # each record holds its share of the run, not the run's whole time;
         # thm21_point builds two records per grid point
@@ -595,14 +614,6 @@ class TestReports:
         with pytest.raises(ValueError):
             emit_report([], "csv", tmp_path / "x.csv")
 
-    def test_plot_data_export(self, tmp_path):
-        spec, records = self._records()
-        path = tmp_path / "plot.csv"
-        emit_plot_data(records, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "theorem,x,p_hat,ci_hi,bound"
-        assert len(lines) == len(records) + 1
-
     @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
     def test_report_bytes_pinned(self, name):
         spec = load_spec(PINNED_SPECS[name])
@@ -610,6 +621,24 @@ class TestReports:
         text = render_report(records, "json", spec=spec)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[name]
         assert all(rec.wall_ms is not None and rec.wall_ms > 0 for rec in records)
+
+    def test_csv_report_holds_plot_columns(self):
+        spec, records = self._records()
+        lines = render_report(records, "csv", spec=spec).splitlines()
+        header = lines[0].split(",")
+        for row, rec in zip(lines[1:], records):
+            fields = dict(zip(header, row.split(",")))
+            assert fields["theorem"] == rec.theorem
+            for col in ("x", "p_hat", "ci_hi", "bound"):
+                assert float(fields[col]) == getattr(rec, col)
+        assert len(lines) == len(records) + 1
+
+    def test_json_report_echoes_c_const_as_null(self):
+        # the echoed spec keeps c_const, which no target reads, as null
+        spec = load_spec(PINNED_SPECS["thm34_tsp"])
+        text = render_report(run_experiment(spec), "json", spec=spec)
+        assert '"c_const": null' in text
+        assert json.loads(text)["spec"]["c_const"] is None
 
     def test_timing_excluded_by_default(self, tmp_path):
         spec, records = self._records()
@@ -645,12 +674,19 @@ class TestCli:
         # the parameter set of test_bounds' test_all_kinds_positive
         params = dict(
             x=1.5, y=0.5, z=2.0, b=1.0, M=2.0, beta=1.5, n=50, sigma=0.5,
-            t=1.5, d=2, a_bnd=0.5, L=2.0, q=2.0, c_const=1.0,
+            t=1.5, d=2, a_bnd=0.5, L=2.0,
         )
         args = [f"{name}={value}" for name, value in params.items()]
         result = CliRunner().invoke(main, ["bounds", "eval", kind, *args])
         assert result.exit_code == 0, result.output
         assert result.output == format(evaluate_bound(kind, **params), ".17g") + "\n"
+
+    @pytest.mark.parametrize("kind", ["azuma_tsp", "dlp_pang", "thm24_peeling_conservative"])
+    def test_bounds_eval_unchecked_kind_exit_two(self, kind):
+        args = ["bounds", "eval", kind, "x=1.5", "t=1.5", "n=50", "d=2", "beta=1.5", "M=2"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.startswith(f"config error: unknown bound kind '{kind}'")
 
     def test_bounds_eval_bad_kind(self):
         runner = CliRunner()
@@ -681,10 +717,10 @@ class TestCli:
         result = runner.invoke(
             main,
             ["verify", "--spec", str(spec_path), "--format", "csv", "--out", str(out),
-             "--emit-plot-data", "--jobs", "2"],
+             "--jobs", "2"],
         )
         assert result.exit_code == 0, result.output
-        assert out.exists() and (tmp_path / "report.csv.plot.csv").exists()
+        assert out.exists()
 
     def test_verify_stdout_when_no_out(self, tmp_path):
         spec_path = self._write_spec(tmp_path)
@@ -692,14 +728,6 @@ class TestCli:
         result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--format", "csv"])
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
-
-    def test_plot_data_without_out_exit_two_before_running(self, tmp_path):
-        runner = CliRunner()
-        for spec_path in (self._write_spec(tmp_path), tmp_path / "missing.json"):
-            result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--emit-plot-data"])
-            assert result.exit_code == 2
-            # output holds stdout and stderr together, so nothing reached stdout
-            assert result.output == "config error: --emit-plot-data needs --out\n"
 
     def test_unwritable_out_exit_two_before_running(self, tmp_path, monkeypatch):
         def no_run(*args, **kwargs):
@@ -712,17 +740,8 @@ class TestCli:
         result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--out", str(missing)])
         assert result.exit_code == 2
         assert result.output.startswith(f"config error: cannot write {missing}")
-        # an unwritable plot-data path fails too, and leaves an existing report whole
         out = tmp_path / "r.json"
         emit_report(run_experiment(load_spec(_spec())), "json", out)
-        kept = out.read_text()
-        (tmp_path / "r.json.plot.csv").mkdir()
-        result = runner.invoke(
-            main, ["verify", "--spec", str(spec_path), "--out", str(out), "--emit-plot-data"]
-        )
-        assert result.exit_code == 2
-        assert result.output.startswith(f"config error: cannot write {out}.plot.csv")
-        assert out.read_text() == kept
         result = runner.invoke(
             main, ["report", "--in", str(out), "--format", "csv", "--out", str(missing)]
         )
@@ -802,7 +821,7 @@ class TestCli:
             ("estimate_tail_from", _spec()),
             ("verify_regression", _regression_spec()),
             ("verify_tsp", PINNED_SPECS["thm34_tsp"]),
-            ("evaluate_bound", PINNED_SPECS["azuma_tsp"]),
+            ("evaluate_bound", _spec()),
         ],
     )
     def test_internal_fault_is_not_a_config_error(self, tmp_path, monkeypatch, runner_name, raw):
@@ -847,15 +866,16 @@ class TestCli:
         assert "config error: grids.b: value 'p10' must be a finite number" in result.output
         assert "internal error" not in result.output
 
-    def test_violation_exit_one(self, tmp_path):
-        # an absurdly small caller-supplied constant falsifies the bound
-        spec_path = tmp_path / "azuma.json"
-        spec_path.write_text(json.dumps({
-            "id": "azuma-bad-c", "theorem": "azuma_tsp", "n": 6,
-            "grids": {"t": [0.05]}, "n_rep": 400, "c_const": 1e-6, "master_seed": 3,
-        }))
-        runner = CliRunner()
-        result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--format", "csv"])
+    def test_violation_exit_one(self, tmp_path, monkeypatch):
+        # a bound fault that shrinks every bound a billionfold is refuted by the
+        # data, and the run exits 1
+        def shrunk(kind, /, **inputs):
+            return 1e-9 * evaluate_bound(kind, **inputs)
+
+        monkeypatch.setattr(experiments, "evaluate_bound", shrunk)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(PINNED_SPECS["bernstein-mc"]))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path), "--format", "csv"])
         assert result.exit_code == 1
         assert "violation_evidence" in result.output
 
@@ -895,6 +915,54 @@ class TestCli:
         assert ",11," not in base.output
         assert ",11," in env.output
         assert env.output == flagged.output
+
+    @pytest.mark.parametrize("text", ["[1]", "3"])
+    def test_non_object_spec_exit_two(self, tmp_path, text):
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(text)
+        for command in ("verify", "oracle"):
+            result = CliRunner().invoke(main, [command, "--spec", str(spec_path)])
+            assert result.exit_code == 2
+            assert result.output == "config error: spec must be a JSON object\n"
+
+    def test_bad_seed_env_exit_two(self, tmp_path):
+        raw = _spec()
+        del raw["master_seed"]
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(
+            main, ["verify", "--spec", str(spec_path)], env={"SELFNORM_SEED": "abc"}
+        )
+        assert result.exit_code == 2
+        assert result.output == "config error: SELFNORM_SEED must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("source", ["flag", "spec"])
+    def test_bad_seed_env_unread_when_seed_given(self, tmp_path, source):
+        # SELFNORM_SEED is only a fallback, so a bad value matters only when read
+        raw = _spec()
+        args = ["--seed", str(raw["master_seed"])] if source == "flag" else []
+        if source == "flag":
+            del raw["master_seed"]
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(
+            main, ["verify", "--spec", str(spec_path), "--format", "csv", *args],
+            env={"SELFNORM_SEED": "abc"},
+        )
+        assert result.exit_code == 0, result.output
+        assert f",{_spec()['master_seed']}," in result.output
+
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    def test_emit_plot_data_is_not_an_option(self, tmp_path, command):
+        # the CSV report carries every column the plot-data file held
+        spec_path = self._write_spec(tmp_path)
+        out = tmp_path / "r.csv"
+        result = CliRunner().invoke(
+            main, [command, "--spec", str(spec_path), "--out", str(out), "--emit-plot-data"]
+        )
+        assert result.exit_code == 2
+        assert "No such option '--emit-plot-data'" in result.output
+        assert not out.exists()
 
     def test_oracle_forces_exact_mode(self, tmp_path):
         spec_path = self._write_spec(tmp_path)
@@ -977,10 +1045,9 @@ class TestBenchmarkHooks:
         (_spec(), {"bounds.eval_s", "montecarlo.event_s", "processes.sample_s"}),
         (_regression_spec(), {"applications.regression.batch_s", "bounds.eval_s"}),
         (PINNED_SPECS["thm34_tsp"], {"applications.tsp.held_karp_s", "bounds.eval_s"}),
-        (PINNED_SPECS["azuma_tsp"], {"applications.tsp.held_karp_s", "bounds.eval_s"}),
     ]
 
-    @pytest.mark.parametrize("raw, spans", SPANS, ids=["diff", "regression", "thm34", "azuma"])
+    @pytest.mark.parametrize("raw, spans", SPANS, ids=["diff", "regression", "thm34"])
     def test_tracer_records_layer_spans(self, monkeypatch, raw, spans):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         tracing = importlib.import_module("tracing")
@@ -995,7 +1062,6 @@ class TestBenchmarkHooks:
         # instrument looks each traced name up with vars(owner)[attr], so a
         # deleted or renamed one raises on entry
         from selfnorm import montecarlo
-        from selfnorm.applications import tsp
 
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         tracing = importlib.import_module("tracing")
