@@ -179,15 +179,9 @@ def oracle(spec_path, seed, reps, fmt, out, jobs, timing):
 def report(in_path, fmt, out, timing):
     """Convert a JSON report to CSV (or re-canonicalize JSON)."""
     try:
-        spec_dict, records = load_report(in_path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        spec, records = load_report(in_path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         _config_error(f"cannot read report: {exc}")
-    spec = None
-    if spec_dict is not None:
-        try:
-            spec = load_spec(spec_dict)
-        except SpecValidationError:
-            spec = None
     _check_writable(out)
     emit_report(records, fmt, out, spec=spec, include_timing=timing)
     sys.exit(0)

@@ -13,11 +13,11 @@ import itertools
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
-from .bounds import beta_decay_coefficient, evaluate_bound, field_violation, is_finite_real
+from .bounds import beta_decay_coefficient, evaluate_bound, f_rate, field_violation, is_finite_real
 from .montecarlo import (
     TailEvent,
     check_enumeration_size,
@@ -430,7 +430,7 @@ class _PointPlan:
     echo: dict               # canonical CSV fields
     event: TailEvent
     bound: float | None      # None when `expectation` gives the bound
-    expectation: tuple | None = None  # (x, y, beta) of an inf-over-p expectation bound
+    expectation: float | None = None  # the rate of an inf-over-p bound on `event`
     note: str = ""
     suffix: str = ""
 
@@ -482,7 +482,7 @@ def _plan_b_n_expectation(spec, gp, model, key, window_base):
     """cor21_expectation (y = 0) and thm21_expectation."""
     x, y = gp["x"], key[1]
     event = TailEvent(x=x, normalizer=_bracket(key))
-    return [_PointPlan({"x": x, "y": y}, event, None, (x, y, None))]
+    return [_PointPlan({"x": x, "y": y}, event, None, f_rate(x, y))]
 
 
 def _plan_thm21_point(spec, gp, model, key, window_base):
@@ -529,7 +529,7 @@ def _plan_delyon(spec, gp, model, key, window_base):
 def _plan_thm23_expectation(spec, gp, model, key, window_base):
     x, beta = gp["x"], gp["beta"]
     event = TailEvent(x=x, normalizer=_bracket(key))
-    return [_PointPlan({"x": x, "beta": beta}, event, None, (x, None, beta))]
+    return [_PointPlan({"x": x, "beta": beta}, event, None, beta_decay_coefficient(x, beta))]
 
 
 def _plan_thm24_peeling(spec, gp, model, key, window_base):
@@ -556,11 +556,10 @@ def _plan_thm31_tstat(spec, gp, model, key, window_base):
 def _diff_record(spec, stats, plan: _PointPlan, gp: dict) -> ResultRecord:
     note, bound, estimate, exact = plan.note, plan.bound, None, None
     if plan.expectation is not None:
-        x, y, beta = plan.expectation
         if spec.mode == "exact_oracle":
-            bound = exact_optimized_bound_rademacher(spec.n, x, y=y, beta=beta).value
+            bound = exact_optimized_bound_rademacher(spec.n, plan.event, plan.expectation).value
         else:
-            opt = optimize_over_p_from(stats, x, y=y, beta=beta)
+            opt = optimize_over_p_from(stats, plan.event, plan.expectation)
             bound = opt.value
             note = _append_note(note, f"p_star={opt.p_star:.6g}")
     if stats is not None:
@@ -749,10 +748,11 @@ def _record_dict(rec: ResultRecord, include_timing: bool) -> dict:
 def render_report(
     records,
     fmt: str,
-    spec: ExperimentSpec | None = None,
+    spec: ExperimentSpec | dict | None = None,
     include_timing: bool = False,
 ) -> str:
-    """Render records as JSON (spec echo + records) or fixed-column CSV.
+    """Render records as JSON (spec echo + records) or fixed-column CSV.  The
+    echo is the spec's fields, or a reloaded report's echo as it was read.
 
     Timing is excluded by default so that reports are byte-identical across
     re-runs and worker counts.
@@ -762,7 +762,7 @@ def render_report(
         raise ValueError("no records to report")
     if fmt == "json":
         payload = {
-            "spec": None if spec is None else asdict(spec),
+            "spec": asdict(spec) if is_dataclass(spec) else spec,
             "records": [_record_dict(rec, include_timing) for rec in records],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -784,7 +784,7 @@ def emit_report(
     records,
     fmt: str,
     path,
-    spec: ExperimentSpec | None = None,
+    spec: ExperimentSpec | dict | None = None,
     include_timing: bool = False,
 ) -> None:
     text = render_report(records, fmt, spec=spec, include_timing=include_timing)
@@ -802,5 +802,7 @@ def load_report(path) -> tuple[dict | None, list[ResultRecord]]:
         data["grid"] = tuple(tuple(pair) for pair in data.get("grid", ()))
         data.setdefault("wall_ms", None)
         records.append(ResultRecord(**data))
+    if not records:
+        raise ValueError("the report holds no records")
     return payload.get("spec"), records
 

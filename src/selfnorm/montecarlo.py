@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import beta_decay_coefficient, f_rate
-
 __all__ = [
     "MCEstimate",
     "DominationVerdict",
@@ -260,14 +258,6 @@ def golden_section_min(f, lo: float, hi: float):
     return x2, f2
 
 
-def _rate_and_normalizer(stats, x: float, y: float | None, beta: float | None):
-    if (y is None) == (beta is None):
-        raise ValueError("provide exactly one of y or beta")
-    if beta is None:
-        return f_rate(x, y), stats.b_n(y)
-    return beta_decay_coefficient(x, beta), stats.g_n(beta)
-
-
 @dataclass(frozen=True)
 class OptimizedBound:
     p_star: float
@@ -365,27 +355,18 @@ def optimize_expectation_values(
 
 
 def optimize_over_p_from(
-    stats,
-    x: float,
-    *,
-    y: float | None = None,
-    beta: float | None = None,
-    with_indicator: bool = True,
+    stats, event: TailEvent, rate: float, with_indicator: bool = True
 ) -> OptimizedBound:
-    rate, norm = _rate_and_normalizer(stats, x, y, beta)
-    indicator = (stats.s() >= x * norm) if with_indicator else None
-    return optimize_expectation_values(rate, norm, indicator)
+    """inf over p of the expectation bound of `event` on a stats batch: its
+    normalizer weighs each path, and the event itself is the indicator."""
+    indicator = evaluate_event(stats, event) if with_indicator else None
+    return optimize_expectation_values(rate, event.normalizer(stats), indicator)
 
 
 def exact_optimized_bound_rademacher(
-    n: int,
-    x: float,
-    *,
-    y: float | None = None,
-    beta: float | None = None,
-    with_indicator: bool = True,
+    n: int, event: TailEvent, rate: float, with_indicator: bool = True
 ) -> OptimizedBound:
-    """inf over p of the exact expectation bound for fair-sign paths.
+    """inf over p of the exact expectation bound of `event` for fair-sign paths.
 
     Normalizer and indicator are computed once per sign type.  The optimizer
     takes exp once per type and gathers one term per path in the event, in
@@ -393,9 +374,9 @@ def exact_optimized_bound_rademacher(
     it sums the same floats, in the same order, as a full enumeration."""
     check_enumeration_size(n)
     st = SignTypes(n)
-    rate, norm = _rate_and_normalizer(st, x, y, beta)
     path_type = _path_types(n)
-    lanes = path_type[(st.s() >= x * norm)[path_type]] if with_indicator else path_type
+    lanes = path_type[evaluate_event(st, event)[path_type]] if with_indicator else path_type
+    norm = event.normalizer(st)
     return optimize_expectation_values(rate, norm, None, lanes.astype(np.intp), 1 << n)
 
 

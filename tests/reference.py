@@ -37,7 +37,6 @@ from selfnorm.applications.regression import DegenerateDesignError, _sample_phi
 from selfnorm.applications.student import self_normalized_threshold
 from selfnorm.montecarlo import (
     DominationVerdict,
-    _rate_and_normalizer,
     check_enumeration_size,
     evaluate_event,
     exp_growth_coefficient,
@@ -320,24 +319,18 @@ def t_event_equivalence(sample, x: float) -> tuple[bool, bool]:
 
 
 def expectation_bound_from(
-    stats,
-    x: float,
-    *,
-    y: float | None = None,
-    beta: float | None = None,
-    p: float,
-    with_indicator: bool = True,
+    stats, event, rate: float, *, p: float, with_indicator: bool = True
 ) -> tuple[float, float]:
-    """(E[exp{-(p-1) rate N} (1_event)])^{1/p} estimated on a fixed sample set.
+    """(E[exp{-(p-1) rate N} (1_event)])^{1/p} estimated on a fixed sample set,
+    N the event's normalizer.
 
     Returns (value, standard error of the value) via the delta method.
     """
     if p <= 1.0:
         raise ValueError(f"p must be > 1, got {p}")
-    rate, norm = _rate_and_normalizer(stats, x, y, beta)
-    z = np.exp(-(p - 1.0) * rate * norm)
+    z = np.exp(-(p - 1.0) * rate * event.normalizer(stats))
     if with_indicator:
-        z = z * (stats.s() >= x * norm)
+        z = z * evaluate_event(stats, event)
     m = float(np.mean(z))
     se_mean = float(np.std(z, ddof=1) / math.sqrt(len(z))) if len(z) > 1 else 0.0
     value = m ** (1.0 / p)
@@ -499,15 +492,15 @@ def enumerated_tail_rademacher(n: int, event) -> float:
     return hits / float(1 << n)
 
 
-def enumerated_optimized_bound_rademacher(n, x, *, y=None, beta=None, with_indicator=True):
-    """inf over p of the expectation bound on the per-path arrays of all 2^n paths."""
+def enumerated_optimized_bound_rademacher(n, event, rate, with_indicator=True):
+    """inf over p of the expectation bound of `event` on the per-path arrays of
+    all 2^n paths."""
     check_enumeration_size(n)
     norms, inds = [], []
     for signs in enumerate_sign_chunks(n):
         st = _SignEnumStats(signs)
-        rate, norm = _rate_and_normalizer(st, x, y, beta)
-        norms.append(norm)
-        inds.append(st.s() >= x * norm)
+        norms.append(event.normalizer(st))
+        inds.append(evaluate_event(st, event))
     indicator = np.concatenate(inds) if with_indicator else None
     return optimize_expectation_values(rate, np.concatenate(norms), indicator)
 

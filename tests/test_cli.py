@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from selfnorm import cli, experiments
+from selfnorm import cli, experiments, montecarlo
 from selfnorm.applications import regression, tsp
 from selfnorm.bounds import BOUND_KINDS, evaluate_bound
 from selfnorm.cli import main
@@ -30,7 +30,7 @@ from selfnorm.experiments import (
     render_report,
     run_experiment,
 )
-from selfnorm.montecarlo import P_SEARCH_WINDOW, TailEvent, exact_tail_rademacher
+from selfnorm.montecarlo import P_SEARCH_WINDOW, TailEvent, evaluate_event, exact_tail_rademacher
 from selfnorm.processes import BatchStats, sample_batch
 
 
@@ -478,6 +478,55 @@ class TestRunExperiment:
         assert exact_tail_rademacher(10, event) == 2.0 ** -10
         assert records[0].hits < UNTESTED_DEPTH_FACTOR
         assert "untested_depth" in records[0].note
+
+    @pytest.mark.parametrize("mode", ["exact_oracle", "mc"])
+    def test_expectation_bound_and_tail_read_one_event(self, monkeypatch, mode):
+        # the bound's indicator and the tail are the plan's one TailEvent
+        seen = []
+
+        def spy(stats, event):
+            seen.append(event)
+            return evaluate_event(stats, event)
+
+        monkeypatch.setattr(montecarlo, "evaluate_event", spy)
+        run_experiment(load_spec(_pinned("thm21_expectation", {"x": [0.3], "y": [0.5]}, mode)))
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    @pytest.mark.parametrize("mode", ["exact_oracle", "mc", "both"])
+    @pytest.mark.parametrize("n", [9, 18])
+    @pytest.mark.parametrize("theorem, grids", [
+        ("cor21_expectation", {}),
+        ("thm21_expectation", {"y": [0.0, 0.5, 1.0]}),
+        ("thm23_expectation", {"beta": [1.5]}),
+    ])
+    def test_expectation_bound_counts_the_tail_at_a_tie(self, theorem, grids, n, mode):
+        # at n = 9 the sign type with eight +1 steps has S_n / B_n(0) = 7 / 12.5 =
+        # 0.56 exactly (and G_n(1.5) = 12.5 too), but 0.56 * 12.5 rounds above 7:
+        # an indicator S_n >= x * N of the bound's own dropped the type that the
+        # tail counts, a false violation in every mode
+        raw = _pinned(theorem, {"x": [0.56], **grids}, mode, n=n, n_rep=20_000)
+        for rec in run_experiment(load_spec(raw)):
+            assert rec.status == "pass", rec
+            # the exact bound holds the exact tail; Monte Carlo bounds are estimates
+            assert mode != "exact_oracle" or rec.exact <= rec.bound
+
+    def test_expectation_bound_counts_the_tail_at_a_tie_in_mc(self):
+        # B_25(1) = 25 on every path and 0.28 * 25 rounds above 7
+        raw = _pinned("thm21_expectation", {"x": [0.28], "y": [1.0]}, n=25, n_rep=2000)
+        (rec,) = run_experiment(load_spec(raw))
+        assert rec.status == "pass"
+        assert rec.bound >= rec.p_hat
+
+    def test_exact_expectation_sweep_has_no_violation(self):
+        # every exact expectation record on a grid of x dense enough to land
+        # on the event's edge for some sign types, both brackets
+        xs = [round(0.02 * i, 2) for i in range(1, 79)]
+        for n in range(1, 17):
+            for theorem, grids in (("thm21_expectation", {"y": [0.0, 0.5, 1.0]}),
+                                   ("thm23_expectation", {"beta": [1.2, 1.5]})):
+                raw = _pinned(theorem, {"x": xs, **grids}, "exact_oracle", n=n)
+                for rec in run_experiment(load_spec(raw)):
+                    assert rec.status != "violation_evidence", (n, rec)
 
     def test_percentile_b_resolution(self):
         spec = load_spec(_spec(grids={"x": [1.0], "b": ["p10"], "M": [2.0]}))
@@ -989,6 +1038,37 @@ class TestCli:
             main, ["verify", "--spec", str(spec_path), "--format", "csv"]
         )
         assert out_csv.read_text() == direct.output
+
+    def test_report_writes_a_stale_spec_echo_as_read(self, tmp_path):
+        # the echo is not validated again: a report written when c_const could
+        # still be set keeps it
+        spec_path = self._write_spec(tmp_path)
+        runner = CliRunner()
+        out_json = tmp_path / "r.json"
+        assert runner.invoke(
+            main, ["verify", "--spec", str(spec_path), "--out", str(out_json)]
+        ).exit_code == 0
+        payload = json.loads(out_json.read_text())
+        payload["spec"]["c_const"] = 1.0
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out = tmp_path / "again.json"
+        result = runner.invoke(
+            main, ["report", "--in", str(stale), "--format", "json", "--out", str(out)]
+        )
+        assert result.exit_code == 0
+        assert out.read_text() == stale.read_text()
+
+    def test_report_without_records_exit_two(self, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"spec": None, "records": []}))
+        out = tmp_path / "r.csv"
+        result = CliRunner().invoke(
+            main, ["report", "--in", str(empty), "--format", "csv", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.output == "config error: cannot read report: the report holds no records\n"
+        assert not out.exists()
 
     def test_jobs_reports_identical(self, tmp_path):
         spec_path = self._write_spec(

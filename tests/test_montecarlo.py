@@ -11,7 +11,7 @@ from scipy import stats
 
 from selfnorm import montecarlo
 from selfnorm.applications.regression import regression_batch
-from selfnorm.bounds import f_rate
+from selfnorm.bounds import beta_decay_coefficient, f_rate
 from selfnorm.montecarlo import (
     P_SEARCH_WINDOW,
     _EXP_SHIFT_CUT,
@@ -154,6 +154,14 @@ def _cross_check_events(n, y):
     return events
 
 
+def _expectation(x, y=None, beta=None):
+    """(event, rate) of the inf-over-p bound normalized by B_n(y), or by
+    G_n(beta) when beta is given."""
+    if beta is None:
+        return TailEvent(x=x, normalizer=lambda st: st.b_n(y)), f_rate(x, y)
+    return TailEvent(x=x, normalizer=lambda st: st.g_n(beta)), beta_decay_coefficient(x, beta)
+
+
 class TestTypeOracleMatchesEnumeration:
     """The n + 1 sign types give the same floats as all 2^n enumerated paths."""
 
@@ -167,22 +175,21 @@ class TestTypeOracleMatchesEnumeration:
     @pytest.mark.parametrize("flavor", [{"y": 0.0}, {"y": 0.5}, {"y": 1.0}, {"beta": 1.5}])
     def test_expectation_bound(self, flavor, with_indicator):
         for n, x in itertools.product((1, 2, 7, 12, 16), (0.1, 0.3, 0.9)):
-            got = exact_optimized_bound_rademacher(n, x, with_indicator=with_indicator, **flavor)
-            ref = enumerated_optimized_bound_rademacher(
-                n, x, with_indicator=with_indicator, **flavor
-            )
+            event, rate = _expectation(x, **flavor)
+            got = exact_optimized_bound_rademacher(n, event, rate, with_indicator)
+            ref = enumerated_optimized_bound_rademacher(n, event, rate, with_indicator)
             assert (got.value, got.p_star) == (ref.value, ref.p_star), (n, x)
 
     @pytest.mark.parametrize("x", [0.1, 0.3])
     def test_expectation_bound_at_the_benchmark_size(self, x):
-        got = exact_optimized_bound_rademacher(20, x, y=0.0)
-        ref = enumerated_optimized_bound_rademacher(20, x, y=0.0)
+        got = exact_optimized_bound_rademacher(20, *_expectation(x, y=0.0))
+        ref = enumerated_optimized_bound_rademacher(20, *_expectation(x, y=0.0))
         assert (got.value, got.p_star) == (ref.value, ref.p_star)
 
     def test_expectation_bound_on_an_empty_event(self):
         # one step: S_1 = 1 < 0.9 * B_1(0) = 1.35 and S_1 = -1 < 0.45
-        got = exact_optimized_bound_rademacher(1, 0.9, y=0.0)
-        ref = enumerated_optimized_bound_rademacher(1, 0.9, y=0.0)
+        got = exact_optimized_bound_rademacher(1, *_expectation(0.9, y=0.0))
+        ref = enumerated_optimized_bound_rademacher(1, *_expectation(0.9, y=0.0))
         assert got.value == 0.0
         assert (got.value, got.p_star) == (ref.value, ref.p_star)
 
@@ -191,10 +198,11 @@ class TestTypeOracleMatchesEnumeration:
         # call holds about 16 bytes per path in the event, its type index and
         # one evaluation's terms (4.3 MiB at x = 0.1); 2^20-long float arrays
         # took 14 MiB
-        exact_optimized_bound_rademacher(20, 0.1, y=0.0)  # builds the cached type table
+        event, rate = _expectation(0.1, y=0.0)
+        exact_optimized_bound_rademacher(20, event, rate)  # builds the cached type table
         tracemalloc.start()
         try:
-            exact_optimized_bound_rademacher(20, 0.1, y=0.0)
+            exact_optimized_bound_rademacher(20, event, rate)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -239,13 +247,15 @@ class TestExpectationBounds:
     def test_zero_deviation_is_one(self):
         for p in (1.5, 2.0, 10.0):
             value, se = expectation_bound_from(
-                _stats(Rademacher(), 10, 500, 3), 0.0, y=0.0, p=p, with_indicator=False
+                _stats(Rademacher(), 10, 500, 3), *_expectation(0.0, y=0.0), p=p,
+                with_indicator=False,
             )
             assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_p_near_one_limit(self):
         value, _ = expectation_bound_from(
-            _stats(Rademacher(), 10, 2000, 3), 0.5, y=0.0, p=1.0 + 1e-6, with_indicator=False
+            _stats(Rademacher(), 10, 2000, 3), *_expectation(0.5, y=0.0), p=1.0 + 1e-6,
+            with_indicator=False,
         )
         assert value == pytest.approx(1.0, abs=1e-3)
 
@@ -261,26 +271,22 @@ class TestExpectationBounds:
 
         exact = exact_mean_rademacher(n, certificate) ** (1.0 / p)
         value, se = expectation_bound_from(
-            _stats(Rademacher(), n, 40_000, 77), x, y=0.0, p=p, with_indicator=True
+            _stats(Rademacher(), n, 40_000, 77), *_expectation(x, y=0.0), p=p, with_indicator=True
         )
         assert abs(value - exact) <= 3.0 * se + 1e-9
 
     def test_indicator_only_removes_mass(self):
         stats = _stats(Rademacher(), 10, 5000, 11)
-        with_ind, _ = expectation_bound_from(stats, 0.3, y=0.0, p=2.0, with_indicator=True)
-        without, _ = expectation_bound_from(stats, 0.3, y=0.0, p=2.0, with_indicator=False)
+        event, rate = _expectation(0.3, y=0.0)
+        with_ind, _ = expectation_bound_from(stats, event, rate, p=2.0, with_indicator=True)
+        without, _ = expectation_bound_from(stats, event, rate, p=2.0, with_indicator=False)
         assert with_ind <= without + 1e-12
 
     def test_p_domain(self):
         with pytest.raises(ValueError):
-            expectation_bound_from(_stats(Rademacher(), 5, 500, 1), 1.0, y=0.0, p=1.0)
-
-    def test_exactly_one_normalizer_flavor(self):
-        stats = _stats(Rademacher(), 5, 500, 1)
-        with pytest.raises(ValueError):
-            expectation_bound_from(stats, 1.0, p=2.0)
-        with pytest.raises(ValueError):
-            expectation_bound_from(stats, 1.0, y=0.0, beta=1.5, p=2.0)
+            expectation_bound_from(
+                _stats(Rademacher(), 5, 500, 1), *_expectation(1.0, y=0.0), p=1.0
+            )
 
 
 class TestOptimizeOverP:
@@ -291,45 +297,47 @@ class TestOptimizeOverP:
 
     def test_zero_deviation_returns_one(self):
         stats = _stats(Rademacher(), 10, 500, 3)
-        out = optimize_over_p_from(stats, 0.0, y=0.0, with_indicator=False)
+        out = optimize_over_p_from(stats, *_expectation(0.0, y=0.0), with_indicator=False)
         assert out.value == pytest.approx(1.0, abs=1e-12)
 
     def test_argmin_on_evaluated_set(self):
         stats = _stats(Rademacher(), 10, 20_000, 5)
-        out = optimize_over_p_from(stats, 0.3, y=0.0)
-        at_star, _ = expectation_bound_from(stats, 0.3, y=0.0, p=out.p_star)
+        event, rate = _expectation(0.3, y=0.0)
+        out = optimize_over_p_from(stats, event, rate)
+        at_star, _ = expectation_bound_from(stats, event, rate, p=out.p_star)
         assert out.value == pytest.approx(at_star, rel=1e-12)
         # perturbations stay inside the searched window: the infimum may sit
         # at its edge (the objective can be monotone in p)
         for raw in ((out.p_star - 1.0) / 2.0, (out.p_star - 1.0) * 2.0):
             pm1 = min(max(raw, 1e-3), 50.0)
-            other, _ = expectation_bound_from(stats, 0.3, y=0.0, p=1.0 + pm1)
+            other, _ = expectation_bound_from(stats, event, rate, p=1.0 + pm1)
             assert out.value <= other + 1e-12
 
     def test_dominates_exact_tail(self):
         # the optimized certificate mean is an upper bound for the tail
         for x in (0.3, 0.5):
-            event = TailEvent(x=x, normalizer=lambda st: st.b_n(0.0))
+            event, rate = _expectation(x, y=0.0)
             exact = exact_tail_rademacher(10, event)
-            opt = exact_optimized_bound_rademacher(10, x, y=0.0)
+            opt = exact_optimized_bound_rademacher(10, event, rate)
             assert exact <= opt.value + 1e-12
 
     @pytest.mark.parametrize("n", [0, 21])
     def test_exact_size_cap(self, n):
         with pytest.raises(ValueError, match="capped at n = 20"):
-            exact_optimized_bound_rademacher(n, 0.3, y=0.0)
+            exact_optimized_bound_rademacher(n, *_expectation(0.3, y=0.0))
 
     def test_beta_flavor_exact(self):
-        event = TailEvent(x=0.3, normalizer=lambda st: st.g_n(1.5))
+        event, rate = _expectation(0.3, beta=1.5)
         exact = exact_tail_rademacher(8, event)
-        opt = exact_optimized_bound_rademacher(8, 0.3, beta=1.5)
+        opt = exact_optimized_bound_rademacher(8, event, rate)
         assert exact <= opt.value + 1e-12
 
     def test_never_worse_than_p_two(self):
         stats = _stats(Rademacher(), 10, 10_000, 23)
         for x in (0.1, 0.3, 0.5):
-            out = optimize_over_p_from(stats, x, y=0.0)
-            at_two, _ = expectation_bound_from(stats, x, y=0.0, p=2.0)
+            event, rate = _expectation(x, y=0.0)
+            out = optimize_over_p_from(stats, event, rate)
+            at_two, _ = expectation_bound_from(stats, event, rate, p=2.0)
             assert out.value <= at_two + 1e-12
 
 
