@@ -24,7 +24,6 @@ from .processes import (
     substream,
 )
 from .montecarlo import (
-    DominationVerdict,
     MCEstimate,
     TailEvent,
     clopper_pearson,
@@ -35,7 +34,6 @@ from .experiments import (
     ExperimentSpec,
     ResultRecord,
     SpecValidationError,
-    emit_report,
     load_report,
     load_spec,
     run_experiment,

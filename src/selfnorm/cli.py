@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from pathlib import Path
 from typing import NoReturn
 
 import click
@@ -19,7 +20,6 @@ from .bounds import clamp_probability, evaluate_bound
 from .experiments import (
     SpecValidationError,
     any_violation,
-    emit_report,
     load_report,
     load_spec,
     render_report,
@@ -124,10 +124,11 @@ def _run_and_emit(spec_path, seed, reps, fmt, out, jobs, timing, force_mode=None
         # code 1 is reserved for violation evidence
         click.echo(f"internal error: {exc}", err=True)
         sys.exit(2)
+    text = render_report(records, fmt, spec=spec, include_timing=timing)
     if out is None:
-        click.echo(render_report(records, fmt, spec=spec, include_timing=timing), nl=False)
+        click.echo(text, nl=False)
     else:
-        emit_report(records, fmt, out, spec=spec, include_timing=timing)
+        Path(out).write_text(text)
     sys.exit(1 if any_violation(records) else 0)
 
 
@@ -183,7 +184,7 @@ def report(in_path, fmt, out, timing):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _config_error(f"cannot read report: {exc}")
     _check_writable(out)
-    emit_report(records, fmt, out, spec=spec, include_timing=timing)
+    Path(out).write_text(render_report(records, fmt, spec=spec, include_timing=timing))
     sys.exit(0)
 
 

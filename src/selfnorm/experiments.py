@@ -41,7 +41,6 @@ __all__ = [
     "VERIFY_TARGETS",
     "load_spec",
     "run_experiment",
-    "emit_report",
     "load_report",
     "CSV_COLUMNS",
 ]
@@ -136,7 +135,8 @@ class _Target:
 
     grid_keys: tuple
     run: object                # (spec, jobs) -> records
-    plan: object = None        # diff targets: (spec, grid point, model, key, window_base) -> plans
+    # diff targets: (spec, grid point, model, key) -> plans; b resolved where it anchors a window
+    plan: object = None
     optional_keys: tuple = ()  # each a list of exactly one value when given
     model_req: str | None = None  # a key of _MODEL_REQUIREMENTS
     uses_model: bool = True    # without a model there are no paths for an exact oracle
@@ -203,9 +203,11 @@ def _check_grids(target: _Target, theorem: str, grids: dict, mode) -> list:
     return errors
 
 
-def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
+def load_spec(raw: dict) -> ExperimentSpec:
+    """Fully validate an already-parsed spec; SpecValidationError lists every
+    failure."""
     if not isinstance(raw, dict):
-        return None, ["spec must be a JSON object"]
+        raise SpecValidationError(["spec must be a JSON object"])
     errors = [f"unknown field {key!r}" for key in raw if key not in _SPEC_FIELDS]
     # every spec field, with its default where the spec leaves it out
     fields = {
@@ -216,6 +218,8 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
     sid = fields["id"]
     if not isinstance(sid, str) or not sid:
         errors.append("id: required nonempty string")
+    elif any(c in sid for c in ',"\r\n'):
+        errors.append(f"id: {sid!r} holds a comma, quote, CR or LF, which would split its CSV row")
     theorem = fields["theorem"]
     target = VERIFY_TARGETS.get(theorem)
     if target is None:
@@ -275,6 +279,8 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
                 model = build_model(fields["model"])
             except (ValueError, TypeError) as exc:
                 errors.append(f"model: {exc}")
+    elif target is not None and fields["model"] is not None:
+        errors.append(f"model: theorem {theorem} reads no model; leave it out")
     if model is not None and target.model_req is not None:
         ok, what = _MODEL_REQUIREMENTS[target.model_req]
         if not ok(model):
@@ -291,27 +297,11 @@ def _validate_spec(raw: dict) -> tuple[ExperimentSpec | None, list]:
         errors += target.check(fields, model)
 
     if errors:
-        return None, errors
+        raise SpecValidationError(errors)
     fields.update(
         grids={k: list(v) for k, v in grids.items()}, gamma=float(gamma), theta=float(theta)
     )
-    return ExperimentSpec(**fields), []
-
-
-def load_spec(source) -> ExperimentSpec:
-    """Load and fully validate a spec from a path or an already-parsed dict."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        with open(source) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecValidationError([f"parse error: {exc}"]) from exc
-    spec, errors = _validate_spec(raw)
-    if errors:
-        raise SpecValidationError(errors)
-    return spec
+    return ExperimentSpec(**fields)
 
 
 def _rule_errors(where: str, rule, *args) -> list:
@@ -399,9 +389,9 @@ def _record(spec, echo, grid, bound, estimate=None, exact=None, note="", suffix=
     is one, unless the bound is itself a Monte Carlo estimate, which only the
     Monte Carlo interval is compared against."""
     if estimate is None or (exact is not None and not bound_estimated):
-        verdict = exact_verdict(exact, bound)
+        status = exact_verdict(exact, bound)
     else:
-        verdict = domination_check(estimate, bound)
+        status = domination_check(estimate, bound)
         if exact is not None:
             note = _append_note(note, "exact tail not compared (estimated bound)")
     return ResultRecord(
@@ -411,7 +401,7 @@ def _record(spec, echo, grid, bound, estimate=None, exact=None, note="", suffix=
         bound=bound,
         **{key: None if estimate is None else getattr(estimate, key) for key in _ESTIMATE_FIELDS},
         exact=exact,
-        status=verdict.status,
+        status=status,
         seed=spec.master_seed,
         grid=tuple(sorted(grid.items())),
         note=note,
@@ -451,26 +441,26 @@ def _bracket(key: tuple, root: bool = False):
     return stat
 
 
-def _plan_bernstein(spec, gp, model, key, window_base):
+def _plan_bernstein(spec, gp, model, key):
     z = gp["z"]
     bound = evaluate_bound("bernstein", z=z, L=spec.n * model.var(), a_bnd=model.abs_bound)
     return [_PointPlan({"z": z}, TailEvent(x=z), bound)]
 
 
-def _plan_freedman(spec, gp, model, key, window_base):
+def _plan_freedman(spec, gp, model, key):
     x, L = gp["x"], gp["L"]
     event = TailEvent(x=x, window=(_bracket(key), 0.0, L))
     bound = evaluate_bound("freedman", x=x, L=L, a_bnd=model.abs_bound)
     return [_PointPlan({"x": x, "z": L}, event, bound)]
 
 
-def _plan_dvz(spec, gp, model, key, window_base):
+def _plan_dvz(spec, gp, model, key):
     x, L, a = gp["x"], gp["L"], gp["a"]
     event = TailEvent(x=x, window=(_bracket(key), 0.0, L))
     return [_PointPlan({"x": x, "y": a, "z": L}, event, evaluate_bound("dvz", x=x, L=L, a_bnd=a))]
 
 
-def _plan_point(spec, gp, model, key, window_base):
+def _plan_point(spec, gp, model, key):
     """dlp_point (the sum of squares) and cor21_point (B_n(0))."""
     x, y = gp["x"], gp["y"]
     stat = _bracket(key)
@@ -478,14 +468,14 @@ def _plan_point(spec, gp, model, key, window_base):
     return [_PointPlan({"x": x, "y": y}, event, evaluate_bound("dlp_point", x=x, y=y))]
 
 
-def _plan_b_n_expectation(spec, gp, model, key, window_base):
+def _plan_b_n_expectation(spec, gp, model, key):
     """cor21_expectation (y = 0) and thm21_expectation."""
     x, y = gp["x"], key[1]
     event = TailEvent(x=x, normalizer=_bracket(key))
     return [_PointPlan({"x": x, "y": y}, event, None, f_rate(x, y))]
 
 
-def _plan_thm21_point(spec, gp, model, key, window_base):
+def _plan_thm21_point(spec, gp, model, key):
     x, y, z = gp["x"], gp["y"], gp["z"]
     bound = evaluate_bound("thm21_point", x=x, y=y, z=z)
     norm = _bracket(key)
@@ -499,7 +489,7 @@ def _plan_thm21_point(spec, gp, model, key, window_base):
     ]
 
 
-def _plan_bercu_touati(spec, gp, model, key, window_base):
+def _plan_bercu_touati(spec, gp, model, key):
     # b is the normalizer's coefficient, not a window base
     x, y, a, b = gp["x"], gp["y"], gp["a"], gp["b"]
     stat = _bracket(key)
@@ -508,11 +498,10 @@ def _plan_bercu_touati(spec, gp, model, key, window_base):
     return [_PointPlan({"x": x, "y": y, "b": b}, event, bound, note=f"a={a!r}")]
 
 
-def _plan_peeling(spec, gp, model, key, window_base):
+def _plan_peeling(spec, gp, model, key):
     """thm22_peeling (B_n(y)), cor22_peeling (B_n(0)) and thm25_peeling (the
     sum of squares): the root bracket normalizes, on the window [b, b*M]."""
-    x, y, M = gp["x"], key[1], gp["M"]
-    b = window_base(gp["b"], key)
+    x, y, b, M = gp["x"], key[1], gp["b"], gp["M"]
     stat = _bracket(key, root=True)
     echo = {"x": x, "y": y, "b": b, "M": M}
     bound = evaluate_bound(spec.theorem, **{k: v for k, v in echo.items() if v is not None})
@@ -520,21 +509,20 @@ def _plan_peeling(spec, gp, model, key, window_base):
     return [_PointPlan(echo, event, bound)]
 
 
-def _plan_delyon(spec, gp, model, key, window_base):
+def _plan_delyon(spec, gp, model, key):
     x, y = gp["x"], gp["y"]
     event = TailEvent(x=x, window=(_bracket(key), 0.0, y))
     return [_PointPlan({"x": x, "y": y}, event, evaluate_bound("delyon", x=x, y=y))]
 
 
-def _plan_thm23_expectation(spec, gp, model, key, window_base):
+def _plan_thm23_expectation(spec, gp, model, key):
     x, beta = gp["x"], gp["beta"]
     event = TailEvent(x=x, normalizer=_bracket(key))
     return [_PointPlan({"x": x, "beta": beta}, event, None, beta_decay_coefficient(x, beta))]
 
 
-def _plan_thm24_peeling(spec, gp, model, key, window_base):
-    x, beta, M = gp["x"], gp["beta"], gp["M"]
-    b = window_base(gp["b"], key)
+def _plan_thm24_peeling(spec, gp, model, key):
+    x, beta, b, M = gp["x"], gp["beta"], gp["b"], gp["M"]
     stat = _bracket(key, root=True)
     bound = evaluate_bound("thm24_peeling", x=x, beta=beta, M=M)
     expo = 1.0 / (beta - 1.0)
@@ -542,9 +530,8 @@ def _plan_thm24_peeling(spec, gp, model, key, window_base):
     return [_PointPlan({"x": x, "beta": beta, "b": b, "M": M}, event, bound)]
 
 
-def _plan_thm31_tstat(spec, gp, model, key, window_base):
-    x, M = gp["x"], gp["M"]
-    b = window_base(gp["b"], key)
+def _plan_thm31_tstat(spec, gp, model, key):
+    x, b, M = gp["x"], gp["b"], gp["M"]
     stat = _bracket(key, root=True)
     threshold = self_normalized_threshold(x, spec.n)
     bound = evaluate_bound("thm31_tstat", x=x, n=spec.n, M=M)
@@ -591,7 +578,7 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
         sample_ms = (time.perf_counter() - t0) * 1e3
 
     @functools.cache
-    def window_base(raw_b, key: tuple) -> float:
+    def resolve_b(raw_b, key: tuple) -> float:
         """A numeric b as given; a percentile "pNN" of the root bracket over the
         batch (mode mc only), once per run.  G_n(beta)'s window edge is
         b^{1/(beta-1)}, so its anchor maps back through the inverse power."""
@@ -600,11 +587,15 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
         b = float(np.percentile(_bracket(key, root=True)(stats), float(raw_b[1:])))
         return b ** (key[1] - 1.0) if key[0] == "g_n" else b
 
+    windowed = "M" in target.grid_keys  # b anchors a [b, b*M] window, as in _check_grids
+
     def run_point(point: tuple) -> list[ResultRecord]:
         gp, key = point
         t0 = time.perf_counter()
         try:
-            plans = target.plan(spec, gp, model, key, window_base)
+            # the plan reads a window's b resolved; the record echoes gp as given
+            plan_gp = {**gp, "b": resolve_b(gp["b"], key)} if windowed else gp
+            plans = target.plan(spec, plan_gp, model, key)
             return _timed([_diff_record(spec, stats, plan, gp) for plan in plans], t0)
         except Exception as exc:
             raise RuntimeError(f"{spec.theorem} at grid point {gp}: {exc}") from exc
@@ -778,18 +769,6 @@ def render_report(
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
     raise ValueError(f"format must be json or csv, got {fmt!r}")
-
-
-def emit_report(
-    records,
-    fmt: str,
-    path,
-    spec: ExperimentSpec | dict | None = None,
-    include_timing: bool = False,
-) -> None:
-    text = render_report(records, fmt, spec=spec, include_timing=include_timing)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def load_report(path) -> tuple[dict | None, list[ResultRecord]]:

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "MCEstimate",
-    "DominationVerdict",
     "TailEvent",
     "clopper_pearson",
     "evaluate_event",
@@ -90,38 +89,22 @@ class MCEstimate:
         return cls(n_rep=n_rep, hits=hits, p_hat=hits / n_rep, ci_lo=lo, ci_hi=hi, gamma=gamma)
 
 
-@dataclass(frozen=True)
-class DominationVerdict:
-    """Outcome of comparing an estimate against a closed-form bound."""
-
-    estimate: object
-    status: str  # pass | violation_evidence | vacuous
-    margin: float
-
-
-def domination_check(estimate, bound: float) -> DominationVerdict:
-    """Statistically sound verdict: violation only when ci_lo exceeds the bound."""
+def domination_check(estimate, bound: float) -> str:
+    """The status of an estimate against a bound (pass, violation_evidence or
+    vacuous); statistically sound: a violation only when ci_lo exceeds the bound."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if bound >= 1.0:
-        status = "vacuous"
-    elif estimate.ci_lo > bound:
-        status = "violation_evidence"
-    else:
-        status = "pass"
-    return DominationVerdict(estimate=estimate, status=status, margin=bound - estimate.ci_lo)
+        return "vacuous"
+    return "violation_evidence" if estimate.ci_lo > bound else "pass"
 
 
-def exact_verdict(exact_p: float, bound: float) -> DominationVerdict:
+def exact_verdict(exact_p: float, bound: float) -> str:
     """Verdict against an exact probability: any excess beyond relative rounding
     slack is a violation, however small the bound."""
     if bound >= 1.0:
-        status = "vacuous"
-    elif exact_p > bound * (1.0 + 1e-12):
-        status = "violation_evidence"
-    else:
-        status = "pass"
-    return DominationVerdict(estimate=None, status=status, margin=bound - exact_p)
+        return "vacuous"
+    return "violation_evidence" if exact_p > bound * (1.0 + 1e-12) else "pass"
 
 
 @dataclass(frozen=True)

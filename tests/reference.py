@@ -36,7 +36,6 @@ import numpy as np
 from selfnorm.applications.regression import DegenerateDesignError, _sample_phi
 from selfnorm.applications.student import self_normalized_threshold
 from selfnorm.montecarlo import (
-    DominationVerdict,
     check_enumeration_size,
     evaluate_event,
     exp_growth_coefficient,
@@ -441,6 +440,12 @@ class MeanEstimate:
         return self.mean - 3.0 * self.se
 
 
+@dataclass(frozen=True)
+class SupermartingaleCheck:
+    status: str  # pass | violation_evidence
+    estimate: MeanEstimate
+
+
 def _certificate_values(stats, kind: str, lam: float, y: float | None, beta: float | None):
     if kind == "U":
         if y is None:
@@ -465,7 +470,7 @@ def supermartingale_check(
     n_rep: int,
     gamma: float = 0.99,
     master_seed: int = 0,
-) -> DominationVerdict:
+) -> SupermartingaleCheck:
     """Check E[certificate] <= 1 via a normal-approximation interval.
 
     Passes iff mean - 3*SE <= 1.  The certificate is positive and can be
@@ -480,7 +485,7 @@ def supermartingale_check(
     se = float(np.std(values, ddof=1) / math.sqrt(n_rep)) if n_rep > 1 else 0.0
     estimate = MeanEstimate(n_rep=n_rep, mean=mean, se=se, sample_max=float(np.max(values)))
     status = "pass" if estimate.ci_lo <= 1.0 else "violation_evidence"
-    return DominationVerdict(estimate=estimate, status=status, margin=1.0 - estimate.ci_lo)
+    return SupermartingaleCheck(status, estimate)
 
 
 def enumerated_tail_rademacher(n: int, event) -> float:

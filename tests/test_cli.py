@@ -24,7 +24,6 @@ from selfnorm.experiments import (
     CSV_COLUMNS,
     UNTESTED_DEPTH_FACTOR,
     SpecValidationError,
-    emit_report,
     load_report,
     load_spec,
     render_report,
@@ -400,6 +399,31 @@ class TestLoadSpec:
         assert result.output.startswith("config error: c_const:")
         assert load_spec({**raw, "c_const": None}).c_const is None
 
+    def test_path_is_not_a_spec(self):
+        # load_spec validates a parsed spec; the CLI reads and parses spec files
+        with pytest.raises(SpecValidationError, match="spec must be a JSON object"):
+            load_spec("specs/cor22_rademacher.json")
+
+    def test_model_rejected_where_no_target_reads_it(self, tmp_path):
+        raw = {**PINNED_SPECS["thm34_tsp"], "model": "garbage"}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path)])
+        assert result.exit_code == 2
+        assert result.output == (
+            "config error: model: theorem thm34_tsp reads no model; leave it out\n"
+        )
+
+    @pytest.mark.parametrize("sid", ["a,b\nc", 'a"b', "a\rb", "a\nb"])
+    def test_id_that_breaks_a_csv_row_rejected(self, tmp_path, sid):
+        raw = {"id": sid, "theorem": "bernstein", "n": 10, "model": {"family": "rademacher"},
+               "grids": {"z": [3.0]}, "mode": "exact_oracle"}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["verify", "--spec", str(spec_path), "--format", "csv"])
+        assert result.exit_code == 2
+        assert result.output.startswith("config error: id: ")
+
     def test_removed_target_rejected(self):
         raw = {"id": "a", "theorem": "azuma_tsp", "n": 8, "grids": {"t": [2.0]}, "n_rep": 100}
         with pytest.raises(SpecValidationError, match="'azuma_tsp' is not a verification target"):
@@ -632,36 +656,32 @@ class TestReports:
         spec = load_spec(_spec())
         return spec, run_experiment(spec)
 
-    def test_single_record_csv_is_two_lines(self, tmp_path):
+    def test_single_record_csv_is_two_lines(self):
         spec = load_spec(_spec(grids={"x": [1.0], "b": [2.8], "M": [2.0]}))
         records = run_experiment(spec)
-        path = tmp_path / "r.csv"
-        emit_report(records, "csv", path, spec=spec)
-        lines = path.read_text().splitlines()
+        lines = render_report(records, "csv", spec=spec).splitlines()
         assert len(lines) == 2
         assert lines[0] == ",".join(CSV_COLUMNS)
 
     def test_json_round_trip(self, tmp_path):
         spec, records = self._records()
         path = tmp_path / "r.json"
-        emit_report(records, "json", path, spec=spec, include_timing=True)
+        path.write_text(render_report(records, "json", spec=spec, include_timing=True))
         spec_echo, reloaded = load_report(path)
         assert reloaded == records
         assert spec_echo["id"] == "t"
         assert spec_echo["gamma"] == 0.99
 
-    def test_csv_uses_17_significant_digits(self, tmp_path):
+    def test_csv_uses_17_significant_digits(self):
         spec, records = self._records()
-        path = tmp_path / "r.csv"
-        emit_report(records, "csv", path, spec=spec)
-        row = path.read_text().splitlines()[1].split(",")
+        row = render_report(records, "csv", spec=spec).splitlines()[1].split(",")
         bound_field = row[CSV_COLUMNS.index("bound")]
         assert float(bound_field) == records[0].bound
         assert len(bound_field.replace(".", "").replace("-", "").lstrip("0")) >= 16
 
-    def test_empty_records_rejected(self, tmp_path):
+    def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            emit_report([], "csv", tmp_path / "x.csv")
+            render_report([], "csv")
 
     @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
     def test_report_bytes_pinned(self, name):
@@ -790,7 +810,7 @@ class TestCli:
         assert result.exit_code == 2
         assert result.output.startswith(f"config error: cannot write {missing}")
         out = tmp_path / "r.json"
-        emit_report(run_experiment(load_spec(_spec())), "json", out)
+        out.write_text(render_report(run_experiment(load_spec(_spec())), "json"))
         result = runner.invoke(
             main, ["report", "--in", str(out), "--format", "csv", "--out", str(missing)]
         )
@@ -891,8 +911,8 @@ class TestCli:
         # the run, naming the target and the key, and not as a config error
         target = experiments.VERIFY_TARGETS["dvz"]
 
-        def reads_undeclared(spec, gp, model, key, window_base):
-            return target.plan(spec, gp, model, ("b_n", gp["a"]), window_base)
+        def reads_undeclared(spec, gp, model, key):
+            return target.plan(spec, gp, model, ("b_n", gp["a"]))
 
         monkeypatch.setitem(experiments.VERIFY_TARGETS, "dvz",
                             replace(target, plan=reads_undeclared))
