@@ -131,7 +131,7 @@ def _measure(thm, rows: RegressionBatch, tail, design, x_grid, b, M) -> tuple[tu
     if thm == "thm32_regression":
         b = M = None
         rates = [x * x / (2.0 * (sigma * sigma + x * y / 3.0)) for x in x_grid]
-        bounds = [2.0 * optimize_expectation_values(r, design, None).value for r in rates]
+        bounds = [2.0 * optimize_expectation_values(r, design).value for r in rates]
     elif thm == "thm33_regression":
         root = np.sqrt(rows.phi_sq)
         b, M = _resolve_window(root, b, M)

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..bounds import evaluate_bound
-from ..montecarlo import MCEstimate
+from ..montecarlo import MCEstimate, closed_ge
 from ..processes import substream
 
 __all__ = [
@@ -349,12 +349,11 @@ def verify_tsp(
         c1 = float(root_sq_sums.min() / math.sqrt(n))
     lo = c1 * n ** (0.5 - 1.0 / d)
     hi = c1 * math.sqrt(n)
-    # closed window widened by a relative 1e-12 (thousands of ulps), so the
-    # rounding of c1 and of lo, hi cannot put the calibrating instance outside
-    tol = 1e-12
-    in_window = (root_sq_sums >= lo * (1.0 - tol)) & (root_sq_sums <= hi * (1.0 + tol))
+    # closed events, so the rounding of c1 and of lo, hi cannot put the
+    # calibrating instance outside the window
+    in_window = closed_ge(root_sq_sums, lo) & closed_ge(-root_sq_sums, -hi)
     ratios = (tour_lengths - e_t_pooled) / root_sq_sums
-    hits = [int(np.count_nonzero((ratios >= t) & in_window)) for t in t_grid]
+    hits = [int(np.count_nonzero(closed_ge(ratios, t) & in_window)) for t in t_grid]
     bounds = [evaluate_bound("thm34_tsp", t=float(t), n=n, d=d) for t in t_grid]
     return TspVerification(
         c1=c1,

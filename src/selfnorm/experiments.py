@@ -74,6 +74,8 @@ CSV_COLUMNS = (
     "seed",
     "wall_ms",
 )
+# Characters that would split a CSV row; no spec id or reloaded report field may hold one.
+CSV_BREAKS = ',"\r\n'
 
 
 class SpecValidationError(ValueError):
@@ -218,7 +220,7 @@ def load_spec(raw: dict) -> ExperimentSpec:
     sid = fields["id"]
     if not isinstance(sid, str) or not sid:
         errors.append("id: required nonempty string")
-    elif any(c in sid for c in ',"\r\n'):
+    elif any(c in sid for c in CSV_BREAKS):
         errors.append(f"id: {sid!r} holds a comma, quote, CR or LF, which would split its CSV row")
     theorem = fields["theorem"]
     target = VERIFY_TARGETS.get(theorem)
@@ -772,12 +774,19 @@ def render_report(
 
 
 def load_report(path) -> tuple[dict | None, list[ResultRecord]]:
-    """Reload a JSON report; reloaded records compare equal to the originals."""
+    """Reload a JSON report; reloaded records compare equal to the originals.
+    A record whose CSV fields hold a CSV_BREAKS character is rejected."""
     with open(path) as fh:
         payload = json.load(fh)
     records = []
     for data in payload["records"]:
         data = dict(data)
+        for col in CSV_COLUMNS:
+            value = data.get(col)
+            if isinstance(value, str) and any(c in value for c in CSV_BREAKS):
+                raise ValueError(
+                    f"{col}: {value!r} holds a comma, quote, CR or LF, which would split its CSV row"
+                )
         data["grid"] = tuple(tuple(pair) for pair in data.get("grid", ()))
         data.setdefault("wall_ms", None)
         records.append(ResultRecord(**data))

@@ -248,52 +248,35 @@ class OptimizedBound:
 
 
 def optimize_expectation_values(
-    rate: float, norm: np.ndarray, indicator, lanes: np.ndarray | None = None, n_all: int = 0
+    rate: float, weights: np.ndarray, n_all: int | None = None, lanes: np.ndarray | None = None
 ) -> OptimizedBound:
-    """The minimizing p and value of mean(exp(-(p-1)*rate*norm) * indicator)^(1/p) over
-    p > 1, with common random numbers: every p sees one fixed (norm, indicator) set.
+    """The minimizing p and value of (sum of exp(-(p-1)*rate*w) over the terms / n_all)^(1/p)
+    over p > 1, with common random numbers: every p sees one fixed set of terms.
 
-    With c = -(p-1)*rate, an evaluation takes exp(c*w) of every term in order
+    Without lanes the terms are the weights w; with lanes, weights holds one
+    value per type and lanes the type of each term in order.  n_all, the
+    count the mean divides by, defaults to the number of terms.
+
+    With c = -(p-1)*rate, an evaluation takes exp(c*w) of every weight in order
     while its largest exponent is at or above _EXP_SHIFT_CUT, with the
-    exponents below _EXP_ZERO_CUT raised to the cut; where none is below the
-    cut this is the plain mean, bit for bit, and elsewhere the raised terms
-    move it by less than one ulp.  Below _EXP_SHIFT_CUT the largest exponent s is factored
-    out and the value is m^(1/p) * e^(s/p), m the mean of the terms
-    exp(c*w - s) at or above the cut, which are a prefix of the weights in
-    ascending order (sorted once per call, on the first evaluation with an
-    exponent below the cut) and are summed in that order.  The value is then
-    0 only when it underflows a double.
-
-    With lanes, norm holds one value per type, lanes the type of each term in
-    order, and n_all the count the mean divides by.  exp is then taken once per
-    type and its results are gathered per term (repeated per term, in ascending
-    order of w, once s is factored out), so the summed array equals the one the
-    expanded values give, element for element and in order (a lane's product
-    and exp do not depend on where it sits), and NumPy's pairwise sum returns
-    the same float.  To that end s is the exponent of the smallest weight a
-    lane reads, and it is factored out only when the largest weight a lane
-    reads is below the cut, as with the expanded values; a type no lane reads
-    can only add an exp whose result is not gathered."""
-    weights = norm if indicator is None else norm[indicator]
-    n_all = len(norm) if lanes is None else n_all
-    no_term = not weights.size or (lanes is not None and not lanes.size)
-    w_hi = float(weights.max()) if weights.size else 0.0
-    ranked = None  # built by rank() on the first evaluation with an exponent below the cut
-
-    def rank():
-        """The weights some term reads, in ascending order, their term counts
-        (None without lanes) and the largest of them."""
-        if lanes is None:
-            return np.sort(weights), None, w_hi
-        order = np.argsort(weights)
-        w_sorted = weights[order]
-        counts = np.bincount(lanes, minlength=len(weights))[order]
-        read = np.flatnonzero(counts)
-        return w_sorted[read[0]:], counts[read[0]:], float(w_sorted[read[-1]])
+    exponents below _EXP_ZERO_CUT raised to the cut, and then gathers one per
+    lane; where none is below the cut this is the plain mean, bit for bit
+    (a lane's product and exp do not depend on where it sits), and elsewhere
+    the raised terms move it by less than one ulp.  Below _EXP_SHIFT_CUT the
+    largest exponent s is factored out and the value is m^(1/p) * e^(s/p),
+    m the mean of the terms exp(c*w - s) at or above the cut, which are a
+    prefix of the weights the terms read in ascending order (sorted once per
+    call, on the first evaluation with an exponent below the cut) and are
+    summed in that order.  The value is then 0 only when it underflows a
+    double."""
+    terms = len(weights) if lanes is None else len(lanes)
+    n_all = terms if n_all is None else n_all
+    w_hi = float(weights.max()) if terms else 0.0
+    w_sorted = None  # the weights the terms read, ascending, sorted on first use
 
     def objective(log_pm1: float) -> float:
-        nonlocal ranked
-        if no_term:
+        nonlocal w_sorted
+        if not terms:
             return 0.0
         p = 1.0 + math.exp(log_pm1)
         c = -(p - 1.0) * rate
@@ -302,20 +285,17 @@ def optimize_expectation_values(
         if not c * w_hi < _EXP_ZERO_CUT:
             z = c * weights
         else:
-            if ranked is None:
-                ranked = rank()
-            w_sorted, counts, w_top = ranked
+            if w_sorted is None:
+                w_sorted = np.sort(weights if lanes is None else weights[lanes])
             w_lo = float(w_sorted[0])
             s = c * w_lo
-            if s < _EXP_SHIFT_CUT and c * w_top < _EXP_ZERO_CUT:
+            if s < _EXP_SHIFT_CUT and c * float(w_sorted[-1]) < _EXP_ZERO_CUT:
                 kept = int(np.searchsorted(w_sorted, w_lo + _EXP_ZERO_CUT / c, side="right"))
                 z = w_sorted[:kept] - w_lo
                 z *= c
                 # the prefix holds w - w_lo <= cut / c, whose exponent can round below the cut
                 np.maximum(z, _EXP_ZERO_CUT, out=z)
                 np.exp(z, out=z)
-                if counts is not None:
-                    z = np.repeat(z, counts[:kept])
                 m = float(np.sum(z)) / n_all
                 return m ** (1.0 / p) * math.exp(s / p)
             z = c * weights
@@ -342,8 +322,9 @@ def optimize_over_p_from(
 ) -> OptimizedBound:
     """inf over p of the expectation bound of `event` on a stats batch: its
     normalizer weighs each path, and the event itself is the indicator."""
-    indicator = evaluate_event(stats, event) if with_indicator else None
-    return optimize_expectation_values(rate, event.normalizer(stats), indicator)
+    norm = event.normalizer(stats)
+    weights = norm[evaluate_event(stats, event)] if with_indicator else norm
+    return optimize_expectation_values(rate, weights, len(norm))
 
 
 def exact_optimized_bound_rademacher(
@@ -360,7 +341,7 @@ def exact_optimized_bound_rademacher(
     path_type = _path_types(n)
     lanes = path_type[evaluate_event(st, event)[path_type]] if with_indicator else path_type
     norm = event.normalizer(st)
-    return optimize_expectation_values(rate, norm, None, lanes.astype(np.intp), 1 << n)
+    return optimize_expectation_values(rate, norm, 1 << n, lanes.astype(np.intp))
 
 
 @functools.cache

@@ -506,8 +506,9 @@ def enumerated_optimized_bound_rademacher(n, event, rate, with_indicator=True):
         st = _SignEnumStats(signs)
         norms.append(event.normalizer(st))
         inds.append(evaluate_event(st, event))
-    indicator = np.concatenate(inds) if with_indicator else None
-    return optimize_expectation_values(rate, np.concatenate(norms), indicator)
+    norm = np.concatenate(norms)
+    weights = norm[np.concatenate(inds)] if with_indicator else norm
+    return optimize_expectation_values(rate, weights, len(norm))
 
 
 def held_karp_reference(dist) -> tuple[float, tuple]:

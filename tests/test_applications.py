@@ -584,6 +584,16 @@ class TestVerifyTsp:
         assert result.window_hits == 0
         assert all(e.hits == 0 for e in result.estimates)
 
+    def test_threshold_is_closed(self):
+        # c1 is the smallest root, so the window holds all 3 instances; the
+        # top instance's ratio still counts one ulp below a threshold, as in
+        # every other closed event, and drops out well above it
+        ratio = 0.4467640215842168
+        grid = [ratio, np.nextafter(ratio, np.inf), ratio * (1.0 + 1e-9)]
+        result = verify_tsp(6, 2, grid, 3, 1000, 0.99, 5, c1=0.1925219906678803)
+        assert result.window_hits == 3
+        assert [e.hits for e in result.estimates] == [1, 1, 0]
+
     def test_bound_matches_calculator(self):
         result = verify_tsp(8, 2, [3.0], 4, 1000, 0.99, 5)
         expected = evaluate_bound("thm34_tsp", t=3.0, n=8, d=2)

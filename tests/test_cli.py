@@ -1079,6 +1079,28 @@ class TestCli:
         assert result.exit_code == 0
         assert out.read_text() == stale.read_text()
 
+    @pytest.mark.parametrize(
+        "field, value", [("experiment_id", "a,b"), ("theorem", 'a"b'), ("status", "pass\r")]
+    )
+    def test_report_field_that_splits_a_csv_row_exit_two(self, tmp_path, field, value):
+        # csv quoting would not do: a bare CR is left unquoted with "\n" rows
+        spec_path = self._write_spec(tmp_path)
+        runner = CliRunner()
+        written = tmp_path / "r.json"
+        assert runner.invoke(
+            main, ["verify", "--spec", str(spec_path), "--out", str(written)]
+        ).exit_code == 0
+        payload = json.loads(written.read_text())
+        payload["records"][0][field] = value
+        written.write_text(json.dumps(payload))
+        out = tmp_path / "r.csv"
+        result = runner.invoke(
+            main, ["report", "--in", str(written), "--format", "csv", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith(f"config error: cannot read report: {field}: {value!r} holds")
+        assert not out.exists()
+
     def test_report_without_records_exit_two(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"spec": None, "records": []}))

@@ -341,7 +341,7 @@ class TestOptimizeOverP:
             assert out.value <= at_two + 1e-12
 
 
-def _objective(monkeypatch, rate, norm, indicator, *index):
+def _objective(monkeypatch, rate, weights, *rest):
     """The objective optimize_expectation_values hands to golden_section_min."""
     seen = []
 
@@ -350,7 +350,7 @@ def _objective(monkeypatch, rate, norm, indicator, *index):
         return golden_section_min(f, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "golden_section_min", spy)
-    optimize_expectation_values(rate, norm, indicator, *index)
+    optimize_expectation_values(rate, weights, *rest)
     return seen[0]
 
 
@@ -434,7 +434,7 @@ class TestObjectiveUnderflowPaths:
             norm = rng.uniform(0.0, 1.0, 50)
             indicator = np.zeros(len(norm), dtype=bool)
         weights = norm if indicator is None else norm[indicator]
-        objective = _objective(monkeypatch, rate, norm, indicator)
+        objective = _objective(monkeypatch, rate, weights, len(norm))
         for t in _T_GRID:
             got, exact = objective(t), shifted_objective(rate, norm, indicator, t)
             if exact >= np.finfo(float).tiny:
@@ -473,11 +473,11 @@ class TestObjectiveUnderflowPaths:
             indicator &= (values[types] >= 650.0) & (values[types] <= 700.0)
         lanes = types[indicator].astype(np.intp)
         expanded = values[types]
-        got = optimize_expectation_values(1.0, values, None, lanes, n_all)
-        want = optimize_expectation_values(1.0, expanded, indicator)
+        got = optimize_expectation_values(1.0, values, n_all, lanes)
+        want = optimize_expectation_values(1.0, expanded[indicator], n_all)
         assert (got.value, got.p_star) == (want.value, want.p_star)
-        per_type = _objective(monkeypatch, 1.0, values, None, lanes, n_all)
-        per_path = _objective(monkeypatch, 1.0, expanded, indicator)
+        per_type = _objective(monkeypatch, 1.0, values, n_all, lanes)
+        per_path = _objective(monkeypatch, 1.0, expanded[indicator], n_all)
         for t in _T_GRID:
             assert per_type(t) == per_path(t), (case, t)
         if case in ("always", "empty"):
@@ -488,7 +488,7 @@ class TestObjectiveUnderflowPaths:
         # the largest exponent stays above the shift cut over the whole window
         phi_sq, rate = _c8_design_rate(x)
         assert _exponent_range(rate, phi_sq, _T_HI)[1] >= _EXP_SHIFT_CUT
-        objective = _objective(monkeypatch, rate, phi_sq, None)
+        objective = _objective(monkeypatch, rate, phi_sq)
         plain = partial(plain_objective, rate, phi_sq, None)
         assert golden_section_min(objective, _T_LO, _T_HI) == golden_section_min(plain, _T_LO, _T_HI)
 
@@ -497,7 +497,7 @@ class TestObjectiveUnderflowPaths:
         # the plain objective is 0 near the top of the window
         phi_sq, rate = _c8_design_rate(x)
         assert plain_objective(rate, phi_sq, None, _T_HI) == 0.0
-        out = optimize_expectation_values(rate, phi_sq, None)
+        out = optimize_expectation_values(rate, phi_sq)
         want = shifted_objective(rate, phi_sq, None, math.log(out.p_star - 1.0))
         assert out.value > 0.0
         assert abs(out.value - want) <= 1e-12 * want
@@ -517,7 +517,7 @@ class TestObjectiveUnderflowPaths:
             return exp(z, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", spy)
-        optimize_expectation_values(rate, phi_sq, None)
+        optimize_expectation_values(rate, phi_sq)
         monkeypatch.undo()
         assert len(lowest) == 2 + 60 + 3  # one call per evaluation
         assert min(lowest) >= _EXP_ZERO_CUT
