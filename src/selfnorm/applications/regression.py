@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bounds import evaluate_bound
-from ..montecarlo import MCEstimate, SignTypes, closed_ge, optimize_expectation_values
+from ..montecarlo import SignTypes, TailEvent, optimize_expectation_values
 from ..processes import DifferenceModel, ScaledTwoPoint, sample_batch
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "exact_oracle_scale",
     "regression_batch",
     "verify_regression",
-    "exact_regression_records",
 ]
 
 SIGMA_FLOOR = 1e-3  # the deviation bounds divide by sigma^2; tiny noise is rejected
@@ -66,12 +65,32 @@ def exact_oracle_scale(n: int, eps_model: DifferenceModel, phi_kind: str = "ones
 
 @dataclass(frozen=True, eq=False)
 class RegressionBatch:
-    """Rows of the regression measurement: Monte Carlo replicates or sign types."""
+    """Rows of the regression measurement, read by `evaluate_event`: Monte
+    Carlo replicates, or the n + 1 sign types of the exact oracle."""
 
-    err: np.ndarray      # theta_hat - theta per row
+    cross: np.ndarray    # sum phi*eps per row
     phi_sq: np.ndarray   # sum phi^2 per row
+    masses: np.ndarray   # the design masses the thm32 bound averages over
     sigma: float
     y_xi: float          # almost-sure upper bound on xi = phi*eps
+    types: SignTypes | None = None  # the sign types, for their mass
+
+    def s(self):
+        return np.abs(self.cross)
+
+    def design(self):
+        return self.phi_sq
+
+    def root(self):
+        return np.sqrt(self.phi_sq)
+
+    @property
+    def err(self) -> np.ndarray:
+        """theta_hat - theta per row."""
+        return self.cross / self.phi_sq
+
+    def mass(self, inside: np.ndarray) -> float:
+        return self.types.mass(inside)
 
 
 @dataclass(frozen=True)
@@ -103,10 +122,19 @@ def regression_batch(phi_kind: str, eps_model: DifferenceModel, n: int, n_rep: i
     sigma, y_xi = noise_bounds(eps_model, phi_kind)
     sampler = _RegressionSampler(phi_kind, eps_model)
     cross, phi_sq = sample_batch(sampler, n, n_rep, master_seed, ("phi_eps", "phi_sq"), jobs).T
-    err = np.divide(cross, phi_sq, out=np.full(n_rep, np.nan), where=phi_sq > 0)
-    if np.any(~np.isfinite(err)):
+    if not np.all(phi_sq > 0):
         raise DegenerateDesignError("a replicate produced an all-zero design")
-    return RegressionBatch(err=err, phi_sq=phi_sq, sigma=sigma, y_xi=y_xi)
+    return RegressionBatch(cross, phi_sq, phi_sq, sigma, y_xi)
+
+
+def _sign_type_rows(n: int, eps_model: DifferenceModel) -> RegressionBatch:
+    """The exact oracle's rows: phi = 1 and eps = +-scale fair signs, so a path
+    enters through its count k of up-steps, the design is the point mass n and
+    each tail is the mass of its types."""
+    scale = exact_oracle_scale(n, eps_model)
+    types = SignTypes(n)
+    design = np.full(n + 1, float(n))
+    return RegressionBatch(scale * types.s(), design, design[:1], scale, scale, types)
 
 
 def _resolve_window(root: np.ndarray, b, M) -> tuple[float, float]:
@@ -118,31 +146,6 @@ def _resolve_window(root: np.ndarray, b, M) -> tuple[float, float]:
     return float(b), float(M)
 
 
-def _measure(thm, rows: RegressionBatch, tail, design, x_grid, b, M) -> tuple[tuple, list, list]:
-    """Window (b, M), and per grid x the deviation bound and tail(event mask).
-
-    thm32_regression: |theta_hat - theta| >= x against twice the inf-over-p
-    expectation bound over the design masses `design`; b = M = None.
-    thm33_regression: the windowed self-normalized event, closed at both
-    window edges, against the closed form on [b, b*M].
-    """
-    sigma, y, deviation = rows.sigma, rows.y_xi, np.abs(rows.err)
-    in_window = True  # thm32 has no window
-    if thm == "thm32_regression":
-        b = M = None
-        rates = [x * x / (2.0 * (sigma * sigma + x * y / 3.0)) for x in x_grid]
-        bounds = [2.0 * optimize_expectation_values(r, design).value for r in rates]
-    elif thm == "thm33_regression":
-        root = np.sqrt(rows.phi_sq)
-        b, M = _resolve_window(root, b, M)
-        deviation *= root
-        in_window = closed_ge(root, b) & closed_ge(-root, -b * M)
-        bounds = [evaluate_bound(thm, x=float(x), sigma=sigma, y=y, b=b, M=M) for x in x_grid]
-    else:
-        raise ValueError(f"unknown regression theorem {thm!r}")
-    return (b, M), bounds, [tail(closed_ge(deviation, x) & in_window) for x in x_grid]
-
-
 def verify_regression(
     thm: str,
     *,
@@ -150,43 +153,42 @@ def verify_regression(
     eps_model: DifferenceModel,
     n: int,
     x_grid,
+    mode: str,
     n_rep: int,
-    gamma: float,
     master_seed: int,
     b: float | None = None,
     M: float | None = None,
     jobs: int = 1,
-) -> tuple[tuple, list, list]:
-    """Window (b, M), and per grid x the deviation bound and an MCEstimate of
-    the tail, for the least-squares estimator; b = M = None for thm32.
-    The replicates, drawn on `jobs` threads (see regression_batch), are the
-    rows of the measurement and their design masses the expectation bound's
-    sample (common random numbers). The design is exogenous, so
-    theta_hat - theta = sum(phi eps) / sum(phi^2) does not depend on theta.
+) -> tuple:
+    """(Monte Carlo rows, sign-type rows, window (b, M), [(TailEvent, bound)
+    per grid x]) of the least-squares estimator; each kind of rows is None
+    outside its modes, and b = M = None for thm32.
+
+    The design is exogenous, so theta_hat - theta = sum(phi eps) / sum(phi^2)
+    does not depend on theta.  thm32_regression: |theta_hat - theta| >= x
+    against twice the inf-over-p expectation bound over the design masses.
+    thm33_regression: |sum(phi eps)| / sqrt(sum phi^2) >= x on the window
+    [b, b*M] of sqrt(sum phi^2), against the closed form.  The Monte Carlo
+    replicates, drawn on `jobs` threads (see regression_batch), give the
+    window and the bounds (common random numbers) when there are any.
     """
-    batch = regression_batch(phi_kind, eps_model, n, n_rep, master_seed, jobs)
-    tail = lambda mask: MCEstimate.from_hits(int(np.count_nonzero(mask)), n_rep, gamma)
-    return _measure(thm, batch, tail, batch.phi_sq, x_grid, b, M)
-
-
-def exact_regression_records(
-    thm: str,
-    *,
-    n: int,
-    x_grid,
-    eps_model: DifferenceModel,
-    b: float | None = None,
-    M: float | None = None,
-) -> tuple[tuple, list, list]:
-    """Exact-oracle variant: phi = 1 and eps = +-scale fair signs; the tails
-    are exact probabilities.
-
-    With a constant design, theta_hat - theta = scale * S_n / n, so both the
-    tail and the expectation bound depend on a path only through its count k
-    of up-steps: the rows of the shared measurement are the n + 1 sign types,
-    each tail is the mass of its types, and the design is the point mass n.
-    """
-    scale = exact_oracle_scale(n, eps_model)
-    types = SignTypes(n)
-    rows = RegressionBatch(scale * types.s() / n, np.full(n + 1, float(n)), scale, scale)
-    return _measure(thm, rows, types.mass, np.full(1, float(n)), x_grid, b, M)
+    rows = types = None
+    if mode in ("mc", "both"):
+        rows = regression_batch(phi_kind, eps_model, n, n_rep, master_seed, jobs)
+    if mode in ("exact_oracle", "both"):
+        types = _sign_type_rows(n, eps_model)
+    ref = types if rows is None else rows
+    sigma, y = ref.sigma, ref.y_xi
+    if thm == "thm32_regression":
+        window = (None, None)
+        rates = [x * x / (2.0 * (sigma * sigma + x * y / 3.0)) for x in x_grid]
+        bounds = [2.0 * optimize_expectation_values(r, ref.masses).value for r in rates]
+        events = [TailEvent(x, normalizer=RegressionBatch.design) for x in x_grid]
+    elif thm == "thm33_regression":
+        window = b, M = _resolve_window(ref.root(), b, M)
+        root = RegressionBatch.root
+        bounds = [evaluate_bound(thm, x=float(x), sigma=sigma, y=y, b=b, M=M) for x in x_grid]
+        events = [TailEvent(x, normalizer=root, window=(root, b, b * M)) for x in x_grid]
+    else:
+        raise ValueError(f"unknown regression theorem {thm!r}")
+    return rows, types, window, list(zip(events, bounds))

@@ -23,14 +23,14 @@ from .montecarlo import (
     check_enumeration_size,
     domination_check,
     estimate_tail_from,
+    evaluate_event,
     exact_optimized_bound_rademacher,
     exact_tail_rademacher,
     exact_verdict,
     optimize_over_p_from,
 )
 from .processes import BatchStats, build_model, map_jobs, sample_batch
-from .applications.regression import exact_oracle_scale, noise_bounds
-from .applications.regression import exact_regression_records, verify_regression
+from .applications.regression import exact_oracle_scale, noise_bounds, verify_regression
 from .applications.student import self_normalized_threshold
 from .applications.tsp import check_tsp_size, verify_tsp
 
@@ -425,6 +425,7 @@ class _PointPlan:
     expectation: float | None = None  # the rate of an inf-over-p bound on `event`
     note: str = ""
     suffix: str = ""
+    sampled_bound: bool = False  # a closed bound computed from the sampled rows
 
 
 def _bracket(key: tuple, root: bool = False):
@@ -542,7 +543,9 @@ def _plan_thm31_tstat(spec, gp, model, key):
                        note="event via the equivalent self-normalized form")]
 
 
-def _diff_record(spec, stats, plan: _PointPlan, gp: dict) -> ResultRecord:
+def _diff_record(spec, stats, plan: _PointPlan, gp: dict, types=None) -> ResultRecord:
+    """The record of one plan: its Monte Carlo estimate on `stats`, and its
+    exact tail on the sign-type rows `types`, else by the fair-sign oracle."""
     note, bound, estimate, exact = plan.note, plan.bound, None, None
     if plan.expectation is not None:
         if spec.mode == "exact_oracle":
@@ -555,10 +558,12 @@ def _diff_record(spec, stats, plan: _PointPlan, gp: dict) -> ResultRecord:
         estimate = estimate_tail_from(stats, plan.event, spec.gamma)
         if plan.expectation is not None and estimate.hits < UNTESTED_DEPTH_FACTOR:
             note = _append_note(note, "untested_depth")
-    if spec.mode != "mc":
+    if types is not None:
+        exact = types.mass(evaluate_event(types, plan.event))
+    elif spec.mode != "mc":
         exact = exact_tail_rademacher(spec.n, plan.event)
     return _record(spec, plan.echo, gp, bound, estimate, exact, note, plan.suffix,
-                   bound_estimated=plan.expectation is not None)
+                   bound_estimated=plan.expectation is not None or plan.sampled_bound)
 
 
 def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
@@ -609,38 +614,22 @@ def _run_diff_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
 
 
 def _run_regression_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:
+    """The x grid runs in order: grid-point threads made these small runs slower."""
     t0 = time.perf_counter()
-    model = build_model(spec.model)
-    x_grid = spec.grids["x"]
-    b = spec.grids.get("b", [None])[0]
-    M = spec.grids.get("M", [None])[0]
-    mc_tails = exact_tails = [None] * len(x_grid)
-    if spec.mode in ("exact_oracle", "both"):
-        window, bounds, exact_tails = exact_regression_records(
-            spec.theorem, n=spec.n, x_grid=x_grid, eps_model=model, b=b, M=M
-        )
-    if spec.mode in ("mc", "both"):
-        # a Monte Carlo run gives the records their window and bounds
-        window, bounds, mc_tails = verify_regression(
-            spec.theorem,
-            phi_kind=spec.phi,
-            eps_model=model,
-            n=spec.n,
-            x_grid=x_grid,
-            n_rep=spec.n_rep,
-            gamma=spec.gamma,
-            master_seed=spec.master_seed,
-            b=b,
-            M=M,
-            jobs=jobs,
-        )
-    echo = dict(zip(("b", "M"), window))
-    note = f"theta={spec.theta!r}; phi={spec.phi}"
-    return _timed([
-        _record(spec, {"x": float(x), **echo}, {"x": float(x)}, bound, mc, exact, note,
-                bound_estimated=spec.theorem == "thm32_regression")
-        for x, bound, mc, exact in zip(x_grid, bounds, mc_tails, exact_tails)
-    ], t0)
+    rows, types, window, pairs = verify_regression(
+        spec.theorem, phi_kind=spec.phi, eps_model=build_model(spec.model), n=spec.n,
+        x_grid=spec.grids["x"], mode=spec.mode, n_rep=spec.n_rep, master_seed=spec.master_seed,
+        b=spec.grids.get("b", [None])[0], M=spec.grids.get("M", [None])[0], jobs=jobs,
+    )
+    echo, note = dict(zip(("b", "M"), window)), f"theta={spec.theta!r}; phi={spec.phi}"
+    # thm32's bound averages over the replicates' design masses where there are any
+    sampled = spec.theorem == "thm32_regression" and rows is not None
+    records = []
+    for x, (event, bound) in zip(spec.grids["x"], pairs):
+        gp = {"x": float(x)}
+        plan = _PointPlan({**gp, **echo}, event, bound, note=note, sampled_bound=sampled)
+        records.append(_diff_record(spec, rows, plan, gp, types))
+    return _timed(records, t0)
 
 
 def _run_thm34_target(spec: ExperimentSpec, jobs: int) -> list[ResultRecord]:

@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 from selfnorm.bounds import evaluate_bound
-from selfnorm.montecarlo import domination_check, exact_verdict
+from selfnorm.experiments import load_spec, run_experiment
+from selfnorm.montecarlo import (
+    TailEvent,
+    closed_ge,
+    domination_check,
+    estimate_tail_from,
+    evaluate_event,
+)
 from selfnorm.applications.student import self_normalized_threshold
 from selfnorm.applications.regression import (
     DegenerateDesignError,
-    exact_regression_records,
+    RegressionBatch,
     regression_batch,
     verify_regression,
 )
@@ -202,7 +209,7 @@ class TestLeastSquares:
             regression_batch("uniform", noise, 64, 3 * (BLOCK_VALUES // 64) + 5, 55, jobs=jobs)
         with pytest.raises(RuntimeError, match="noise draw failed"):
             verify_regression("thm32_regression", phi_kind="uniform", eps_model=noise, n=64,
-                              x_grid=[0.2], n_rep=500, gamma=0.95, master_seed=1, jobs=jobs)
+                              x_grid=[0.2], mode="mc", n_rep=500, master_seed=1, jobs=jobs)
 
     def test_observation_equation_exact(self):
         noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
@@ -214,38 +221,56 @@ class TestLeastSquares:
             _manual_run(1.0, [1.5], [0.0])
 
 
+def _regression_tails(thm, mode="mc", **kwargs):
+    """(bounds, Monte Carlo estimates at gamma = 0.99, exact tails) of
+    verify_regression; the estimates or the exact tails are None outside
+    their modes."""
+    rows, types, _, pairs = verify_regression(thm, mode=mode, **kwargs)
+    bounds = [bound for _, bound in pairs]
+    mc = exact = None
+    if rows is not None:
+        mc = [estimate_tail_from(rows, event, 0.99) for event, _ in pairs]
+    if types is not None:
+        exact = [types.mass(evaluate_event(types, event)) for event, _ in pairs]
+    return bounds, mc, exact
+
+
+def _regression_records(thm, grids, mode, **fields):
+    raw = {
+        "id": "reg", "theorem": thm, "n": 12, "phi": "ones", "mode": mode,
+        "model": {"family": "scaled_two_point", "p_up": 0.5, "up": 0.1, "down": -0.1},
+        "grids": grids, **fields,
+    }
+    return run_experiment(load_spec(raw))
+
+
 class TestVerifyRegression:
     NOISE = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
 
     def test_mc_passes_at_moderate_deviation(self):
-        _, bounds, tails = verify_regression(
-            "thm32_regression", phi_kind="uniform", eps_model=self.NOISE,
-            n=50, x_grid=[0.5], n_rep=20_000, gamma=0.99, master_seed=5,
-        )
-        assert domination_check(tails[0], bounds[0]) == "pass"
+        [rec] = _regression_records("thm32_regression", {"x": [0.5]}, "mc", n=50, phi="uniform",
+                                    n_rep=20_000, gamma=0.99, master_seed=5)
+        assert rec.status == "pass"
 
     def test_zero_deviation_is_vacuous(self):
-        _, bounds, tails = verify_regression(
+        bounds, tails, _ = _regression_tails(
             "thm32_regression", phi_kind="uniform", eps_model=self.NOISE,
-            n=20, x_grid=[0.0], n_rep=500, gamma=0.99, master_seed=5,
+            n=20, x_grid=[0.0], n_rep=500, master_seed=5,
         )
         assert domination_check(tails[0], bounds[0]) == "vacuous"
         assert tails[0].p_hat == 1.0
 
     def test_windowed_variant_never_violates(self):
-        (b, M), bounds, tails = verify_regression(
-            "thm33_regression", phi_kind="uniform", eps_model=self.NOISE,
-            n=50, x_grid=[0.2, 0.5, 1.0], n_rep=20_000, gamma=0.99, master_seed=5,
-        )
-        statuses = [domination_check(tail, bound) for tail, bound in zip(tails, bounds)]
-        assert all(status in ("pass", "vacuous") for status in statuses)
-        assert b > 0 and M >= 1
+        records = _regression_records("thm33_regression", {"x": [0.2, 0.5, 1.0]}, "mc", n=50,
+                                      phi="uniform", n_rep=20_000, gamma=0.99, master_seed=5)
+        assert all(rec.status in ("pass", "vacuous") for rec in records)
+        assert all(rec.b > 0 and rec.M >= 1 for rec in records)
 
     def test_unbounded_noise_rejected(self):
         with pytest.raises(ValueError, match="bounded"):
             verify_regression(
                 "thm32_regression", phi_kind="uniform", eps_model=Gaussian(sd=0.1),
-                n=20, x_grid=[0.5], n_rep=500, gamma=0.99, master_seed=5,
+                n=20, x_grid=[0.5], mode="mc", n_rep=500, master_seed=5,
             )
 
     def test_sigma_floor(self):
@@ -255,13 +280,11 @@ class TestVerifyRegression:
 
     def test_exact_oracle_hand_values(self):
         # self.NOISE is +-0.1 fair signs
-        _, bounds, exact = exact_regression_records(
-            "thm32_regression", n=12, x_grid=[0.05, 0.1], eps_model=self.NOISE
-        )
+        records = _regression_records("thm32_regression", {"x": [0.05, 0.1]}, "exact_oracle")
         # |theta_hat - theta| = 0.1 |S_12| / 12: tails are binomial sums
-        assert exact[0] == pytest.approx(598.0 / 4096.0, rel=1e-12)
-        assert exact[1] == pytest.approx(2.0 / 4096.0, rel=1e-12)
-        assert all(exact_verdict(p, bound) == "pass" for p, bound in zip(exact, bounds))
+        assert records[0].exact == pytest.approx(598.0 / 4096.0, rel=1e-12)
+        assert records[1].exact == pytest.approx(2.0 / 4096.0, rel=1e-12)
+        assert all(rec.status == "pass" for rec in records)
 
     @pytest.mark.parametrize("n", [21, 200])
     def test_exact_oracle_beyond_enumeration(self, n):
@@ -274,8 +297,9 @@ class TestVerifyRegression:
             "thm33_regression": ([1.1, 2.05], lambda d, x: Fraction(d * d, n) >= Fraction(x) ** 2),
         }
         for thm, (x_grid, inside) in cases.items():
-            _, _, exact = exact_regression_records(
-                thm, n=n, x_grid=x_grid, eps_model=Rademacher()
+            _, _, exact = _regression_tails(
+                thm, mode="exact_oracle", phi_kind="ones", eps_model=Rademacher(), n=n,
+                x_grid=x_grid, n_rep=100, master_seed=0,
             )
             for x, got in zip(x_grid, exact):
                 count = sum(math.comb(n, k) for k in range(n + 1) if inside(abs(2 * k - n), x))
@@ -296,18 +320,45 @@ class TestVerifyRegression:
     def test_exact_oracle_agrees_with_mc(self, thm, x_grid, b):
         # phi = 1 makes the design constant, so both modes take the same
         # window and the same closed-form bound
-        window, bounds, tails = verify_regression(
-            thm, phi_kind="ones", eps_model=self.NOISE,
-            n=12, x_grid=x_grid, n_rep=40_000, gamma=0.99, master_seed=12, b=b,
-        )
-        exact_window, exact_bounds, exact = exact_regression_records(
-            thm, n=12, x_grid=x_grid, eps_model=self.NOISE, b=b
-        )
-        assert exact_window == window
+        grids = {"x": x_grid} if b is None else {"x": x_grid, "b": [b]}
+        fields = dict(n_rep=40_000, gamma=0.99, master_seed=12)
+        mc = _regression_records(thm, grids, "mc", **fields)
+        exact = _regression_records(thm, grids, "exact_oracle", **fields)
+        assert [(rec.b, rec.M) for rec in exact] == [(rec.b, rec.M) for rec in mc]
         if thm == "thm33_regression":
-            assert exact_bounds == bounds
-        for mc, ex in zip(tails, exact):
-            assert 0 < ex and mc.ci_lo <= ex <= mc.ci_hi
+            assert [rec.bound for rec in exact] == [rec.bound for rec in mc]
+        for rec, ex in zip(mc, exact):
+            assert 0 < ex.exact and rec.ci_lo <= ex.exact <= rec.ci_hi
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_thm33_event_rewrite_on_sign_types(self, scale):
+        # |sum phi eps| / sqrt(sum phi^2) >= x marks the rows that the product
+        # form |sum phi eps / sum phi^2| * sqrt(sum phi^2) >= x marks, at
+        # every atom of either form and between them
+        noise = ScaledTwoPoint(p_up=0.5, up=scale, down=-scale)
+        for n in range(2, 61):
+            _assert_thm33_forms_agree(regression._sign_type_rows(n, noise),
+                                      (0.1, 0.2, 0.3, 0.5, 1.0))
+
+    def test_thm33_event_rewrite_on_uniform_design(self):
+        rows = regression_batch("uniform", self.NOISE, 50, 20_000, 5)
+        _assert_thm33_forms_agree(rows, (0.1, 0.2, 0.3, 0.5, 1.0), atoms=500)
+
+
+def _assert_thm33_forms_agree(rows: RegressionBatch, grid, atoms=None):
+    """The thm33 event and its product form |theta_hat - theta| * sqrt(sum
+    phi^2), both closed by closed_ge, mark the same rows at each x of `grid`
+    and at the values of both forms (every one, or `atoms` of each, evenly
+    spaced in sorted order)."""
+    root = np.sqrt(rows.phi_sq)
+    product = np.abs(rows.err) * root
+    values = [np.sort(form) for form in (product, rows.s() / root)]
+    if atoms is not None:
+        values = [v[np.linspace(0, len(v) - 1, atoms).astype(int)] for v in values]
+    event = lambda x: TailEvent(x, normalizer=RegressionBatch.root)
+    for x in itertools.chain(grid, *values):
+        x = float(x)
+        assert np.array_equal(evaluate_event(rows, event(x)), closed_ge(product, x)), x
 
 
 def _square_points():

@@ -1165,7 +1165,8 @@ class TestBenchmarkHooks:
 
     SPANS = [
         (_spec(), {"bounds.eval_s", "montecarlo.event_s", "processes.sample_s"}),
-        (_regression_spec(), {"applications.regression.batch_s", "bounds.eval_s"}),
+        (_regression_spec(), {"applications.regression.batch_s", "applications.regression.verify_self_s",
+                              "bounds.eval_s", "montecarlo.event_s"}),
         (PINNED_SPECS["thm34_tsp"], {"applications.tsp.held_karp_s", "bounds.eval_s"}),
     ]
 

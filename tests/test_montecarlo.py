@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from selfnorm import montecarlo
-from selfnorm.applications.regression import regression_batch
+from selfnorm.applications.regression import regression_batch, verify_regression
 from selfnorm.bounds import beta_decay_coefficient, f_rate
 from selfnorm.montecarlo import (
     P_SEARCH_WINDOW,
@@ -241,6 +241,71 @@ class TestEstimateTail:
         a = estimate_tail_from(_stats(Rademacher(), 10, 1000, 31), event, 0.99)
         b = estimate_tail_from(_stats(Rademacher(), 10, 1000, 31), event, 0.99)
         assert a == b
+
+
+class _BiasedSigns(Rademacher):
+    """Rademacher's moments, with +1 steps drawn at probability 0.505: a
+    sampler fault that the coverage gate must catch."""
+
+    def sample(self, rng, size):
+        return np.where(rng.random(size) < 0.495, -1.0, 1.0)
+
+
+COVERAGE_SEEDS = 400
+# Each side of a two-sided gamma = 0.9 interval misses with chance at most
+# 0.05 per seed, so one side misses more than this many of 400 independent
+# seeds with chance at most 1e-6.
+COVERAGE_MISS_LIMIT = stats.binom.isf(1e-6, COVERAGE_SEEDS, 0.05)
+
+
+def _coverage_misses(draw, events, exact):
+    """Per event, the seeds whose gamma = 0.9 interval lies wholly above the
+    exact tail (ci_lo > exact) and wholly below it (ci_hi < exact)."""
+    below, above = [0] * len(events), [0] * len(events)
+    for seed in range(COVERAGE_SEEDS):
+        rows = draw(seed)
+        for i, (event, p) in enumerate(zip(events, exact)):
+            est = estimate_tail_from(rows, event, 0.9)
+            below[i] += est.ci_lo > p
+            above[i] += est.ci_hi < p
+    return below, above
+
+
+class TestCoverageGate:
+    """The Monte Carlo verdict's own error rate: over many seeds, each side
+    of the interval misses the exact tail at most at its nominal rate."""
+
+    EVENTS = [TailEvent(x=x, normalizer=lambda st: np.sqrt(st.b_n(0.0))) for x in (0.5, 1.0, 2.0)]
+
+    def _misses(self, model):
+        draw = lambda seed: stream_stats(model, 20, 2000, seed, ("b_n", 0.0))
+        exact = [exact_tail_rademacher(20, event) for event in self.EVENTS]
+        return _coverage_misses(draw, self.EVENTS, exact)
+
+    def test_limit(self):
+        assert COVERAGE_MISS_LIMIT == 44
+
+    def test_fair_signs_pass(self):
+        below, above = self._misses(Rademacher())
+        assert max(below + above) <= COVERAGE_MISS_LIMIT, (below, above)
+
+    def test_biased_sampler_fails(self):
+        below, above = self._misses(_BiasedSigns())
+        assert max(below) > COVERAGE_MISS_LIMIT, (below, above)
+
+    def test_regression_event(self):
+        # phi = 1, noise +-0.1: the thm33 event, its Monte Carlo and exact
+        # tails both read by evaluate_event
+        noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
+        _, types, _, [(event, _)] = verify_regression(
+            "thm33_regression", phi_kind="ones", eps_model=noise, n=12, x_grid=[0.15],
+            mode="exact_oracle", n_rep=2000, master_seed=0,
+        )
+        exact = types.mass(evaluate_event(types, event))
+        assert exact == 598 / 4096
+        draw = lambda seed: regression_batch("ones", noise, 12, 2000, seed)
+        below, above = _coverage_misses(draw, [event], [exact])
+        assert max(below + above) <= COVERAGE_MISS_LIMIT, (below, above)
 
 
 class TestExpectationBounds:
