@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,11 @@ def exact_oracle_scale(n: int, eps_model: DifferenceModel, phi_kind: str = "ones
     return eps_model.upper_bound
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionBatch:
     """Rows of the regression measurement, read by `evaluate_event`: Monte
@@ -75,14 +81,24 @@ class RegressionBatch:
     y_xi: float          # almost-sure upper bound on xi = phi*eps
     types: SignTypes | None = None  # the sign types, for their mass
 
+    # every event of a batch reads |sum phi*eps|, and thm33's events read
+    # sqrt(sum phi^2) twice (normalizer and window), so each is made once
+    @cached_property
+    def _abs_cross(self) -> np.ndarray:
+        return _read_only(np.abs(self.cross))
+
+    @cached_property
+    def _root(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.phi_sq))
+
     def s(self):
-        return np.abs(self.cross)
+        return self._abs_cross
 
     def design(self):
         return self.phi_sq
 
     def root(self):
-        return np.sqrt(self.phi_sq)
+        return self._root
 
     @property
     def err(self) -> np.ndarray:

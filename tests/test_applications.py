@@ -177,6 +177,16 @@ class TestLeastSquares:
         assert np.array_equal(threaded.err, serial.err)
         assert np.array_equal(threaded.phi_sq, serial.phi_sq)
 
+    def test_s_and_root_made_once_per_batch(self):
+        noise = ScaledTwoPoint(p_up=0.5, up=0.1, down=-0.1)
+        for batch in (regression_batch("uniform", noise, 30, 500, 55),
+                      regression._sign_type_rows(30, noise)):
+            s, root = batch.s(), batch.root()
+            assert batch.s() is s and batch.root() is root
+            assert np.array_equal(s.view(np.int64), np.abs(batch.cross).view(np.int64))
+            assert np.array_equal(root.view(np.int64), np.sqrt(batch.phi_sq).view(np.int64))
+            assert not s.flags.writeable and not root.flags.writeable
+
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_degenerate_design_raises(self, monkeypatch, jobs):
         # one all-zero design row, the last kept row of the trimmed last

@@ -271,11 +271,24 @@ def _coverage_misses(draw, events, exact):
     return below, above
 
 
+def _b0(st):
+    return st.b_n(0.0)
+
+
+def _root_b0(st):
+    return np.sqrt(st.b_n(0.0))
+
+
 class TestCoverageGate:
     """The Monte Carlo verdict's own error rate: over many seeds, each side
     of the interval misses the exact tail at most at its nominal rate."""
 
-    EVENTS = [TailEvent(x=x, normalizer=lambda st: np.sqrt(st.b_n(0.0))) for x in (0.5, 1.0, 2.0)]
+    EVENTS = [TailEvent(x=x, normalizer=_root_b0) for x in (0.5, 1.0, 2.0)] + [
+        # cor21_point's event on the window B_n(0) >= y; exact tail 0.0577
+        TailEvent(x=0.05, normalizer=_b0, window=(_b0, 23.5, math.inf)),
+        # the peeling event on the window [b, b*M] = [4, 4.8]; exact tail 0.194
+        TailEvent(x=0.5, normalizer=_root_b0, window=(_root_b0, 4.0, 4.0 * 1.2)),
+    ]
 
     def _misses(self, model):
         draw = lambda seed: stream_stats(model, 20, 2000, seed, ("b_n", 0.0))
@@ -284,6 +297,11 @@ class TestCoverageGate:
 
     def test_limit(self):
         assert COVERAGE_MISS_LIMIT == 44
+
+    def test_exact_tails(self):
+        # each event marks its own set of types, with a tail the seeds resolve
+        exact = [exact_tail_rademacher(20, event) for event in self.EVENTS]
+        assert len(set(exact)) == len(exact) and all(0.02 <= p <= 0.5 for p in exact)
 
     def test_fair_signs_pass(self):
         below, above = self._misses(Rademacher())
